@@ -1,0 +1,224 @@
+// Frozen-behaviour pins for the trainer's simulated network and clock.
+//
+// Each case runs a small workload and renders what the simulation charged:
+// per-epoch cumulative traffic and time (as IEEE-754 bit patterns), the
+// migration count and aggregation flag of every epoch, the directional
+// traffic totals, and the fault and chaos counters. The rendering is
+// compared line by line with one recorded from a known-good build. None of
+// these values depends on model float values, so the pins hold under every
+// GEMM kernel (run with FEDMIGR_GEMM_KERNEL=portable too). A refactor of the
+// participation paths must leave every line unchanged; a deliberate
+// behaviour change re-records the affected rendering and states why.
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "data/partition.h"
+#include "data/synthetic.h"
+#include "fl/policies.h"
+#include "fl/trainer.h"
+#include "net/device.h"
+#include "net/topology.h"
+#include "nn/zoo.h"
+#include "util/rng.h"
+
+namespace fedmigr::fl {
+namespace {
+
+std::string Bits(double value) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(value));
+  std::memcpy(&bits, &value, sizeof(bits));
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, bits);
+  return buffer;
+}
+
+std::string Render(const RunResult& r) {
+  std::string out;
+  for (const EpochRecord& e : r.history) {
+    out += "e" + std::to_string(e.epoch) +
+           " gb=" + Bits(e.cumulative_traffic_gb) +
+           " s=" + Bits(e.cumulative_time_s) +
+           " m=" + std::to_string(e.migrations) +
+           " a=" + std::to_string(e.aggregated ? 1 : 0) + "\n";
+  }
+  out += "up=" + Bits(r.c2s_up_gb) + " down=" + Bits(r.c2s_down_gb) +
+         " c2c=" + Bits(r.c2c_gb) + "\n";
+  const net::FaultCounters& f = r.faults;
+  out += "faults";
+  for (int64_t v :
+       {f.attempts, f.failures, f.retries, f.deadline_aborts,
+        f.aborted_transfers, f.fallbacks, f.corrupted, f.corrupt_rejected,
+        f.dropped_stragglers, f.crash_epochs, f.crashes,
+        f.partitioned_transfers, f.outage_transfers}) {
+    out += " " + std::to_string(v);
+  }
+  out += "\n";
+  const ChaosCounters& c = r.chaos;
+  out += "chaos";
+  for (int64_t v :
+       {c.migrations_planned, c.migrations_completed, c.migration_fallbacks,
+        c.migrations_rolled_back, c.quorum_commits, c.quorum_misses,
+        c.carryover_clients, c.churn_absences, c.churn_departures}) {
+    out += " " + std::to_string(v);
+  }
+  out += "\n";
+  return out;
+}
+
+// The Fig. 3 fleet: 10 clients of the C10 simulation topology (3 LANs),
+// LAN-shard non-IID data and the cross-LAN migration strategy.
+struct Fig3Fleet {
+  Fig3Fleet() : topology(net::MakeC10SimTopology()) {
+    data::SyntheticSpec spec = data::C10Spec();
+    spec.train_per_class = 20;
+    spec.test_per_class = 4;
+    data = data::GenerateSynthetic(spec);
+    util::Rng rng(3);
+    partition =
+        data::PartitionByLanShards(data.train, topology.config().lan_of, &rng);
+    devices = net::MakeTestbedFleet(topology.num_clients());
+  }
+
+  static TrainerConfig MakeConfig() {
+    TrainerConfig config;
+    config.scheme_name = "crosslan";
+    config.max_epochs = 12;
+    config.agg_period = 5;
+    config.eval_every = 6;
+    config.batch_size = 8;
+    config.seed = 5;
+    return config;
+  }
+
+  RunResult Run(TrainerConfig config) const {
+    Trainer trainer(std::move(config), &data.train, partition, &data.test,
+                    topology, devices,
+                    [](util::Rng* rng) { return nn::MakeC10Net(rng); },
+                    std::make_unique<LanConstrainedPolicy>(/*cross_lan=*/true));
+    return trainer.Run();
+  }
+
+  net::Topology topology;
+  data::TrainTest data;
+  data::Partition partition;
+  std::vector<net::DeviceProfile> devices;
+};
+
+// The trainer_chaos_test fleet: K = 60 across 4 LANs, IID slices, random
+// migration.
+struct ChaosFleet {
+  ChaosFleet() {
+    data::SyntheticSpec spec = data::C10Spec();
+    spec.train_per_class = 30;
+    spec.test_per_class = 5;
+    data = data::GenerateSynthetic(spec);
+    util::Rng rng(3);
+    partition = data::PartitionIid(data.train, kClients, &rng);
+    devices = net::MakeUniformFleet(kClients);
+  }
+
+  RunResult Run(TrainerConfig config) const {
+    net::TopologyConfig tc;
+    tc.lan_of = net::EvenLanAssignment(kClients, 4);
+    Trainer trainer(std::move(config), &data.train, partition, &data.test,
+                    net::Topology(std::move(tc)), devices,
+                    [](util::Rng* rng) { return nn::MakeC10Net(rng); },
+                    std::make_unique<RandomMigrationPolicy>());
+    return trainer.Run();
+  }
+
+  static constexpr int kClients = 60;
+  data::TrainTest data;
+  data::Partition partition;
+  std::vector<net::DeviceProfile> devices;
+};
+
+TEST(TrainerGoldenTest, Fig3CrossLanFullParticipation) {
+  const Fig3Fleet fleet;
+  const std::string expected =
+      "e1 gb=3f36a22de7c4cacb s=3fc67fb91dc35f65 m=10 a=0\n"
+      "e2 gb=3f46a22de7c4cacb s=3fd67fb91dc35f64 m=10 a=0\n"
+      "e3 gb=3f50f9a26dd39818 s=3fe0dfcad652878b m=10 a=0\n"
+      "e4 gb=3f56a22de7c4cacb s=3fe67fb91dc35f64 m=10 a=0\n"
+      "e5 gb=3f60f9a26dd39818 s=3ff572e19eebe8f1 m=0 a=1\n"
+      "e6 gb=3f63857acb19bbb5 s=3ff842d8c2a454de m=9 a=0\n"
+      "e7 gb=3f6659c08812550f s=3ffb12cfe65cc0cb m=10 a=0\n"
+      "e8 gb=3f692e06450aee68 s=3ffde2c70a152cb8 m=10 a=0\n"
+      "e9 gb=3f6c024c020387c1 s=4000595f16e6cc52 m=10 a=0\n"
+      "e10 gb=3f70d56bbdfa5d3a s=400572e19eebe8f2 m=0 a=1\n"
+      "e11 gb=3f723f8e9c76a9e7 s=4006dadd30c81ee8 m=10 a=0\n"
+      "e12 gb=3f7513d4596f4340 s=400bf45fb8cd3b88 m=0 a=1\n"
+      "up=3f50f9a26dd39818 down=3f50f9a26dd39818 c2c=3f692e06450aee68\n"
+      "faults 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+      "chaos 89 89 0 0 0 0 0 0 0\n";
+  EXPECT_EQ(Render(fleet.Run(Fig3Fleet::MakeConfig())), expected);
+}
+
+TEST(TrainerGoldenTest, Fig3PartialParticipationUnderLinkFaults) {
+  const Fig3Fleet fleet;
+  TrainerConfig config = Fig3Fleet::MakeConfig();
+  config.client_fraction = 0.5;
+  config.dropout_prob = 0.1;
+  config.quorum_fraction = 0.6;
+  config.fault.link_failure_prob = 0.5;
+  config.fault.corruption_prob = 0.05;
+  config.fault.crash_prob = 0.1;
+  const std::string expected =
+      "e1 gb=3f021b57ec9d6f09 s=3fc67fb91dc35f65 m=1 a=0\n"
+      "e2 gb=3f021b57ec9d6f09 s=3fd59070252c0972 m=0 a=0\n"
+      "e3 gb=3f021b57ec9d6f09 s=3fdc31f39812b0dc m=0 a=0\n"
+      "e4 gb=3f1b2903e2ec268d s=3ff2184647e2eda0 m=1 a=0\n"
+      "e5 gb=3f4fafd9de13824f s=4022c6606c5161f2 m=0 a=1\n"
+      "e6 gb=3f533d0d6b6745f9 s=40262f53e051e4cf m=3 a=0\n"
+      "e7 gb=3f545ec2ea311cea s=402790cd0c8dacfc m=1 a=0\n"
+      "e8 gb=3f561153285fdf52 s=4028f24638c97529 m=2 a=0\n"
+      "e9 gb=3f561153285fdf52 s=402944cad57bc7f7 m=0 a=0\n"
+      "e10 gb=3f6263c54c4fe4c5 s=4034ea29efbd929d m=0 a=1\n"
+      "e11 gb=3f633d0d6b6745f9 s=40359095f2452c5a m=2 a=0\n"
+      "e12 gb=3f697673a4bd6424 s=403bb5a71659de98 m=0 a=1\n"
+      "up=3f4b2903e2ec268d down=3f5bb9dea2511205 c2c=3f433d0d6b6745f9\n"
+      "faults 90 41 38 0 3 0 3 3 0 14 10 0 0\n"
+      "chaos 10 10 0 0 3 0 0 0 0\n";
+  EXPECT_EQ(Render(fleet.Run(std::move(config))), expected);
+}
+
+TEST(TrainerGoldenTest, ChaosCohortOfEight) {
+  const ChaosFleet fleet;
+  TrainerConfig config;
+  config.scheme_name = "chaos-test";
+  config.max_epochs = 6;
+  config.agg_period = 2;
+  config.cohort_size = 8;
+  config.eval_every = 2;
+  config.batch_size = 8;
+  config.seed = 99;
+  config.fault.chaos.partitions.push_back({/*lan=*/1, /*start_epoch=*/2,
+                                           /*duration_epochs=*/3});
+  config.fault.chaos.outages.push_back({/*start_epoch=*/6,
+                                        /*duration_epochs=*/1});
+  config.fault.chaos.churn_rate = 0.25;
+  config.quorum_fraction = 0.5;
+  const std::string expected =
+      "e1 gb=3f345ec2ea311cea s=3fc3df9e60a8b744 m=4 a=0\n"
+      "e2 gb=3f3b2903e2ec268d s=3fd12ba9d1f6017a m=0 a=1\n"
+      "e3 gb=3f48e598e55878ac s=3fdca1a5d7957dac m=4 a=0\n"
+      "e4 gb=3f4fafd9de13824f s=3fe3942c724ed1f6 m=0 a=1\n"
+      "e5 gb=3f57c3e3668ea1bb s=3fea1240dfc42056 m=7 a=0\n"
+      "e6 gb=3f57c3e3668ea1bb s=3fed00848a3ddc04 m=0 a=1\n"
+      "up=3f345ec2ea311cea down=3f445ec2ea311cea c2c=3f40f9a26dd39818\n"
+      "faults 42 0 0 0 0 0 0 0 0 0 0 2 7\n"
+      "chaos 15 15 0 0 2 1 0 6 4\n";
+  EXPECT_EQ(Render(fleet.Run(std::move(config))), expected);
+}
+
+}  // namespace
+}  // namespace fedmigr::fl
