@@ -67,8 +67,8 @@ class Client {
   // O(1); no parameters are copied until the client writes.
   void SetModel(ModelRef model);
 
-  // Legacy deep-copy install (async runtime, tests). The client owns the
-  // resulting block exclusively.
+  // Deep-copy install (tests). The client owns the resulting block
+  // exclusively.
   void SetModel(const nn::Sequential& model);
 
   // Shares the current replica and marks it immutable-in-place: the next

@@ -1,12 +1,13 @@
 // Partial-participation cohort scheduling for the sharded simulator.
 //
-// `CohortSampler` draws the active cohort of each aggregation round. It is
-// stateless: the round's cohort is a pure function of (seed, round index,
-// fleet size, cohort size), so a resumed run recomputes the same cohorts
-// without any snapshot bytes and the trainer's main RNG stream is never
-// consumed — cohort scheduling cannot perturb the legacy full-participation
-// streams. Sampling uses Floyd's algorithm, O(C log C) independent of the
-// fleet size K, which matters at K = 10^6 with C = 10^2.
+// `CohortSampler` draws the sampled cohort of each aggregation round. It is
+// stateless: the round's sample is a pure function of (seed, round index,
+// fleet size, cohort size), and the trainer's main RNG stream is never
+// consumed — cohort scheduling cannot perturb the full-participation
+// streams. (Churn and quorum carryover make the trainer's *effective*
+// cohort history-dependent, so the trainer snapshots that list itself.)
+// Sampling uses Floyd's algorithm, O(C log C) independent of the fleet
+// size K, which matters at K = 10^6 with C = 10^2.
 //
 // `ShardedClients` is the lazy client-state container: a sharded pointer
 // table whose shards are allocated only when a client in them first joins a
@@ -26,8 +27,9 @@ namespace fedmigr::fl {
 
 class CohortSampler {
  public:
-  // `cohort_size` is clamped to [1, num_clients] by the caller (Trainer
-  // treats 0 as "cohorts disabled").
+  // `cohort_size` must lie in [1, num_clients]; both this constructor and
+  // the Trainer CHECK-fail otherwise. The Trainer treats 0 as full
+  // participation and builds no sampler.
   CohortSampler(uint64_t seed, int num_clients, int cohort_size);
 
   // Distinct client ids of round `round`, sorted ascending. Deterministic in
@@ -61,8 +63,9 @@ class ShardedClients {
   // Installs a freshly materialized client, allocating its shard on demand.
   Client* Put(int i, std::unique_ptr<Client> client);
 
-  // Returns client `i` to the lazy state (snapshot restore of a snapshot
-  // taken before the client first participated).
+  // Returns client `i` to the lazy state. The Trainer evicts only on a churn
+  // departure and on a snapshot restore whose record for `i` is lazy;
+  // rotating out of a cohort keeps the client materialized.
   void Evict(int i);
 
  private:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "data/distribution.h"
 #include "nn/serialize.h"
@@ -92,9 +93,6 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
                                                       config_.cohort_size);
     model_distributions_.assign(static_cast<size_t>(k),
                                 std::vector<double>());
-    participating_.assign(static_cast<size_t>(k), false);
-    available_.assign(static_cast<size_t>(k), false);
-    eligible_.assign(static_cast<size_t>(k), false);
   } else {
     identity_.resize(static_cast<size_t>(k));
     std::iota(identity_.begin(), identity_.end(), 0);
@@ -107,10 +105,12 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
       client.SetProximalReference(store_.aggregate_flat());
       model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
     }
-    participating_.assign(static_cast<size_t>(k), true);
-    available_.assign(static_cast<size_t>(k), true);
-    eligible_.assign(static_cast<size_t>(k), true);
   }
+  // The identity cohort participates from the start; sampled members join
+  // when their round begins.
+  participating_.assign(static_cast<size_t>(k), !cohort_mode());
+  available_ = participating_;
+  eligible_ = participating_;
   model_samples_.assign(static_cast<size_t>(k), 0.0);
 
   // Robustness layer. The Mean default installs nothing so the server runs
@@ -167,19 +167,18 @@ void Trainer::ResampleParticipants() {
 }
 
 void Trainer::BeginRound(int64_t round) {
-  if (round == cohort_round_) return;
+  if (!cohort_mode()) {
+    // The identity cohort never changes and received the aggregate when the
+    // last round committed; only the α-sample is re-drawn.
+    ResampleParticipants();
+    return;
+  }
   // The epoch this round boundary executes in (BeginRound only runs on
   // boundary epochs) — the stamp for everything journaled below.
   const int epoch = static_cast<int>(round) * config_.agg_period + 1;
-  // Retire the previous cohort. After a pre-chaos snapshot restore the list
-  // is gone — recompute it (the sampler is stateless, so this is the same
-  // list); chaos-era snapshots (v4) restore cohort_ directly.
-  std::vector<int> previous = std::move(cohort_);
-  if (previous.empty() && round > 0) {
-    previous = cohort_sampler_->Sample(round - 1);
-  }
+  // Retire the previous cohort (restored verbatim by LoadState on resume).
   const bool churning = config_.fault.chaos.churn_rate > 0.0;
-  for (int i : previous) {
+  for (int i : cohort_) {
     participating_[static_cast<size_t>(i)] = false;
     available_[static_cast<size_t>(i)] = false;
     eligible_[static_cast<size_t>(i)] = false;
@@ -244,22 +243,35 @@ void Trainer::BeginRound(int64_t round) {
                             static_cast<int>(carried.size()));
   }
 
-  // Cohort-mode Model Distribution: the aggregate travels only to members
-  // that do not already hold the current block (a re-sampled client that
-  // kept its alias downloads nothing). Deliveries are charged like the
-  // legacy distribution loop; a lost download leaves the member stale (or
-  // without a model at all on its first round — it then sits the round out).
-  double download_seconds = 0.0;
+  // A sampled cohort's Model Distribution happens here, so only the clients
+  // that will actually train download the aggregate. Carryover members keep
+  // their pending local update instead of re-syncing: their uncommitted
+  // error feedback rides into this round.
+  std::vector<int> targets;
+  targets.reserve(cohort_.size());
   for (int i : cohort_) {
     participating_[static_cast<size_t>(i)] = true;
-    Client& client = ClientAt(i);
-    if (client.model_ref() == store_.aggregate()) continue;
-    // Carryover members keep their pending local update instead of
-    // re-syncing: their uncommitted error feedback rides into this round.
-    if (!carried.empty() &&
-        std::binary_search(carried.begin(), carried.end(), i)) {
-      continue;
+    ClientAt(i);
+    if (!std::binary_search(carried.begin(), carried.end(), i)) {
+      targets.push_back(i);
     }
+  }
+  budget_.ConsumeTime(DistributeAggregate(epoch, targets));
+}
+
+double Trainer::DistributeAggregate(int epoch,
+                                    const std::vector<int>& targets) {
+  // The aggregate travels only to targets that do not already hold the
+  // current block (a re-sampled client that kept its alias downloads
+  // nothing). A lost download leaves the client on its stale model (or
+  // without a model at all on its first round — it then sits the round
+  // out). Each delivery installs an alias of the published block — O(1)
+  // per client instead of a deep copy — and resets the replica's
+  // provenance.
+  double download_seconds = 0.0;
+  for (int i : targets) {
+    Client& client = MaterializedClient(i);
+    if (client.model_ref() == store_.aggregate()) continue;
     const net::TransferResult res = faults_.Transfer(
         net::kServerId, i, model_bytes_, topology_, &traffic_);
     download_seconds = config_.wan_shared
@@ -281,33 +293,21 @@ void Trainer::BeginRound(int64_t round) {
       journal_->ModelDistributed(epoch, i, store_.aggregate_lineage());
     }
   }
-  budget_.ConsumeTime(download_seconds);
+  return download_seconds;
 }
 
 void Trainer::RollAvailability() {
-  if (cohort_mode()) {
-    // Only cohort members can be available; everyone else keeps the false
-    // bits BeginRound left behind.
-    for (int i : cohort_) {
-      const size_t s = static_cast<size_t>(i);
-      available_[s] = participating_[s] &&
-                      (config_.dropout_prob == 0.0 ||
-                       !rng_.Bernoulli(config_.dropout_prob)) &&
-                      !faults_.IsCrashed(i);
-      eligible_[s] = available_[s] && reputation_.Eligible(i);
-    }
-    return;
-  }
-  for (size_t i = 0; i < available_.size(); ++i) {
-    available_[i] = participating_[i] &&
+  // Only the round's participants can be available; clients outside a
+  // sampled cohort keep the false bits BeginRound left behind.
+  // Quarantined clients are carved out of the migration action space the
+  // same way crashed ones are: policies only ever see `eligible_`.
+  for (int i : active_clients()) {
+    const size_t s = static_cast<size_t>(i);
+    available_[s] = participating_[s] &&
                     (config_.dropout_prob == 0.0 ||
                      !rng_.Bernoulli(config_.dropout_prob)) &&
-                    !faults_.IsCrashed(static_cast<int>(i));
-    // Quarantined clients are carved out of the migration action space the
-    // same way crashed ones are (the PR 1 crash-mask plumbing): policies
-    // only ever see `eligible_`.
-    eligible_[i] =
-        available_[i] && reputation_.Eligible(static_cast<int>(i));
+                    !faults_.IsCrashed(i);
+    eligible_[s] = available_[s] && reputation_.Eligible(i);
   }
 }
 
@@ -569,57 +569,25 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
                              store_.parent_lineage());
   }
 
-  if (cohort_mode()) {
-    // Distribution is deferred to the next round's BeginRound sync — only
-    // the clients that will actually train download the new aggregate.
-    budget_.ConsumeTime(upload_seconds);
-    return eval;
-  }
-
-  // Distribution: global model back to every reachable client; a client
-  // whose download is lost keeps training on its stale model. Each
-  // successful delivery installs an alias of the published block — O(1)
-  // per client instead of a deep copy.
+  // Full participation distributes at commit, to every reachable client —
+  // participants or not; a sampled cohort defers it to the next round's
+  // BeginRound. The clock charges upload and download as one sum.
   double download_seconds = 0.0;
-  std::vector<bool> refreshed(static_cast<size_t>(k), false);
-  for (int i = 0; i < k; ++i) {
-    if (faulty && faults_.IsCrashed(i)) continue;
-    const net::TransferResult res = faults_.Transfer(
-        net::kServerId, i, model_bytes_, topology_, &traffic_);
-    download_seconds = config_.wan_shared
-                           ? download_seconds + res.seconds
-                           : std::max(download_seconds, res.seconds);
-    budget_.ConsumeBandwidth(static_cast<double>(res.bytes));
-    if (!res.status.ok()) continue;
-    if (res.corrupted && CorruptedPayloadRejected(server_->global_model())) {
-      faults_.CountCorruptRejected();
-      continue;
+  if (!cohort_mode()) {
+    std::vector<int> targets;
+    targets.reserve(identity_.size());
+    for (int i : identity_) {
+      if (!(faulty && faults_.IsCrashed(i))) targets.push_back(i);
     }
-    Client& client = MaterializedClient(i);
-    client.SetModel(store_.aggregate());
-    client.SetProximalReference(store_.aggregate_flat());
-    refreshed[static_cast<size_t>(i)] = true;
-    model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
-    if (journal_ != nullptr) {
-      journal_->ModelDistributed(epoch, i, store_.aggregate_lineage());
-    }
+    download_seconds = DistributeAggregate(epoch, targets);
   }
   budget_.ConsumeTime(upload_seconds + download_seconds);
-
-  // Fresh replicas reset their provenance; clients that missed the
-  // download keep their stale model and its accumulated provenance.
-  for (int i = 0; i < k; ++i) {
-    if (!refreshed[static_cast<size_t>(i)]) continue;
-    std::fill(model_distributions_[static_cast<size_t>(i)].begin(),
-              model_distributions_[static_cast<size_t>(i)].end(), 0.0);
-    model_samples_[static_cast<size_t>(i)] = 0.0;
-  }
   return eval;
 }
 
 int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
                                  const MigrationExecution& exec,
-                                 const std::vector<int>* node_ids) {
+                                 const std::vector<int>& ids) {
   // Two-phase capture/install so every move is atomic under faults. Phase 1
   // captures EVERY planned source's payload before installing anything:
   // plans can chain (a <- b while b <- c), so installs must read pre-move
@@ -646,14 +614,12 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
   for (int j = 0; j < n; ++j) {
     const int src_local = plan.incoming[static_cast<size_t>(j)];
     if (src_local == j) continue;
-    const int src =
-        node_ids != nullptr ? (*node_ids)[static_cast<size_t>(src_local)]
-                            : src_local;
+    const int src = ids[static_cast<size_t>(src_local)];
     Client& source = MaterializedClient(src);
     if (!source.has_model()) continue;
     Move move;
     move.src = src;
-    move.dst = node_ids != nullptr ? (*node_ids)[static_cast<size_t>(j)] : j;
+    move.dst = ids[static_cast<size_t>(j)];
     move.delivered = exec.delivered[static_cast<size_t>(j)];
     move.fallback = move.delivered &&
                     static_cast<size_t>(j) < exec.via_fallback.size() &&
@@ -710,108 +676,49 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
 }
 
 int Trainer::MigrationPhase(int epoch, double loss) {
-  if (cohort_mode()) return CohortMigrationPhase(epoch, loss);
   FEDMIGR_TRACE_SCOPE("fl/migrate");
-  const int k = num_clients();
-  std::vector<std::vector<double>> client_dists;
-  client_dists.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    client_dists.push_back(MaterializedClient(i).label_distribution());
-  }
-
-  PolicyContext ctx;
-  ctx.epoch = epoch;
-  ctx.topology = &topology_;
-  ctx.model_bytes = model_bytes_;
-  ctx.client_distributions = &client_dists;
-  ctx.model_distributions = &model_distributions_;
-  ctx.global_loss = loss;
-  ctx.budget = &budget_;
-  ctx.rng = &rng_;
-  // Policies plan over `eligible_`: availability minus quarantine, so a
-  // quarantined client is out of the DRL/FLMM action space entirely.
-  ctx.available = &eligible_;
-
-  MigrationPlan plan = policy_->Plan(ctx);
-  FEDMIGR_CHECK_EQ(static_cast<int>(plan.incoming.size()), k);
-  // Ineligible clients (unavailable or quarantined) neither send nor
-  // receive this epoch — a quarantined replica must not migrate, or its
-  // poison would outlive the quarantine.
-  for (int j = 0; j < k; ++j) {
-    const int src = plan.incoming[static_cast<size_t>(j)];
-    if (src != j && (!eligible_[static_cast<size_t>(j)] ||
-                     !eligible_[static_cast<size_t>(src)])) {
-      plan.incoming[static_cast<size_t>(j)] = j;
-    }
-  }
-  if (plan.IsIdentity()) return 0;
-
-  // DP noise is added before a model leaves its client.
-  if (config_.dp.enabled()) {
-    for (size_t j = 0; j < plan.incoming.size(); ++j) {
-      const int src = plan.incoming[j];
-      if (src != static_cast<int>(j)) {
-        ApplyDp(&MaterializedClient(src).mutable_model());
-      }
-    }
-  }
-
-  MigrationExecution exec =
-      ExecuteWithFaults(plan, topology_, model_bytes_, &traffic_, &faults_);
-  budget_.ConsumeBandwidth(static_cast<double>(exec.cost.bytes));
-  budget_.ConsumeTime(exec.cost.seconds);
-
-  // Corrupted deliveries hit the receiver's checksum: the payload is
-  // rejected and the destination keeps the model it already has.
-  for (size_t j = 0; j < exec.delivered.size(); ++j) {
-    if (!exec.delivered[j] || !exec.corrupted[j]) continue;
-    const int src = plan.incoming[j];
-    if (CorruptedPayloadRejected(MaterializedClient(src).model())) {
-      faults_.CountCorruptRejected();
-      exec.delivered[j] = false;
-    }
-  }
-
-  // Move the replicas (and their provenance) according to the plan; a
-  // failed move degrades gracefully — the destination keeps its model.
-  return ApplyMigrationMoves(epoch, plan, exec, /*node_ids=*/nullptr);
-}
-
-int Trainer::CohortMigrationPhase(int epoch, double loss) {
-  FEDMIGR_TRACE_SCOPE("fl/migrate");
-  const int n = static_cast<int>(cohort_.size());
+  // The policy plans over the participants' local index space [0, n);
+  // `ids` maps it back to global client ids, so execution, traffic and
+  // fault accounting land on the real fleet. Policies (including the DRL
+  // planner, whose candidate features are fixed-dimension) size everything
+  // from the context, so a C-client view drives them untouched.
+  const std::vector<int>& ids = active_clients();
+  const int n = static_cast<int>(ids.size());
   if (n == 0) return 0;
-  // Cohort-local sub-problem: policies (including the DRL planner, whose
-  // candidate features are fixed-dimension) size everything from the
-  // context, so a C-client view drives them untouched. The sub-topology
-  // inherits LAN membership and base bandwidths; per-link multiplier
-  // customizations only affect the executed cost below, which runs against
-  // the real topology under global ids.
   std::vector<std::vector<double>> client_dists;
   std::vector<std::vector<double>> model_dists;
+  // Policies plan over `eligible_`: availability minus quarantine, so a
+  // quarantined client is out of the DRL/FLMM action space entirely.
   std::vector<bool> local_eligible(static_cast<size_t>(n));
   client_dists.reserve(static_cast<size_t>(n));
   model_dists.reserve(static_cast<size_t>(n));
-  net::TopologyConfig sub_config;
-  const net::TopologyConfig& full = topology_.config();
-  sub_config.intra_lan_mbps = full.intra_lan_mbps;
-  sub_config.cross_lan_mbps = full.cross_lan_mbps;
-  sub_config.wan_mbps = full.wan_mbps;
-  sub_config.link_latency_s = full.link_latency_s;
-  sub_config.lan_of.reserve(static_cast<size_t>(n));
   for (int t = 0; t < n; ++t) {
-    const int i = cohort_[static_cast<size_t>(t)];
+    const int i = ids[static_cast<size_t>(t)];
     client_dists.push_back(MaterializedClient(i).label_distribution());
     model_dists.push_back(model_distributions_[static_cast<size_t>(i)]);
     local_eligible[static_cast<size_t>(t)] =
         eligible_[static_cast<size_t>(i)];
-    sub_config.lan_of.push_back(topology_.lan_of(i));
   }
-  net::Topology sub_topology(std::move(sub_config));
+  // Full participation plans on the real topology, per-link multipliers
+  // included. A sampled cohort plans on its induced sub-topology, which
+  // inherits LAN membership and base bandwidths; the multipliers then only
+  // affect the executed cost below.
+  std::optional<net::Topology> sub_topology;
+  if (cohort_mode()) {
+    net::TopologyConfig sub_config;
+    const net::TopologyConfig& full = topology_.config();
+    sub_config.intra_lan_mbps = full.intra_lan_mbps;
+    sub_config.cross_lan_mbps = full.cross_lan_mbps;
+    sub_config.wan_mbps = full.wan_mbps;
+    sub_config.link_latency_s = full.link_latency_s;
+    sub_config.lan_of.reserve(static_cast<size_t>(n));
+    for (int i : ids) sub_config.lan_of.push_back(topology_.lan_of(i));
+    sub_topology.emplace(std::move(sub_config));
+  }
 
   PolicyContext ctx;
   ctx.epoch = epoch;
-  ctx.topology = &sub_topology;
+  ctx.topology = sub_topology ? &*sub_topology : &topology_;
   ctx.model_bytes = model_bytes_;
   ctx.client_distributions = &client_dists;
   ctx.model_distributions = &model_dists;
@@ -822,6 +729,9 @@ int Trainer::CohortMigrationPhase(int epoch, double loss) {
 
   MigrationPlan plan = policy_->Plan(ctx);
   FEDMIGR_CHECK_EQ(static_cast<int>(plan.incoming.size()), n);
+  // Ineligible clients (unavailable or quarantined) neither send nor
+  // receive this epoch — a quarantined replica must not migrate, or its
+  // poison would outlive the quarantine.
   for (int j = 0; j < n; ++j) {
     const int src = plan.incoming[static_cast<size_t>(j)];
     if (src != j && (!local_eligible[static_cast<size_t>(j)] ||
@@ -831,34 +741,36 @@ int Trainer::CohortMigrationPhase(int epoch, double loss) {
   }
   if (plan.IsIdentity()) return 0;
 
+  // DP noise is added before a model leaves its client.
   if (config_.dp.enabled()) {
     for (size_t j = 0; j < plan.incoming.size(); ++j) {
       const int src = plan.incoming[j];
       if (src != static_cast<int>(j)) {
-        ApplyDp(&MaterializedClient(cohort_[static_cast<size_t>(src)])
+        ApplyDp(&MaterializedClient(ids[static_cast<size_t>(src)])
                      .mutable_model());
       }
     }
   }
 
-  // Execution happens on the real fleet: `cohort_` maps the plan's local
-  // index space back to global ids so traffic and fault accounting land on
-  // the actual links.
   MigrationExecution exec = ExecuteWithFaults(
-      plan, topology_, model_bytes_, &traffic_, &faults_, &cohort_);
+      plan, topology_, model_bytes_, &traffic_, &faults_, &ids);
   budget_.ConsumeBandwidth(static_cast<double>(exec.cost.bytes));
   budget_.ConsumeTime(exec.cost.seconds);
 
+  // Corrupted deliveries hit the receiver's checksum: the payload is
+  // rejected and the destination keeps the model it already has.
   for (size_t j = 0; j < exec.delivered.size(); ++j) {
     if (!exec.delivered[j] || !exec.corrupted[j]) continue;
-    const int src = cohort_[static_cast<size_t>(plan.incoming[j])];
+    const int src = ids[static_cast<size_t>(plan.incoming[j])];
     if (CorruptedPayloadRejected(MaterializedClient(src).model())) {
       faults_.CountCorruptRejected();
       exec.delivered[j] = false;
     }
   }
 
-  return ApplyMigrationMoves(epoch, plan, exec, &cohort_);
+  // Move the replicas (and their provenance) according to the plan; a
+  // failed move degrades gracefully — the destination keeps its model.
+  return ApplyMigrationMoves(epoch, plan, exec, ids);
 }
 
 Evaluation Trainer::VirtualEvaluation() {
@@ -932,29 +844,8 @@ RunResult Trainer::Run() {
     }
 
     // A new global iteration starts right after each aggregation.
-    if (cohort_mode()) {
-      const int64_t round = (epoch - 1) / config_.agg_period;
-      if ((epoch - 1) % config_.agg_period == 0) {
-        BeginRound(round);
-      } else if (round != cohort_round_) {
-        // Resumed mid-round from a pre-chaos snapshot: the members' state
-        // came back with the snapshot; only the cohort list needs
-        // recomputing (the same churn filter BeginRound applies — carryover
-        // is only ever consumed at a round boundary, so none is in flight
-        // mid-round).
-        const std::vector<int> sampled = cohort_sampler_->Sample(round);
-        cohort_.clear();
-        for (int i : sampled) {
-          if (config_.fault.chaos.churn_rate > 0.0 &&
-              faults_.ChurnedOut(i, round)) {
-            continue;
-          }
-          cohort_.push_back(i);
-        }
-        cohort_round_ = round;
-      }
-    } else if ((epoch - 1) % config_.agg_period == 0) {
-      ResampleParticipants();
+    if ((epoch - 1) % config_.agg_period == 0) {
+      BeginRound((epoch - 1) / config_.agg_period);
     }
     RollAvailability();
 
@@ -1270,8 +1161,8 @@ void Trainer::SaveState(util::ByteWriter* writer) const {
   // Models: server, then every client slot. Lazy clients write one byte;
   // materialized clients whose replica still aliases the current aggregate
   // block skip the parameter payload (the block is rebuilt from the server
-  // model on load). The cohort list itself is not stored — the sampler is
-  // stateless in (seed, round).
+  // model on load). The effective cohort is stored with the chaos layer
+  // below.
   nn::WriteParams(writer, server_->global_model());
   const ModelRef& aggregate = store_.aggregate();
   const FlatRef& aggregate_flat = store_.aggregate_flat();
@@ -1478,7 +1369,7 @@ util::Status Trainer::LoadState(util::ByteReader* reader) {
   }
   if (!cohort_mode() && (!cohort.empty() || !carryover.empty())) {
     return util::Status::InvalidArgument(
-        "snapshot carries a cohort but this trainer runs legacy mode");
+        "snapshot carries a cohort but this trainer runs full participation");
   }
 
   // v5: lineage state.

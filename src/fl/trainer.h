@@ -58,14 +58,15 @@ struct TrainerConfig {
   // Fraction α of clients selected per global iteration (Sec. II-A's
   // FedAvg knob). 1.0 = all clients, the paper's evaluation setting.
   double client_fraction = 1.0;
-  // Partial-participation cohort scheduling for fleet-scale runs. 0 keeps
-  // the legacy full-participation loop (bit-identical to pre-cohort
-  // builds). A positive value C selects a deterministic cohort of C clients
-  // per aggregation round (seeded by `seed` and the round index); only
-  // cohort members are materialized, trained, screened, aggregated and
-  // migrated, so per-epoch cost is O(C) and memory is O(C) model blocks on
-  // top of the shared aggregate. Mutually exclusive with client_fraction
-  // < 1 (cohorts *are* the participation sample).
+  // Participants per aggregation round. Every per-epoch phase iterates the
+  // round's cohort. 0 selects full participation: the identity cohort
+  // [0, K), built eagerly, which receives the aggregate when a round
+  // commits. A positive value C samples a deterministic cohort of C clients
+  // per round (seeded by `seed` and the round index); only its members are
+  // materialized, trained, screened, aggregated and migrated, so per-epoch
+  // cost is O(C) and memory is O(C) model blocks on top of the shared
+  // aggregate. Must not exceed K. Mutually exclusive with
+  // client_fraction < 1 (a sampled cohort *is* the participation sample).
   int cohort_size = 0;
   // Per-epoch probability that a client is unavailable (edge nodes
   // "dynamically join/leave the system", Sec. III-C). An unavailable
@@ -191,7 +192,8 @@ class Trainer {
   // Sharded-simulator introspection (gauges, scalability tests).
   int num_materialized_clients() const { return clients_.num_materialized(); }
   long aggregate_aliases() const { return store_.aggregate_use_count(); }
-  // Active cohort of the current round; empty when cohorts are disabled.
+  // Sampled cohort of the current round. Empty under full participation,
+  // whose identity cohort [0, K) is implicit and never stored.
   const std::vector<int>& cohort() const { return cohort_; }
 
   // Called after each completed epoch (all bookkeeping and policy feedback
@@ -238,21 +240,22 @@ class Trainer {
   // set (evaluation is measurement, not simulation, and is the dominant
   // cost for schemes that aggregate every epoch).
   Evaluation AggregationPhase(int epoch, bool evaluate);
-  // Plans and executes one migration round; returns number of moves.
+  // Plans one migration round over the active clients' local index space
+  // and executes it against the real fleet; returns number of moves.
   int MigrationPhase(int epoch, double loss);
-  // Cohort-local migration: plans over the C active clients against a
-  // cohort-induced sub-topology, then executes against the real fleet.
-  int CohortMigrationPhase(int epoch, double loss);
   // Weighted average of current local models, evaluated on the test set
   // (measurement only; no traffic is charged).
   Evaluation VirtualEvaluation();
 
   void ApplyDp(nn::Sequential* model);
 
-  // True when partial-participation cohort scheduling is on.
+  // True when participants are a sampled cohort (cohort_size > 0); false
+  // under full participation. The forks on it are construction (lazy vs
+  // eager), when the aggregate is distributed, the planning topology and
+  // the quorum carryover list.
   bool cohort_mode() const { return cohort_sampler_ != nullptr; }
-  // The ids every per-epoch loop iterates: the current cohort, or the
-  // cached identity list [0, K) in legacy mode.
+  // The ids every per-epoch loop iterates: the sampled cohort, or the
+  // identity cohort [0, K).
   const std::vector<int>& active_clients() const {
     return cohort_mode() ? cohort_ : identity_;
   }
@@ -261,14 +264,18 @@ class Trainer {
   Client& ClientAt(int i);
   // Client i without materializing; CHECK-fails if still lazy.
   Client& MaterializedClient(int i) const;
-  // Starts aggregation round `round`: retires the previous cohort, samples
-  // the new one, materializes its members and delivers the current
-  // aggregate to them (the cohort-mode Model Distribution).
+  // Starts aggregation round `round`. Full participation re-draws its
+  // α-sample. A sampled cohort retires the previous members, samples the
+  // new ones, materializes them and delivers the current aggregate.
   void BeginRound(int64_t round);
-  // Applies the CoW model moves shared by both migration paths.
+  // Model Distribution: delivers the published aggregate to each of
+  // `targets` that does not already hold it; returns the download seconds.
+  double DistributeAggregate(int epoch, const std::vector<int>& targets);
+  // Applies the CoW model moves of an executed plan; `ids` maps the plan's
+  // local index space to global client ids.
   int ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
                           const MigrationExecution& exec,
-                          const std::vector<int>* node_ids);
+                          const std::vector<int>& ids);
 
   TrainerConfig config_;
   // SNAPSHOT-SKIP(construction-time inputs, supplied again on resume)
@@ -293,7 +300,7 @@ class Trainer {
   // their Model Distribution — they keep the pending local update.
   std::vector<int> carryover_;
   // SNAPSHOT-SKIP(constant iota over [0, K), rebuilt on construction)
-  std::vector<int> identity_;     // [0, K) — legacy active list
+  std::vector<int> identity_;     // [0, K) — the full-participation cohort
   std::unique_ptr<Server> server_;
   net::Budget budget_;
   net::TrafficAccountant traffic_;

@@ -1,7 +1,8 @@
 // Infrastructure chaos in the synchronous trainer: zero-chaos byte
 // identity, atomic migration rollback under sealed partitions, the
 // round-progress watchdog (quorum misses, carryover), fleet churn at small
-// and large K, and the kill-anywhere resume contract under fire.
+// and large K (including departure counting), and the kill-anywhere resume
+// contract under fire.
 
 #include <cstdint>
 #include <vector>
@@ -10,8 +11,10 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "fl/cohort.h"
 #include "fl/policies.h"
 #include "fl/trainer.h"
+#include "net/fault.h"
 #include "net/topology.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
@@ -166,6 +169,39 @@ TEST(TrainerChaosTest, ChurnIsDeterministicAndCounted) {
   EXPECT_GT(ra.chaos.churn_absences, 0);
   EXPECT_EQ(ra.chaos.churn_absences, rb.chaos.churn_absences);
   EXPECT_EQ(ra.chaos.churn_departures, rb.chaos.churn_departures);
+}
+
+TEST(TrainerChaosTest, ChurnDeparturesCountOnlyRosterMembers) {
+  // A departure at round r is a member of round r-1's effective roster (its
+  // sample minus the members churned out at r-1) that churns out at r. A
+  // cohort of 2 at 50% churn leaves some rosters empty; the round after one
+  // must count no departures, since nobody was there to leave.
+  ChaosWorkload w;
+  TrainerConfig config = w.MakeConfig(/*cohort_size=*/2);
+  config.fault.chaos.churn_rate = 0.5;
+  config.max_epochs = 80;
+  config.eval_every = 0;
+
+  const CohortSampler sampler(config.seed, ChaosWorkload::kClients,
+                              config.cohort_size);
+  const net::FaultInjector churn(config.fault);
+  const int rounds = config.max_epochs / config.agg_period;
+  int64_t expected = 0;
+  int empty_rosters = 0;
+  for (int round = 1; round < rounds; ++round) {
+    int roster = 0;
+    for (int i : sampler.Sample(round - 1)) {
+      if (churn.ChurnedOut(i, round - 1)) continue;
+      ++roster;
+      if (churn.ChurnedOut(i, round)) ++expected;
+    }
+    if (roster == 0) ++empty_rosters;
+  }
+  ASSERT_GT(empty_rosters, 0);
+
+  Trainer trainer = w.MakeTrainer(std::move(config));
+  const RunResult result = trainer.Run();
+  EXPECT_EQ(result.chaos.churn_departures, expected);
 }
 
 TEST(TrainerChaosTest, ChurnRequiresCohortMode) {
