@@ -1,6 +1,7 @@
 // Property sweeps over the trainer: traffic conservation, budget
 // monotonicity and scheme invariants across a grid of configurations.
 
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -47,8 +48,11 @@ RunResult RunConfig(const std::string& scheme, int agg_period, int epochs,
   return trainer.Run();
 }
 
+// The scheme is a std::string, not a const char*, so gtest prints the
+// parameter by value and the discovered test names stay the same from
+// one build to the next instead of embedding a string-literal address.
 class SchemeSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SchemeSweep, TrafficSplitsAreConsistent) {
   const auto [scheme, agg_period] = GetParam();
@@ -68,8 +72,7 @@ TEST_P(SchemeSweep, AggregationCadenceHonored) {
         record.epoch % agg_period == 0 || record.epoch == 6;
     EXPECT_EQ(record.aggregated, should_aggregate)
         << scheme << " epoch " << record.epoch;
-    if (!record.aggregated && scheme != std::string("fedavg") &&
-        scheme != std::string("fedprox")) {
+    if (!record.aggregated && scheme != "fedavg" && scheme != "fedprox") {
       EXPECT_GT(record.migrations, 0) << scheme;
     }
   }
