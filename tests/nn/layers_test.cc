@@ -1,6 +1,9 @@
 #include "nn/layers.h"
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +76,38 @@ TEST(ReluTest, BackwardMasksGradient) {
   const Tensor out = relu.Backward(grad);
   EXPECT_EQ(out[0], 0.0f);
   EXPECT_EQ(out[1], 5.0f);
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+// ReLU is `x < 0 ? 0 : x`: −0.0 and NaN are not < 0, so both pass through
+// unchanged; only strictly negative inputs (−inf included) become +0.
+TEST(ReluTest, ForwardKeepsNegativeZeroAndNaN) {
+  ReLU relu;
+  const Tensor in({1, 6}, {-0.0f, kNaN, -kInf, kInf, -1.0f, 2.0f});
+  const Tensor out = relu.Forward(in, true);
+  EXPECT_EQ(out[0], 0.0f);
+  EXPECT_TRUE(std::signbit(out[0]));
+  EXPECT_TRUE(std::isnan(out[1]));
+  EXPECT_EQ(out[2], 0.0f);
+  EXPECT_FALSE(std::signbit(out[2]));
+  EXPECT_EQ(out[3], kInf);
+  EXPECT_EQ(out[4], 0.0f);
+  EXPECT_FALSE(std::signbit(out[4]));
+  EXPECT_EQ(out[5], 2.0f);
+}
+
+// The backward mask is `x <= 0`: it zeroes the gradient at −0.0 as well as
+// +0 and negatives, and passes it where the input was NaN or +inf.
+TEST(ReluTest, BackwardZeroesAtNonPositiveInputsOnly) {
+  ReLU relu;
+  const Tensor in({1, 7}, {-0.0f, 0.0f, -1.0f, -kInf, kNaN, kInf, 3.0f});
+  (void)relu.Forward(in, true);
+  const Tensor grad({1, 7}, {5, 5, 5, 5, 5, 5, 5});
+  const Tensor out = relu.Backward(grad);
+  const float want[7] = {0, 0, 0, 0, 5, 5, 5};
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(out[i], want[i]) << "element " << i;
 }
 
 TEST(TanhSigmoidTest, RangeAndGradients) {
@@ -171,6 +206,40 @@ TEST(ResidualDenseTest, ZeroBranchIsRelu) {
   EXPECT_EQ(out[0], 1.0f);
   EXPECT_EQ(out[1], 0.0f);  // ReLU of the pass-through
   EXPECT_EQ(out[2], 0.5f);
+}
+
+// A 1-feature block with unit weights computes relu(x + relu(x)), one row
+// per value, so non-finite inputs reach the output ReLU without mixing
+// rows. The sum x + F(x) is −0.0 only when both terms are, and the Dense
+// branch accumulates from +0, so −0.0 never reaches the output ReLU: an
+// input of −0.0 sums to +0 and must come out as +0 with its gradient masked.
+TEST(ResidualDenseTest, OutputReluHandlesZerosAndNonFinite) {
+  util::Rng rng(19);
+  ResidualDense block(1, 1, &rng);
+  const std::vector<Tensor*> params = block.Params();  // W1, b1, W2, b2
+  ASSERT_EQ(params.size(), 4u);
+  (*params[0])[0] = 1.0f;
+  (*params[1])[0] = 0.0f;
+  (*params[2])[0] = 1.0f;
+  (*params[3])[0] = 0.0f;
+
+  const Tensor in({6, 1}, {-0.0f, 0.0f, -kInf, kInf, kNaN, -2.0f});
+  const Tensor out = block.Forward(in, true);
+  EXPECT_EQ(out[0], 0.0f);
+  EXPECT_FALSE(std::signbit(out[0]));
+  EXPECT_EQ(out[1], 0.0f);
+  EXPECT_EQ(out[2], 0.0f);
+  EXPECT_FALSE(std::signbit(out[2]));
+  EXPECT_EQ(out[3], kInf);
+  EXPECT_TRUE(std::isnan(out[4]));
+  EXPECT_EQ(out[5], 0.0f);
+
+  // d/dx relu(x + relu(x)): 2 where both ReLUs pass (+inf, NaN), 0 where
+  // the sum is <= 0.
+  const Tensor grad({6, 1}, {1, 1, 1, 1, 1, 1});
+  const Tensor dx = block.Backward(grad);
+  const float want[6] = {0, 0, 0, 2, 2, 0};
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(dx[i], want[i]) << "row " << i;
 }
 
 TEST(CloneTest, ClonesAreIndependentCopies) {
