@@ -1,18 +1,23 @@
 // Supporting microbenchmarks for the NN substrate: the kernels whose cost
-// dominates simulated training (GEMM, im2col conv forward/backward) plus
-// model (de)serialization, which bounds how fast migrations can be
-// simulated.
+// dominates simulated training (GEMM, im2col conv forward/backward, ReLU,
+// one C10 net training step) plus model (de)serialization, which bounds how
+// fast migrations can be simulated.
 //
 // Each optimized kernel is benchmarked beside its retained *Naive reference
 // so speedups are measured inside one binary under identical compiler
 // flags. items_per_second reports FLOP/s (2 flops per multiply-accumulate).
-// The *Threads variants exercise the intra-op ParallelForRange splitting.
+// The *Threads variants exercise the intra-op ParallelForRange splitting
+// and report wall-clock time.
 // scripts/bench_nn_ops.sh runs this binary and records BENCH_nn_ops.json at
 // the repo root so the perf trajectory is tracked PR over PR.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "nn/gemm.h"
+#include "nn/layers.h"
+#include "nn/loss.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"
@@ -109,7 +114,9 @@ void BM_MatMulThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
 }
-BENCHMARK(BM_MatMulThreads)->Arg(1)->Arg(2)->Arg(4);
+// Wall-clock (real) time: the pool workers' CPU time is not charged to the
+// main thread, so CPU time would overstate the threaded throughput.
+BENCHMARK(BM_MatMulThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // ------------------------------------------------------------------ conv --
 // The two conv layers of the zoo C10/C100 CNN: 3->8 on 8x8 and 8->16 on
@@ -210,7 +217,59 @@ void BM_Conv2dForwardThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * ConvForwardFlops(batch, shape));
 }
-BENCHMARK(BM_Conv2dForwardThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_Conv2dForwardThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// The backward pass splits the input gradient across the pool but runs the
+// kernel gradient in image order (one fixed reduction tree), so it scales
+// less than the forward pass; these rows record that trade.
+void BM_Conv2dBackwardThreads(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  IntraOpGuard guard(threads);
+  const int batch = 64;
+  const ConvShape shape = kZooConv[0];
+  const nn::Tensor input =
+      RandomTensor({batch, shape.cin, shape.hw, shape.hw}, 6);
+  const nn::Tensor kernel = RandomTensor({shape.cout, shape.cin, 5, 5}, 7);
+  const nn::Tensor bias = RandomTensor({shape.cout}, 8);
+  const nn::Tensor grad = nn::Conv2dForward(input, kernel, bias, 2);
+  for (auto _ : state) {
+    nn::Tensor grad_input, grad_kernel, grad_bias;
+    nn::Conv2dBackward(input, kernel, 2, grad, &grad_input, &grad_kernel,
+                       &grad_bias);
+    benchmark::DoNotOptimize(grad_input.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          ConvForwardFlops(batch, shape));
+}
+BENCHMARK(BM_Conv2dBackwardThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// ------------------------------------------------------------------ ReLU --
+// The C10 net's first activation: [16, 8, 8, 8] after conv 0 at batch 16.
+// Random-sign inputs, so a branchy kernel mispredicts about half the time.
+
+void BM_ReLUForward(benchmark::State& state) {
+  nn::ReLU relu;
+  const nn::Tensor input = RandomTensor({16, 8, 8, 8}, 13);
+  for (auto _ : state) {
+    nn::Tensor out = relu.Forward(input, /*training=*/true);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.size());
+}
+BENCHMARK(BM_ReLUForward);
+
+void BM_ReLUBackward(benchmark::State& state) {
+  nn::ReLU relu;
+  const nn::Tensor input = RandomTensor({16, 8, 8, 8}, 13);
+  const nn::Tensor grad = RandomTensor({16, 8, 8, 8}, 14);
+  (void)relu.Forward(input, /*training=*/true);
+  for (auto _ : state) {
+    nn::Tensor out = relu.Backward(grad);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.size());
+}
+BENCHMARK(BM_ReLUBackward);
 
 // ------------------------------------------------------------ end to end --
 
@@ -225,6 +284,25 @@ void BM_C10NetForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_C10NetForward);
+
+// One local-update step of the C10 net at batch 16: forward, softmax
+// cross-entropy and backward (the optimizer step is excluded).
+void BM_C10NetTrainStep(benchmark::State& state) {
+  IntraOpGuard guard(1);
+  util::Rng rng(9);
+  nn::Sequential model = nn::MakeC10Net(&rng);
+  const nn::Tensor batch = RandomTensor({16, 3, 8, 8}, 10);
+  std::vector<int> labels(16);
+  for (int i = 0; i < 16; ++i) labels[static_cast<size_t>(i)] = i % 10;
+  for (auto _ : state) {
+    model.ZeroGrads();
+    const nn::Tensor logits = model.Forward(batch, /*training=*/true);
+    const nn::LossResult loss = nn::SoftmaxCrossEntropy(logits, labels);
+    nn::Tensor grad = model.Backward(loss.grad_logits);
+    benchmark::DoNotOptimize(grad.data());
+  }
+}
+BENCHMARK(BM_C10NetTrainStep);
 
 void BM_SerializeModel(benchmark::State& state) {
   util::Rng rng(11);

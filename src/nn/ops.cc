@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "nn/gemm.h"
 #include "nn/scratch.h"
@@ -13,57 +14,108 @@ namespace fedmigr::nn {
 
 namespace {
 
-// Expands one NCHW image (cin x h x w) into the im2col column matrix
+// Calls fn(std::integral_constant<int, W>) with W = ow for the zoo convs'
+// 8x8 and 4x4 outputs and W = 0 (width known only at run time) otherwise. A
+// compile-time row width turns each row copy or add of the lowering into a
+// few inline vector ops instead of a memcpy call or a remainder loop.
+template <typename Fn>
+void WithRowWidth(int ow, Fn&& fn) {
+  switch (ow) {
+    case 8:
+      fn(std::integral_constant<int, 8>{});
+      break;
+    case 4:
+      fn(std::integral_constant<int, 4>{});
+      break;
+    default:
+      fn(std::integral_constant<int, 0>{});
+  }
+}
+
+// Expands a zero-bordered plane (see Im2col) into the im2col column matrix
 // cols[cin*kh*kw, oh*ow]: row (ic, ky, kx), column (oy, ox) holds
-// input(ic, oy + ky - pad, ox + kx - pad), zero outside the image. Rows
-// are ordered (ic, ky, kx) — the same order the legacy conv kernel
-// accumulated taps in, so the GEMM's k-ordered reduction reproduces its
-// float association.
-void Im2col(const float* in, int cin, int h, int w, int kh, int kw, int pad,
-            int oh, int ow, float* cols) {
+// plane(ic, oy + ky, ox + kx), i.e. input(ic, oy + ky - pad, ox + kx - pad)
+// or the zero border. Rows are ordered (ic, ky, kx) — the same order the
+// legacy conv kernel accumulated taps in, so the GEMM's k-ordered reduction
+// reproduces its float association. With the border in the plane, every
+// row segment is the same fixed-width copy; no branch depends on the tap.
+template <int kFixedOw>
+void Im2colRows(const float* plane, int cin, int ph, int pw, int kh, int kw,
+                int oh, int ow_dynamic, float* cols) {
+  const int ow = kFixedOw > 0 ? kFixedOw : ow_dynamic;
   float* dst = cols;
   for (int ic = 0; ic < cin; ++ic) {
-    const float* in_c = in + static_cast<int64_t>(ic) * h * w;
+    const float* plane_c = plane + static_cast<int64_t>(ic) * ph * pw;
     for (int ky = 0; ky < kh; ++ky) {
       for (int kx = 0; kx < kw; ++kx) {
-        const int x_lo = std::max(0, pad - kx);
-        const int x_hi = std::min(ow, w + pad - kx);
-        for (int oy = 0; oy < oh; ++oy, dst += ow) {
-          const int iy = oy + ky - pad;
-          if (iy < 0 || iy >= h || x_hi <= x_lo) {
-            std::memset(dst, 0, static_cast<size_t>(ow) * sizeof(float));
-            continue;
-          }
-          for (int ox = 0; ox < x_lo; ++ox) dst[ox] = 0.0f;
-          std::memcpy(dst + x_lo, in_c + iy * w + (x_lo + kx - pad),
-                      static_cast<size_t>(x_hi - x_lo) * sizeof(float));
-          for (int ox = x_hi; ox < ow; ++ox) dst[ox] = 0.0f;
+        const float* src = plane_c + ky * pw + kx;
+        for (int oy = 0; oy < oh; ++oy, src += pw, dst += ow) {
+          std::memcpy(dst, src, static_cast<size_t>(ow) * sizeof(float));
         }
       }
     }
   }
 }
 
-// Transpose of Im2col: scatter-adds the column matrix back into the
-// (pre-zeroed) image gradient. Walks rows in the same (ic, ky, kx) order.
-void Col2im(const float* cols, int cin, int h, int w, int kh, int kw, int pad,
-            int oh, int ow, float* gin) {
+// Lowers one NCHW image (cin x h x w) through `plane`, a scratch buffer of
+// cin x (h + 2*pad) x (w + 2*pad) floats whose border the caller zeroed:
+// the image is copied into the plane's interior (the border is never
+// written, so one zeroing serves image after image), then expanded by
+// Im2colRows.
+void Im2col(const float* in, int cin, int h, int w, int kh, int kw, int pad,
+            int oh, int ow, float* plane, float* cols) {
+  const int ph = h + 2 * pad, pw = w + 2 * pad;
+  for (int ic = 0; ic < cin; ++ic) {
+    const float* src = in + static_cast<int64_t>(ic) * h * w;
+    float* dst = plane + static_cast<int64_t>(ic) * ph * pw + pad * pw + pad;
+    for (int y = 0; y < h; ++y, src += w, dst += pw) {
+      std::memcpy(dst, src, static_cast<size_t>(w) * sizeof(float));
+    }
+  }
+  WithRowWidth(ow, [&](auto fixed_ow) {
+    Im2colRows<fixed_ow()>(plane, cin, ph, pw, kh, kw, oh, ow, cols);
+  });
+}
+
+// plane(ic, oy + ky, ox + kx) += cols row (ic, ky, kx), column (oy, ox),
+// walking the column matrix in order.
+template <int kFixedOw>
+void Col2imRows(const float* cols, int cin, int ph, int pw, int kh, int kw,
+                int oh, int ow_dynamic, float* plane) {
+  const int ow = kFixedOw > 0 ? kFixedOw : ow_dynamic;
   const float* src = cols;
   for (int ic = 0; ic < cin; ++ic) {
-    float* gin_c = gin + static_cast<int64_t>(ic) * h * w;
+    float* plane_c = plane + static_cast<int64_t>(ic) * ph * pw;
     for (int ky = 0; ky < kh; ++ky) {
       for (int kx = 0; kx < kw; ++kx) {
-        const int x_lo = std::max(0, pad - kx);
-        const int x_hi = std::min(ow, w + pad - kx);
-        for (int oy = 0; oy < oh; ++oy, src += ow) {
-          const int iy = oy + ky - pad;
-          if (iy < 0 || iy >= h || x_hi <= x_lo) continue;
-          float* gin_row = gin_c + iy * w + (x_lo + kx - pad);
-          for (int ox = x_lo; ox < x_hi; ++ox) {
-            gin_row[ox - x_lo] += src[ox];
-          }
+        float* dst = plane_c + ky * pw + kx;
+        for (int oy = 0; oy < oh; ++oy, src += ow, dst += pw) {
+          for (int ox = 0; ox < ow; ++ox) dst[ox] += src[ox];
         }
       }
+    }
+  }
+}
+
+// Transpose of Im2col: scatter-adds the column matrix into `plane` (zeroed
+// here) in (ic, ky, kx, oy, ox) order, then stores the plane's interior into
+// the image gradient `gin`. Each interior element receives its taps in the
+// same order, summed from +0, as a scatter straight into `gin` would give;
+// the border collects the padding taps and is discarded. `gin` must be
+// freshly zeroed, so the store equals adding the interior to it.
+void Col2im(const float* cols, int cin, int h, int w, int kh, int kw, int pad,
+            int oh, int ow, float* plane, float* gin) {
+  const int ph = h + 2 * pad, pw = w + 2 * pad;
+  std::memset(plane, 0, static_cast<size_t>(cin) * ph * pw * sizeof(float));
+  WithRowWidth(ow, [&](auto fixed_ow) {
+    Col2imRows<fixed_ow()>(cols, cin, ph, pw, kh, kw, oh, ow, plane);
+  });
+  for (int ic = 0; ic < cin; ++ic) {
+    const float* src_c =
+        plane + static_cast<int64_t>(ic) * ph * pw + pad * pw + pad;
+    float* gin_c = gin + static_cast<int64_t>(ic) * h * w;
+    for (int y = 0; y < h; ++y, src_c += pw, gin_c += w) {
+      std::memcpy(gin_c, src_c, static_cast<size_t>(w) * sizeof(float));
     }
   }
 }
@@ -132,14 +184,19 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
   const float* bias_p = bias.data();
   float* out = output.data();
 
+  const int64_t plane_size =
+      static_cast<int64_t>(cin) * (h + 2 * pad) * (w + 2 * pad);
+
   // One image per parallel chunk; images are independent, so any split of
   // the batch yields bit-identical outputs.
   IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
     ScratchArena::Scope scope;
-    float* cols = ScratchArena::ThreadLocal().AllocFloats(
-        static_cast<int64_t>(kcols) * ohw);
+    ScratchArena& arena = ScratchArena::ThreadLocal();
+    float* cols = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
+    float* plane = arena.AllocFloats(plane_size);
+    std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
     for (int64_t img = img_begin; img < img_end; ++img) {
-      Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, cols);
+      Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane, cols);
       float* out_n = out + img * out_img;
       // Pre-fill with the bias and let the GEMM accumulate on top of it
       // (kSeedFromC), matching the legacy kernel's bias-first reduction.
@@ -198,36 +255,38 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
     }
   }
 
-  // Kernel gradient: per-image register-reduced partials (one GEMM each),
-  // summed across the batch in image order afterwards — the reduction
-  // tree is fixed, so the result is independent of the thread count.
-  ScratchArena::Scope caller_scope;
-  const int64_t gk_size = static_cast<int64_t>(cout) * kcols;
-  float* gker_partials =
-      ScratchArena::ThreadLocal().AllocFloats(batch * gk_size);
+  const int64_t plane_size =
+      static_cast<int64_t>(cin) * (h + 2 * pad) * (w + 2 * pad);
 
+  // Input gradient: dcols = K^T (kcols x cout) · dY_img (cout x ohw), then
+  // scattered back into this image's (disjoint) slice of grad_input. Images
+  // are independent, so any split of the batch is bit-identical.
   IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
     ScratchArena::Scope scope;
     ScratchArena& arena = ScratchArena::ThreadLocal();
-    float* cols = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
     float* cols_grad = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
+    float* plane = arena.AllocFloats(plane_size);
     for (int64_t img = img_begin; img < img_end; ++img) {
-      const float* go_n = go + img * out_img;
-      // dK_img = dY_img (cout x ohw) · cols_img^T (ohw x kcols).
-      Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, cols);
-      Sgemm(false, true, cout, kcols, ohw, go_n, ohw, cols, ohw,
-            gker_partials + img * gk_size, kcols, GemmAcc::kOverwrite);
-      // dcols = K^T (kcols x cout) · dY_img (cout x ohw), scattered back
-      // into this image's (disjoint) slice of grad_input.
-      Sgemm(true, false, kcols, ohw, cout, ker, kcols, go_n, ohw, cols_grad,
-            ohw, GemmAcc::kOverwrite);
-      Col2im(cols_grad, cin, h, w, kh, kw, pad, oh, ow, gin + img * in_img);
+      Sgemm(true, false, kcols, ohw, cout, ker, kcols, go + img * out_img, ohw,
+            cols_grad, ohw, GemmAcc::kOverwrite);
+      Col2im(cols_grad, cin, h, w, kh, kw, pad, oh, ow, plane,
+             gin + img * in_img);
     }
   });
 
+  // Kernel gradient, in image order: each dK_img = dY_img (cout x ohw) ·
+  // cols_img^T (ohw x kcols) is reduced in registers and then added into
+  // grad_kernel (kAddAfter), giving the fixed tree ((0 + P_0) + P_1) + ...
+  // whatever the thread count.
+  ScratchArena::Scope scope;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  float* cols = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
+  float* plane = arena.AllocFloats(plane_size);
+  std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
   for (int64_t img = 0; img < batch; ++img) {
-    const float* partial = gker_partials + img * gk_size;
-    for (int64_t i = 0; i < gk_size; ++i) gker[i] += partial[i];
+    Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane, cols);
+    Sgemm(false, true, cout, kcols, ohw, go + img * out_img, ohw, cols, ohw,
+          gker, kcols, GemmAcc::kAddAfter);
   }
 }
 
@@ -237,6 +296,10 @@ Tensor MaxPool2x2Forward(const Tensor& input, Tensor* argmax) {
   const int h = input.dim(2), w = input.dim(3);
   FEDMIGR_CHECK_EQ(h % 2, 0);
   FEDMIGR_CHECK_EQ(w % 2, 0);
+  // argmax stores flat input offsets as floats, which hold every integer
+  // up to 2^24 exactly; past that, offsets round and the backward pass
+  // would route gradients to the wrong element.
+  FEDMIGR_CHECK_LE(input.size(), int64_t{1} << 24);
   const int oh = h / 2, ow = w / 2;
   Tensor output({batch, c, oh, ow});
   *argmax = Tensor({batch, c, oh, ow});

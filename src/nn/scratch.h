@@ -1,5 +1,5 @@
 // Per-thread bump allocator for kernel scratch memory: im2col column
-// matrices, GEMM packing panels, per-image gradient partials. Hot-loop
+// matrices, zero-bordered image planes, GEMM packing panels. Hot-loop
 // allocations reuse the same chunks round after round, so steady-state
 // training performs no heap traffic inside the kernels.
 //

@@ -162,5 +162,17 @@ TEST(MaxPoolTest, MultiChannelShapes) {
   EXPECT_TRUE(argmax.SameShape(out));
 }
 
+// argmax holds flat input offsets as floats, exact only up to 2^24; a
+// larger input must fail loudly rather than misroute gradients.
+TEST(MaxPoolDeathTest, InputBeyondFloatExactOffsetsIsRejected) {
+  EXPECT_DEATH(
+      {
+        const Tensor input({1, 1, 2, (1 << 23) + 2});  // 2^24 + 4 elements
+        Tensor argmax;
+        (void)MaxPool2x2Forward(input, &argmax);
+      },
+      "CHECK failed");
+}
+
 }  // namespace
 }  // namespace fedmigr::nn
