@@ -100,6 +100,48 @@ void BM_MatMulTransBNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransBNaive)->Arg(128)->Arg(512);
 
+// The nine GEMMs of one C10 training step at batch 16, in the layouts and
+// accumulation modes the layers issue them: conv l0 (3->8 on 8x8) and l3
+// (8->16 on 4x4) forward, input gradient Kᵀ·dY and kernel gradient
+// dY·colsᵀ, then Dense 64->64 forward x·Wᵀ, weight gradient dYᵀ·x and
+// input gradient dY·W. The argument indexes kZooGemms.
+struct ZooGemm {
+  const char* label;
+  int m, n, k;
+  bool trans_a, trans_b;
+  nn::GemmAcc acc;
+};
+
+constexpr ZooGemm kZooGemms[] = {
+    {"l0_fwd", 8, 64, 75, false, false, nn::GemmAcc::kSeedFromC},
+    {"l0_dx", 75, 64, 8, true, false, nn::GemmAcc::kOverwrite},
+    {"l0_dk", 8, 75, 64, false, true, nn::GemmAcc::kAddAfter},
+    {"l3_fwd", 16, 16, 200, false, false, nn::GemmAcc::kSeedFromC},
+    {"l3_dx", 200, 16, 16, true, false, nn::GemmAcc::kOverwrite},
+    {"l3_dk", 16, 200, 16, false, true, nn::GemmAcc::kAddAfter},
+    {"dense_fwd", 16, 64, 64, false, true, nn::GemmAcc::kOverwrite},
+    {"dense_dw", 64, 64, 16, true, false, nn::GemmAcc::kOverwrite},
+    {"dense_dx", 16, 64, 64, false, false, nn::GemmAcc::kOverwrite},
+};
+
+void BM_SgemmZooShapes(benchmark::State& state) {
+  const ZooGemm& g = kZooGemms[state.range(0)];
+  state.SetLabel(g.label);
+  IntraOpGuard guard(1);
+  const int lda = g.trans_a ? g.m : g.k;
+  const int ldb = g.trans_b ? g.k : g.n;
+  const nn::Tensor a = RandomTensor({g.m, g.k}, 3);
+  const nn::Tensor b = RandomTensor({g.k, g.n}, 4);
+  nn::Tensor c = RandomTensor({g.m, g.n}, 5);
+  for (auto _ : state) {
+    nn::Sgemm(g.trans_a, g.trans_b, g.m, g.n, g.k, a.data(), lda, b.data(),
+              ldb, c.data(), g.n, g.acc);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * int64_t{g.m} * g.n * g.k);
+}
+BENCHMARK(BM_SgemmZooShapes)->DenseRange(0, 8);
+
 // Intra-op scaling: row-panels of the 512x512 product split across the
 // pool (grain 64 -> 8 chunks).
 void BM_MatMulThreads(benchmark::State& state) {
@@ -286,7 +328,8 @@ void BM_C10NetForward(benchmark::State& state) {
 BENCHMARK(BM_C10NetForward);
 
 // One local-update step of the C10 net at batch 16: forward, softmax
-// cross-entropy and backward (the optimizer step is excluded).
+// cross-entropy and the parameters-only backward fl::Client runs (the
+// optimizer step is excluded).
 void BM_C10NetTrainStep(benchmark::State& state) {
   IntraOpGuard guard(1);
   util::Rng rng(9);
@@ -298,8 +341,8 @@ void BM_C10NetTrainStep(benchmark::State& state) {
     model.ZeroGrads();
     const nn::Tensor logits = model.Forward(batch, /*training=*/true);
     const nn::LossResult loss = nn::SoftmaxCrossEntropy(logits, labels);
-    nn::Tensor grad = model.Backward(loss.grad_logits);
-    benchmark::DoNotOptimize(grad.data());
+    model.BackwardParams(loss.grad_logits);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_C10NetTrainStep);

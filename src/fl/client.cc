@@ -179,7 +179,7 @@ LocalUpdateResult Client::LocalUpdate(const LocalUpdateOptions& options) {
       model.ZeroGrads();
       const nn::Tensor logits = model.Forward(batch, /*training=*/true);
       nn::LossResult loss = nn::SoftmaxCrossEntropy(logits, labels);
-      model.Backward(loss.grad_logits);
+      model.BackwardParams(loss.grad_logits);
       if (options.fedprox_mu > 0.0 && proximal != nullptr &&
           !proximal->empty()) {
         // Proximal term: grad += μ (w - w_ref).

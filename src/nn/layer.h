@@ -29,6 +29,16 @@ class Layer {
   // gradients into the buffers returned by Grads().
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
+  // Backward for a caller that drops the input gradient: accumulates the
+  // same parameter gradients, bit for bit, and may skip computing the
+  // gradient w.r.t. the input. The default runs Backward and discards its
+  // result; Conv2D and Dense override it to skip their input-gradient GEMM.
+  // A decorator that overrides only Backward (perfbench's per-layer timer)
+  // therefore still computes the input gradient here.
+  virtual void BackwardParams(const Tensor& grad_output) {
+    (void)Backward(grad_output);
+  }
+
   // Trainable parameters / matching gradient buffers. Empty for stateless
   // layers. Order is stable and identical between the two lists.
   virtual std::vector<Tensor*> Params() { return {}; }

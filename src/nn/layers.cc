@@ -60,6 +60,12 @@ Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {
+  Dense::BackwardParams(grad_output);
+  // dX = dY W ([N, out] * [out, in]).
+  return MatMul(grad_output, weights_);
+}
+
+void Dense::BackwardParams(const Tensor& grad_output) {
   FEDMIGR_CHECK_EQ(grad_output.ndim(), 2);
   FEDMIGR_CHECK_EQ(grad_output.dim(1), out_features_);
   // dW = dY^T X  ([out, N] * [N, in]).
@@ -70,8 +76,6 @@ Tensor Dense::Backward(const Tensor& grad_output) {
       grad_bias_[o] += grad_output.At(n, o);
     }
   }
-  // dX = dY W ([N, out] * [out, in]).
-  return MatMul(grad_output, weights_);
 }
 
 std::unique_ptr<Layer> Dense::Clone() const {
@@ -108,12 +112,22 @@ Tensor Conv2D::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Conv2D::Backward(const Tensor& grad_output) {
-  Tensor grad_input, grad_kernel, grad_bias;
-  Conv2dBackward(cached_input_, kernel_, pad_, grad_output, &grad_input,
+  Tensor grad_input;
+  AccumulateBackward(grad_output, &grad_input);
+  return grad_input;
+}
+
+void Conv2D::BackwardParams(const Tensor& grad_output) {
+  AccumulateBackward(grad_output, nullptr);
+}
+
+void Conv2D::AccumulateBackward(const Tensor& grad_output,
+                                Tensor* grad_input) {
+  Tensor grad_kernel, grad_bias;
+  Conv2dBackward(cached_input_, kernel_, pad_, grad_output, grad_input,
                  &grad_kernel, &grad_bias);
   grad_kernel_.Add(grad_kernel);
   grad_bias_.Add(grad_bias);
-  return grad_input;
 }
 
 std::unique_ptr<Layer> Conv2D::Clone() const {

@@ -27,6 +27,8 @@ class Dense : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  // Skips dX = dY·W.
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Tensor*> Params() override { return {&weights_, &bias_}; }
   std::vector<Tensor*> Grads() override {
     return {&grad_weights_, &grad_bias_};
@@ -57,6 +59,8 @@ class Conv2D : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  // Skips the input-gradient GEMM Kᵀ·dY and its Col2im.
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Tensor*> Params() override { return {&kernel_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&grad_kernel_, &grad_bias_}; }
   std::string name() const override { return "Conv2D"; }
@@ -64,6 +68,9 @@ class Conv2D : public Layer {
 
  private:
   Conv2D() = default;
+
+  // Accumulates the parameter gradients; fills *grad_input unless null.
+  void AccumulateBackward(const Tensor& grad_output, Tensor* grad_input);
 
   int in_channels_ = 0;
   int out_channels_ = 0;

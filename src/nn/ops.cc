@@ -214,14 +214,24 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
 void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
                     const Tensor& grad_output, Tensor* grad_input,
                     Tensor* grad_kernel, Tensor* grad_bias) {
+  FEDMIGR_CHECK_EQ(input.ndim(), 4);
+  FEDMIGR_CHECK_EQ(kernel.ndim(), 4);
   const int batch = input.dim(0), cin = input.dim(1);
   const int h = input.dim(2), w = input.dim(3);
   const int cout = kernel.dim(0), kh = kernel.dim(2), kw = kernel.dim(3);
-  const int oh = grad_output.dim(2), ow = grad_output.dim(3);
-  FEDMIGR_CHECK_EQ(grad_output.dim(0), batch);
-  FEDMIGR_CHECK_EQ(grad_output.dim(1), cout);
+  FEDMIGR_CHECK_EQ(kernel.dim(1), cin);
+  const int oh = h + 2 * pad - kh + 1;
+  const int ow = w + 2 * pad - kw + 1;
+  FEDMIGR_CHECK_GT(oh, 0);
+  FEDMIGR_CHECK_GT(ow, 0);
+  // The lowering sizes its scratch plane from the input and walks the
+  // gradient with oh x ow taps, so any other gradient shape reads past it.
+  const Shape output_shape{batch, cout, oh, ow};
+  FEDMIGR_CHECK(grad_output.shape() == output_shape)
+      << "grad_output " << ShapeToString(grad_output.shape())
+      << " != conv output " << ShapeToString(output_shape);
 
-  *grad_input = Tensor(input.shape());
+  if (grad_input != nullptr) *grad_input = Tensor(input.shape());
   *grad_kernel = Tensor(kernel.shape());
   *grad_bias = Tensor(Shape{cout});
 
@@ -233,15 +243,16 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
     static obs::Counter* conv_flops =
         obs::Registry::Default().GetCounter("nn/conv_flops");
     conv_calls->Increment();
-    // Two GEMMs per image (kernel gradient + input gradient).
-    conv_flops->Add(4ll * batch * cout * ohw * kcols);
+    // One GEMM per image for the kernel gradient, one more for the input
+    // gradient when the caller wants it.
+    conv_flops->Add((grad_input != nullptr ? 4ll : 2ll) * batch * cout * ohw *
+                    kcols);
   }
   const int64_t in_img = static_cast<int64_t>(cin) * h * w;
   const int64_t out_img = static_cast<int64_t>(cout) * ohw;
   const float* in = input.data();
   const float* ker = kernel.data();
   const float* go = grad_output.data();
-  float* gin = grad_input->data();
   float* gker = grad_kernel->data();
   float* gbias = grad_bias->data();
 
@@ -258,21 +269,25 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
   const int64_t plane_size =
       static_cast<int64_t>(cin) * (h + 2 * pad) * (w + 2 * pad);
 
-  // Input gradient: dcols = K^T (kcols x cout) · dY_img (cout x ohw), then
-  // scattered back into this image's (disjoint) slice of grad_input. Images
-  // are independent, so any split of the batch is bit-identical.
-  IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
-    ScratchArena::Scope scope;
-    ScratchArena& arena = ScratchArena::ThreadLocal();
-    float* cols_grad = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
-    float* plane = arena.AllocFloats(plane_size);
-    for (int64_t img = img_begin; img < img_end; ++img) {
-      Sgemm(true, false, kcols, ohw, cout, ker, kcols, go + img * out_img, ohw,
-            cols_grad, ohw, GemmAcc::kOverwrite);
-      Col2im(cols_grad, cin, h, w, kh, kw, pad, oh, ow, plane,
-             gin + img * in_img);
-    }
-  });
+  // Input gradient, unless the caller drops it: dcols = K^T (kcols x cout)
+  // · dY_img (cout x ohw), then scattered back into this image's (disjoint)
+  // slice of grad_input. Images are independent, so any split of the batch
+  // is bit-identical.
+  if (grad_input != nullptr) {
+    float* gin = grad_input->data();
+    IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
+      ScratchArena::Scope scope;
+      ScratchArena& arena = ScratchArena::ThreadLocal();
+      float* cols_grad = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
+      float* plane = arena.AllocFloats(plane_size);
+      for (int64_t img = img_begin; img < img_end; ++img) {
+        Sgemm(true, false, kcols, ohw, cout, ker, kcols, go + img * out_img,
+              ohw, cols_grad, ohw, GemmAcc::kOverwrite);
+        Col2im(cols_grad, cin, h, w, kh, kw, pad, oh, ow, plane,
+               gin + img * in_img);
+      }
+    });
+  }
 
   // Kernel gradient, in image order: each dK_img = dY_img (cout x ohw) ·
   // cols_img^T (ohw x kcols) is reduced in registers and then added into

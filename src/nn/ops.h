@@ -30,7 +30,9 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
                      const Tensor& bias, int pad);
 
-// Gradients of Conv2dForward. grad_output has the forward output's shape.
+// Gradients of Conv2dForward. grad_output must have the forward output's
+// shape (checked). A null grad_input skips the input gradient (its GEMM
+// and col2im); the kernel and bias gradients are the same bytes either way.
 void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
                     const Tensor& grad_output, Tensor* grad_input,
                     Tensor* grad_kernel, Tensor* grad_bias);

@@ -36,6 +36,15 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
   return grad;
 }
 
+void Sequential::BackwardParams(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor grad = grad_output;
+  for (size_t i = layers_.size() - 1; i > 0; --i) {
+    grad = layers_[i]->Backward(grad);
+  }
+  layers_.front()->BackwardParams(grad);
+}
+
 std::vector<Tensor*> Sequential::Params() {
   std::vector<Tensor*> params;
   for (auto& layer : layers_) {

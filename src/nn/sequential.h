@@ -28,6 +28,14 @@ class Sequential {
   Tensor Forward(const Tensor& input, bool training = true);
   // Backpropagates through all layers; returns gradient w.r.t. the input.
   Tensor Backward(const Tensor& grad_output);
+  // Backward for callers that drop the input gradient (local training,
+  // the DDPG actor): runs Backward on layers n-1..1 and
+  // Layer::BackwardParams on layer 0, so the first layer may skip its
+  // input-gradient work. Grads() end up byte-identical to Backward's.
+  // A layer-0 decorator that forwards only Backward (perfbench's timer)
+  // keeps computing that gradient, so traced runs do the same GEMMs as
+  // Backward.
+  void BackwardParams(const Tensor& grad_output);
 
   // Flattened parameter/gradient views across layers (stable order).
   std::vector<Tensor*> Params();

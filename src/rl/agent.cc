@@ -203,7 +203,7 @@ TrainStats DdpgAgent::Train(PrioritizedReplayBuffer* buffer, util::Rng* rng) {
           static_cast<float>(pg + ent) * weight /
           static_cast<float>(batch.size());
     }
-    actor_.Backward(grad_scores);
+    actor_.BackwardParams(grad_scores);
 
     // --- Priority (Eq. 25): ε |φ| + (1-ε) |∇_a Q|. -------------------------
     const double priority = config_.priority_epsilon * std::fabs(td_error) +

@@ -174,5 +174,39 @@ TEST(MaxPoolDeathTest, InputBeyondFloatExactOffsetsIsRejected) {
       "CHECK failed");
 }
 
+// Conv2dBackward sizes its lowering from the input and walks grad_output
+// with oh x ow taps; a gradient of any other shape must fail loudly rather
+// than read past the scratch plane.
+TEST(ConvDeathTest, BackwardRejectsMismatchedShapes) {
+  const Tensor input({2, 3, 8, 8});
+  const Tensor kernel({4, 3, 5, 5});
+  const Tensor grad_ok({2, 4, 8, 8});
+  Tensor gin, gker, gbias;
+  // Spatially mismatched gradient (the case that used to read out of
+  // bounds), wrong batch, wrong channel count, and a wrong rank.
+  EXPECT_DEATH(Conv2dBackward(input, kernel, 2, Tensor({2, 4, 9, 9}), &gin,
+                              &gker, &gbias),
+               "CHECK failed");
+  EXPECT_DEATH(Conv2dBackward(input, kernel, 1, grad_ok, &gin, &gker,
+                              &gbias),
+               "CHECK failed");
+  EXPECT_DEATH(Conv2dBackward(input, kernel, 2, Tensor({3, 4, 8, 8}), &gin,
+                              &gker, &gbias),
+               "CHECK failed");
+  EXPECT_DEATH(Conv2dBackward(input, kernel, 2, Tensor({2, 5, 8, 8}), &gin,
+                              &gker, &gbias),
+               "CHECK failed");
+  EXPECT_DEATH(Conv2dBackward(input, Tensor({4, 2, 5, 5}), 2, grad_ok, &gin,
+                              &gker, &gbias),
+               "CHECK failed");
+  EXPECT_DEATH(Conv2dBackward(Tensor({2, 3, 64}), kernel, 2, grad_ok, &gin,
+                              &gker, &gbias),
+               "CHECK failed");
+  // The matching shape passes, with or without an input gradient.
+  Conv2dBackward(input, kernel, 2, grad_ok, &gin, &gker, &gbias);
+  Conv2dBackward(input, kernel, 2, grad_ok, nullptr, &gker, &gbias);
+  EXPECT_EQ(gin.shape(), input.shape());
+}
+
 }  // namespace
 }  // namespace fedmigr::nn

@@ -1,10 +1,13 @@
 #include "nn/sequential.h"
 
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "nn/layers.h"
+#include "nn/zoo.h"
 #include "util/rng.h"
 
 namespace fedmigr::nn {
@@ -111,6 +114,60 @@ TEST(SequentialTest, ParamNormPositive) {
   Sequential model = TwoLayerMlp(14);
   EXPECT_GT(model.ParamNorm(), 0.0);
 }
+
+// BackwardParams lets layer 0 skip its input gradient; the parameter
+// gradients it leaves must be the bytes Backward leaves, for every zoo
+// model and across accumulating steps.
+class BackwardParamsTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BackwardParamsTest, GradsMatchBackward) {
+  util::Rng rng(21);
+  Sequential model;
+  Shape input_shape;
+  if (GetParam() == "c10") {
+    model = MakeC10Net(&rng);
+    input_shape = {5, kImageChannels, kImageSize, kImageSize};
+  } else if (GetParam() == "c100") {
+    model = MakeC100Net(&rng);
+    input_shape = {5, kImageChannels, kImageSize, kImageSize};
+  } else if (GetParam() == "resmini") {
+    model = MakeResMini(&rng);
+    input_shape = {5, kResFeatureDim};
+  } else {
+    model = MakeMlp({6, 16, 16, 1}, /*softmax_output=*/false, &rng);
+    input_shape = {7, 6};
+  }
+  Sequential twin = model;
+  for (int step = 0; step < 2; ++step) {
+    Tensor input(input_shape);
+    for (int64_t i = 0; i < input.size(); ++i) {
+      input[i] = static_cast<float>(rng.Normal());
+    }
+    const Tensor out = model.Forward(input, /*training=*/true);
+    ASSERT_TRUE(out.SameShape(twin.Forward(input, /*training=*/true)));
+    Tensor grad(out.shape());
+    for (int64_t i = 0; i < grad.size(); ++i) {
+      grad[i] = static_cast<float>(rng.Normal());
+    }
+    (void)model.Backward(grad);
+    twin.BackwardParams(grad);
+    const std::vector<Tensor*> want = model.Grads();
+    const std::vector<Tensor*> got = twin.Grads();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t g = 0; g < want.size(); ++g) {
+      ASSERT_TRUE(got[g]->SameShape(*want[g]));
+      EXPECT_EQ(std::memcmp(got[g]->data(), want[g]->data(),
+                            static_cast<size_t>(want[g]->size()) *
+                                sizeof(float)),
+                0)
+          << "step " << step << " grad " << g;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, BackwardParamsTest,
+                         ::testing::Values("c10", "c100", "resmini", "mlp"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace fedmigr::nn
