@@ -1,21 +1,30 @@
-// Blocked, packed, vectorized SGEMM — the kernel every dense and (via
-// im2col) convolution op in the NN substrate lowers onto.
+// Blocked, vectorized SGEMM — the kernel every dense and (via im2col)
+// convolution op in the NN substrate lowers onto.
 //
-// Scheme: B is packed once into kNR-column micro-panels; row-blocks of A
-// (kMC rows, the intra-op parallel grain) are packed into kMR-row
-// micro-panels; a register-tiled kMR x kNR micro-kernel accumulates the
-// full K reduction for each output tile in one pass. The micro-kernel is
-// either portable C (compiler-vectorized) or AVX2+FMA intrinsics, chosen
-// once at startup by runtime CPU dispatch.
+// Scheme: C is cut into kMR x kNR (4 x 16) tiles; a register-tiled
+// micro-kernel computes each tile's full K reduction in one pass, reading
+// A through a (row, k) stride pair and B through a k stride. Rows of C are
+// split into kMC-row blocks, the intra-op parallel grain. Each operand is
+// read in place or packed by a shape rule: when m*k + k*n is small (every
+// zoo GEMM), full 4-row panels of A (transposed or not) and full 16-column
+// panels of a non-transposed B are read where they lie, and only edge
+// panels and transposed B are copied into packed panels (transposed B via
+// an 8x8 register transpose on AVX2). Larger GEMMs pack every panel. The
+// micro-kernel is portable C or AVX2+FMA intrinsics, chosen once at
+// startup by runtime CPU dispatch.
 //
-// Determinism contract: each output element is reduced in k-order
-// 0..K-1 by exactly one tile, and tile boundaries depend only on the
-// operand shapes — never on the thread count or on which thread runs
-// which tile. Results are therefore bit-identical across runs and across
-// intra-op thread counts on the same build + machine. The portable
-// micro-kernel reproduces the legacy scalar kernels' mul-then-add
-// sequence exactly (no FMA contraction); the AVX2 path fuses, so it
-// matches only to within 1 ulp per multiply-add.
+// Determinism contract: each element of C is one in-order chain over
+// k = 0..K-1, seeded from 0 (kOverwrite, kAddAfter) or from C (kSeedFromC),
+// each step a fused multiply-add on the AVX2+FMA kernel and a rounded
+// product then an add on the portable kernel; kAddAfter adds the finished
+// chain to C once. Packing only copies values, and no step depends on the
+// tiling, the packing decision, the thread count or which thread runs
+// which tile, so results are bit-identical across runs and intra-op thread
+// counts for a fixed kernel. GemmBitExactTest pins this chain byte for byte
+// against a scalar reference under both kernels. The portable kernel
+// reproduces the legacy scalar kernels' mul-then-add sequence (the build
+// sets -ffp-contract=off so that no compiler fuses it); the AVX2 path
+// fuses, so the two match only to within 1 ulp per multiply-add.
 
 #ifndef FEDMIGR_NN_GEMM_H_
 #define FEDMIGR_NN_GEMM_H_
