@@ -47,6 +47,42 @@ TEST(Crc32Test, SingleBitFlipChangesChecksum) {
   }
 }
 
+// The table-driven CRC must equal the textbook bit-at-a-time definition
+// at every alignment and across every tail length, in one call and split
+// at an unaligned point.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryOffsetAndLength) {
+  std::vector<uint8_t> buffer(4097 + 16);
+  uint32_t state = 12345;
+  for (uint8_t& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(state >> 24);
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4097);
+  for (size_t offset = 0; offset <= 8; ++offset) {
+    for (size_t n : lengths) {
+      const uint8_t* p = buffer.data() + offset;
+      const uint32_t want = BitwiseCrc32(p, n);
+      EXPECT_EQ(Crc32(p, n), want) << "offset " << offset << " length " << n;
+      const size_t split = n / 3;
+      EXPECT_EQ(Crc32(p + split, n - split, Crc32(p, split)), want)
+          << "offset " << offset << " length " << n << " split " << split;
+    }
+  }
+}
+
 TEST(Crc32Test, DistinguishesPermutations) {
   const std::string a = "abcd";
   const std::string b = "abdc";
