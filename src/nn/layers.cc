@@ -105,10 +105,17 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel_size, int pad,
   HeNormal(&kernel_, in_channels * kernel_size * kernel_size, rng);
 }
 
-Tensor Conv2D::Forward(const Tensor& input, bool /*training*/) {
+Tensor Conv2D::Forward(const Tensor& input, bool training) {
   FEDMIGR_CHECK_EQ(input.dim(1), in_channels_);
   cached_input_ = input;
-  return Conv2dForward(input, kernel_, bias_, pad_);
+  ColumnWorkspace& workspace = ColumnWorkspace::ThreadLocal();
+  if (!training) {
+    workspace.Release(&columns_);
+    return Conv2dForward(input, kernel_, bias_, pad_);
+  }
+  float* columns = workspace.Acquire(
+      Conv2dColumnFloats(input, kernel_, pad_), &columns_);
+  return Conv2dForward(input, kernel_, bias_, pad_, columns);
 }
 
 Tensor Conv2D::Backward(const Tensor& grad_output) {
@@ -123,9 +130,11 @@ void Conv2D::BackwardParams(const Tensor& grad_output) {
 
 void Conv2D::AccumulateBackward(const Tensor& grad_output,
                                 Tensor* grad_input) {
+  ColumnWorkspace& workspace = ColumnWorkspace::ThreadLocal();
   Tensor grad_kernel, grad_bias;
   Conv2dBackward(cached_input_, kernel_, pad_, grad_output, grad_input,
-                 &grad_kernel, &grad_bias);
+                 &grad_kernel, &grad_bias, workspace.Find(columns_));
+  workspace.Release(&columns_);
   grad_kernel_.Add(grad_kernel);
   grad_bias_.Add(grad_bias);
 }

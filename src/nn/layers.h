@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "nn/layer.h"
+#include "nn/scratch.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
 
@@ -52,6 +53,12 @@ class Dense : public Layer {
 };
 
 // 2-D convolution, stride 1, symmetric zero padding.
+//
+// A training forward lowers its batch into the calling thread's
+// ColumnWorkspace and keeps the slot's Token; the backward reads those
+// columns while the Token still owns the slot on the thread it runs on, and
+// otherwise lowers cached_input_ again. An inference forward drops the
+// Token. The gradient bytes are the same either way.
 class Conv2D : public Layer {
  public:
   Conv2D(int in_channels, int out_channels, int kernel_size, int pad,
@@ -81,6 +88,7 @@ class Conv2D : public Layer {
   Tensor grad_kernel_;
   Tensor grad_bias_;
   Tensor cached_input_;
+  ColumnWorkspace::Token columns_;  // the last training forward's columns
 };
 
 // 2x2 max pooling with stride 2.

@@ -14,21 +14,20 @@ namespace fedmigr::nn {
 
 namespace {
 
-// Calls fn(std::integral_constant<int, W>) with W = ow for the zoo convs'
-// 8x8 and 4x4 outputs and W = 0 (width known only at run time) otherwise. A
-// compile-time row width turns each row copy or add of the lowering into a
-// few inline vector ops instead of a memcpy call or a remainder loop.
+// Calls fn(std::integral_constant<int, W>, std::integral_constant<int, KW>)
+// with (W, KW) = (ow, kw) for the zoo convs' 8x8 and 4x4 outputs of 5x5
+// kernels and (0, 0) (known only at run time) otherwise. A compile-time row
+// width turns each row copy of the lowering into a few inline vector ops
+// instead of a memcpy call, and lets Col2im hold a plane row in registers.
 template <typename Fn>
-void WithRowWidth(int ow, Fn&& fn) {
-  switch (ow) {
-    case 8:
-      fn(std::integral_constant<int, 8>{});
-      break;
-    case 4:
-      fn(std::integral_constant<int, 4>{});
-      break;
-    default:
-      fn(std::integral_constant<int, 0>{});
+void WithRowShape(int ow, int kw, Fn&& fn) {
+  using Five = std::integral_constant<int, 5>;
+  if (kw == 5 && ow == 8) {
+    fn(std::integral_constant<int, 8>{}, Five{});
+  } else if (kw == 5 && ow == 4) {
+    fn(std::integral_constant<int, 4>{}, Five{});
+  } else {
+    fn(std::integral_constant<int, 0>{}, std::integral_constant<int, 0>{});
   }
 }
 
@@ -72,25 +71,47 @@ void Im2col(const float* in, int cin, int h, int w, int kh, int kw, int pad,
       std::memcpy(dst, src, static_cast<size_t>(w) * sizeof(float));
     }
   }
-  WithRowWidth(ow, [&](auto fixed_ow) {
+  WithRowShape(ow, kw, [&](auto fixed_ow, auto) {
     Im2colRows<fixed_ow()>(plane, cin, ph, pw, kh, kw, oh, ow, cols);
   });
 }
 
 // plane(ic, oy + ky, ox + kx) += cols row (ic, ky, kx), column (oy, ox),
-// walking the column matrix in order.
-template <int kFixedOw>
-void Col2imRows(const float* cols, int cin, int ph, int pw, int kh, int kw,
-                int oh, int ow_dynamic, float* plane) {
+// walking (ic, ky, oy, kx, ox): each (ic, ky, oy) step adds the kw column-
+// matrix rows (ic, ky, 0..kw-1) at column block oy into plane row oy + ky,
+// which is ow + kw - 1 = pw wide. With a compile-time shape that row is
+// loaded once, accumulated in registers and stored once; adding the kx taps
+// straight into memory would make each tap's loads wait on the previous
+// tap's overlapping stores. Every element still receives its taps in
+// increasing (ky, kx) order: ky is the outer loop, and a plane row meets
+// each ky once, with its kx taps in order.
+template <int kFixedOw, int kFixedKw>
+void Col2imRows(const float* cols, int cin, int ph, int pw, int kh,
+                int kw_dynamic, int oh, int ow_dynamic, float* plane) {
   const int ow = kFixedOw > 0 ? kFixedOw : ow_dynamic;
-  const float* src = cols;
+  const int kw = kFixedKw > 0 ? kFixedKw : kw_dynamic;
+  const int64_t ohw = static_cast<int64_t>(oh) * ow;  // one cols row
+  const float* src_ky = cols;
   for (int ic = 0; ic < cin; ++ic) {
     float* plane_c = plane + static_cast<int64_t>(ic) * ph * pw;
-    for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        float* dst = plane_c + ky * pw + kx;
-        for (int oy = 0; oy < oh; ++oy, src += ow, dst += pw) {
-          for (int ox = 0; ox < ow; ++ox) dst[ox] += src[ox];
+    for (int ky = 0; ky < kh; ++ky, src_ky += kw * ohw) {
+      for (int oy = 0; oy < oh; ++oy) {
+        float* dst = plane_c + (oy + ky) * pw;
+        const float* src = src_ky + oy * ow;
+        if constexpr (kFixedOw > 0) {
+          constexpr int kRow = kFixedOw + kFixedKw - 1;
+          float row[kRow];
+          for (int x = 0; x < kRow; ++x) row[x] = dst[x];
+          for (int kx = 0; kx < kFixedKw; ++kx) {
+            for (int ox = 0; ox < kFixedOw; ++ox) {
+              row[kx + ox] += src[kx * ohw + ox];
+            }
+          }
+          for (int x = 0; x < kRow; ++x) dst[x] = row[x];
+        } else {
+          for (int kx = 0; kx < kw; ++kx) {
+            for (int ox = 0; ox < ow; ++ox) dst[kx + ox] += src[kx * ohw + ox];
+          }
         }
       }
     }
@@ -98,17 +119,18 @@ void Col2imRows(const float* cols, int cin, int ph, int pw, int kh, int kw,
 }
 
 // Transpose of Im2col: scatter-adds the column matrix into `plane` (zeroed
-// here) in (ic, ky, kx, oy, ox) order, then stores the plane's interior into
-// the image gradient `gin`. Each interior element receives its taps in the
-// same order, summed from +0, as a scatter straight into `gin` would give;
-// the border collects the padding taps and is discarded. `gin` must be
-// freshly zeroed, so the store equals adding the interior to it.
+// here), then stores the plane's interior into the image gradient `gin`.
+// Each interior element receives its taps in the same (ky, kx) order,
+// summed from +0, as a scatter straight into `gin` would give; the border
+// collects the padding taps and is discarded. `gin` must be freshly zeroed,
+// so the store equals adding the interior to it.
 void Col2im(const float* cols, int cin, int h, int w, int kh, int kw, int pad,
             int oh, int ow, float* plane, float* gin) {
   const int ph = h + 2 * pad, pw = w + 2 * pad;
   std::memset(plane, 0, static_cast<size_t>(cin) * ph * pw * sizeof(float));
-  WithRowWidth(ow, [&](auto fixed_ow) {
-    Col2imRows<fixed_ow()>(cols, cin, ph, pw, kh, kw, oh, ow, plane);
+  WithRowShape(ow, kw, [&](auto fixed_ow, auto fixed_kw) {
+    Col2imRows<fixed_ow(), fixed_kw()>(cols, cin, ph, pw, kh, kw, oh, ow,
+                                       plane);
   });
   for (int ic = 0; ic < cin; ++ic) {
     const float* src_c =
@@ -118,6 +140,32 @@ void Col2im(const float* cols, int cin, int h, int w, int kh, int kw, int pad,
       std::memcpy(gin_c, src_c, static_cast<size_t>(w) * sizeof(float));
     }
   }
+}
+
+// Validated dimensions of a stride-1 convolution of `input` by `kernel`.
+struct ConvDims {
+  int batch, cin, h, w, cout, kh, kw, oh, ow;
+  int kcols() const { return cin * kh * kw; }  // GEMM reduction depth
+  int ohw() const { return oh * ow; }
+};
+
+ConvDims CheckConvDims(const Tensor& input, const Tensor& kernel, int pad) {
+  FEDMIGR_CHECK_EQ(input.ndim(), 4);
+  FEDMIGR_CHECK_EQ(kernel.ndim(), 4);
+  ConvDims d;
+  d.batch = input.dim(0);
+  d.cin = input.dim(1);
+  d.h = input.dim(2);
+  d.w = input.dim(3);
+  d.cout = kernel.dim(0);
+  d.kh = kernel.dim(2);
+  d.kw = kernel.dim(3);
+  FEDMIGR_CHECK_EQ(kernel.dim(1), d.cin);
+  d.oh = d.h + 2 * pad - d.kh + 1;
+  d.ow = d.w + 2 * pad - d.kw + 1;
+  FEDMIGR_CHECK_GT(d.oh, 0);
+  FEDMIGR_CHECK_GT(d.ow, 0);
+  return d;
 }
 
 }  // namespace
@@ -153,22 +201,15 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
-                     const Tensor& bias, int pad) {
-  FEDMIGR_CHECK_EQ(input.ndim(), 4);
-  FEDMIGR_CHECK_EQ(kernel.ndim(), 4);
-  const int batch = input.dim(0), cin = input.dim(1);
-  const int h = input.dim(2), w = input.dim(3);
-  const int cout = kernel.dim(0), kh = kernel.dim(2), kw = kernel.dim(3);
-  FEDMIGR_CHECK_EQ(kernel.dim(1), cin);
+                     const Tensor& bias, int pad, float* columns) {
+  const ConvDims d = CheckConvDims(input, kernel, pad);
+  const int batch = d.batch, cin = d.cin, h = d.h, w = d.w;
+  const int cout = d.cout, kh = d.kh, kw = d.kw, oh = d.oh, ow = d.ow;
   FEDMIGR_CHECK_EQ(bias.size(), cout);
-  const int oh = h + 2 * pad - kh + 1;
-  const int ow = w + 2 * pad - kw + 1;
-  FEDMIGR_CHECK_GT(oh, 0);
-  FEDMIGR_CHECK_GT(ow, 0);
   Tensor output({batch, cout, oh, ow});
 
-  const int kcols = cin * kh * kw;  // GEMM reduction depth
-  const int ohw = oh * ow;
+  const int kcols = d.kcols();
+  const int ohw = d.ohw();
   if (obs::Telemetry::enabled()) {
     static obs::Counter* conv_calls =
         obs::Registry::Default().GetCounter("nn/conv_calls");
@@ -179,6 +220,7 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
   }
   const int64_t in_img = static_cast<int64_t>(cin) * h * w;
   const int64_t out_img = static_cast<int64_t>(cout) * ohw;
+  const int64_t cols_img = static_cast<int64_t>(kcols) * ohw;
   const float* in = input.data();
   const float* ker = kernel.data();  // [cout, kcols] row-major
   const float* bias_p = bias.data();
@@ -192,10 +234,13 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
   IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
     ScratchArena::Scope scope;
     ScratchArena& arena = ScratchArena::ThreadLocal();
-    float* cols = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
+    float* scratch_cols =
+        columns == nullptr ? arena.AllocFloats(cols_img) : nullptr;
     float* plane = arena.AllocFloats(plane_size);
     std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
     for (int64_t img = img_begin; img < img_end; ++img) {
+      float* cols = columns != nullptr ? columns + img * cols_img
+                                       : scratch_cols;
       Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane, cols);
       float* out_n = out + img * out_img;
       // Pre-fill with the bias and let the GEMM accumulate on top of it
@@ -211,19 +256,19 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
   return output;
 }
 
+int64_t Conv2dColumnFloats(const Tensor& input, const Tensor& kernel,
+                           int pad) {
+  const ConvDims d = CheckConvDims(input, kernel, pad);
+  return static_cast<int64_t>(d.batch) * d.kcols() * d.ohw();
+}
+
 void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
                     const Tensor& grad_output, Tensor* grad_input,
-                    Tensor* grad_kernel, Tensor* grad_bias) {
-  FEDMIGR_CHECK_EQ(input.ndim(), 4);
-  FEDMIGR_CHECK_EQ(kernel.ndim(), 4);
-  const int batch = input.dim(0), cin = input.dim(1);
-  const int h = input.dim(2), w = input.dim(3);
-  const int cout = kernel.dim(0), kh = kernel.dim(2), kw = kernel.dim(3);
-  FEDMIGR_CHECK_EQ(kernel.dim(1), cin);
-  const int oh = h + 2 * pad - kh + 1;
-  const int ow = w + 2 * pad - kw + 1;
-  FEDMIGR_CHECK_GT(oh, 0);
-  FEDMIGR_CHECK_GT(ow, 0);
+                    Tensor* grad_kernel, Tensor* grad_bias,
+                    const float* columns) {
+  const ConvDims d = CheckConvDims(input, kernel, pad);
+  const int batch = d.batch, cin = d.cin, h = d.h, w = d.w;
+  const int cout = d.cout, kh = d.kh, kw = d.kw, oh = d.oh, ow = d.ow;
   // The lowering sizes its scratch plane from the input and walks the
   // gradient with oh x ow taps, so any other gradient shape reads past it.
   const Shape output_shape{batch, cout, oh, ow};
@@ -235,8 +280,8 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
   *grad_kernel = Tensor(kernel.shape());
   *grad_bias = Tensor(Shape{cout});
 
-  const int kcols = cin * kh * kw;
-  const int ohw = oh * ow;
+  const int kcols = d.kcols();
+  const int ohw = d.ohw();
   if (obs::Telemetry::enabled()) {
     static obs::Counter* conv_calls =
         obs::Registry::Default().GetCounter("nn/conv_calls");
@@ -250,6 +295,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
   }
   const int64_t in_img = static_cast<int64_t>(cin) * h * w;
   const int64_t out_img = static_cast<int64_t>(cout) * ohw;
+  const int64_t cols_img = static_cast<int64_t>(kcols) * ohw;
   const float* in = input.data();
   const float* ker = kernel.data();
   const float* go = grad_output.data();
@@ -257,12 +303,16 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
   float* gbias = grad_bias->data();
 
   // Bias gradient: a cheap streaming sum, kept serial and in the legacy
-  // element order.
+  // element order. The running sum lives in a register: gbias may alias
+  // go as far as the compiler knows, so `gbias[oc] += ...` would store and
+  // reload it on every element.
   for (int64_t img = 0; img < batch; ++img) {
     const float* go_n = go + img * out_img;
     for (int oc = 0; oc < cout; ++oc) {
       const float* go_c = go_n + static_cast<int64_t>(oc) * ohw;
-      for (int i = 0; i < ohw; ++i) gbias[oc] += go_c[i];
+      float sum = gbias[oc];
+      for (int i = 0; i < ohw; ++i) sum += go_c[i];
+      gbias[oc] = sum;
     }
   }
 
@@ -278,7 +328,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
     IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
       ScratchArena::Scope scope;
       ScratchArena& arena = ScratchArena::ThreadLocal();
-      float* cols_grad = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
+      float* cols_grad = arena.AllocFloats(cols_img);
       float* plane = arena.AllocFloats(plane_size);
       for (int64_t img = img_begin; img < img_end; ++img) {
         Sgemm(true, false, kcols, ohw, cout, ker, kcols, go + img * out_img,
@@ -292,14 +342,26 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
   // Kernel gradient, in image order: each dK_img = dY_img (cout x ohw) ·
   // cols_img^T (ohw x kcols) is reduced in registers and then added into
   // grad_kernel (kAddAfter), giving the fixed tree ((0 + P_0) + P_1) + ...
-  // whatever the thread count.
+  // whatever the thread count. The columns are the forward's when the
+  // caller kept them, else each image is lowered again; both are the same
+  // bytes.
   ScratchArena::Scope scope;
   ScratchArena& arena = ScratchArena::ThreadLocal();
-  float* cols = arena.AllocFloats(static_cast<int64_t>(kcols) * ohw);
-  float* plane = arena.AllocFloats(plane_size);
-  std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
+  float* lowered = nullptr;
+  float* plane = nullptr;
+  if (columns == nullptr) {
+    lowered = arena.AllocFloats(cols_img);
+    plane = arena.AllocFloats(plane_size);
+    std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
+  }
   for (int64_t img = 0; img < batch; ++img) {
-    Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane, cols);
+    const float* cols = lowered;
+    if (columns != nullptr) {
+      cols = columns + img * cols_img;
+    } else {
+      Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane,
+             lowered);
+    }
     Sgemm(false, true, cout, kcols, ohw, go + img * out_img, ohw, cols, ohw,
           gker, kcols, GemmAcc::kAddAfter);
   }
@@ -322,36 +384,39 @@ Tensor MaxPool2x2Forward(const Tensor& input, Tensor* argmax) {
   float* out = output.data();
   float* arg = argmax->data();
   const int64_t planes = static_cast<int64_t>(batch) * c;
+  // Window offsets as floats: every offset is below 2^24, so each sum
+  // below is exact and equals the integer offset converted once.
+  const float right = 1.0f, down = static_cast<float>(w),
+              down_right = static_cast<float>(w + 1);
   for (int64_t plane = 0; plane < planes; ++plane) {
     const float* in_p = in + plane * h * w;
     const int64_t in_base = plane * h * w;
     for (int oy = 0; oy < oh; ++oy) {
       const float* row0 = in_p + (2 * oy) * w;
       const float* row1 = row0 + w;
+      const int32_t row_base =
+          static_cast<int32_t>(in_base + static_cast<int64_t>(2 * oy) * w);
       for (int ox = 0; ox < ow; ++ox) {
         const int x = 2 * ox;
-        // Same tie-breaking as the scalar original: strictly-greater
-        // comparisons in (dy, dx) order keep the first maximum.
-        float best = row0[x];
-        int best_dy = 0, best_dx = 0;
-        if (row0[x + 1] > best) {
-          best = row0[x + 1];
-          best_dx = 1;
-        }
-        if (row1[x] > best) {
-          best = row1[x];
-          best_dy = 1;
-          best_dx = 0;
-        }
-        if (row1[x + 1] > best) {
-          best = row1[x + 1];
-          best_dy = 1;
-          best_dx = 1;
-        }
-        *out++ = best;
-        *arg++ = static_cast<float>(in_base + (2 * oy + best_dy) * w + x +
-                                    best_dx);
+        // Strictly-greater selects in (dy, dx) order keep the first
+        // maximum, as the branches they replace did: a tie or a NaN never
+        // wins a comparison. Selects do not mispredict on random data.
+        const float v00 = row0[x], v01 = row0[x + 1];
+        const float v10 = row1[x], v11 = row1[x + 1];
+        const bool take01 = v01 > v00;
+        float best = take01 ? v01 : v00;
+        float offset = take01 ? right : 0.0f;
+        const bool take10 = v10 > best;
+        best = take10 ? v10 : best;
+        offset = take10 ? down : offset;
+        const bool take11 = v11 > best;
+        best = take11 ? v11 : best;
+        offset = take11 ? down_right : offset;
+        out[ox] = best;
+        arg[ox] = static_cast<float>(row_base + x) + offset;
       }
+      out += ow;
+      arg += ow;
     }
   }
   return output;
@@ -359,8 +424,17 @@ Tensor MaxPool2x2Forward(const Tensor& input, Tensor* argmax) {
 
 Tensor MaxPool2x2Backward(const Tensor& grad_output, const Tensor& argmax,
                           const Shape& input_shape) {
-  Tensor grad_input(input_shape);
+  // argmax holds offsets into the forward's input; a smaller input_shape
+  // would turn them into out-of-bounds writes.
   FEDMIGR_CHECK(grad_output.SameShape(argmax));
+  FEDMIGR_CHECK_EQ(argmax.ndim(), 4);
+  const Shape forward_input{argmax.dim(0), argmax.dim(1), 2 * argmax.dim(2),
+                            2 * argmax.dim(3)};
+  FEDMIGR_CHECK(input_shape == forward_input)
+      << "input_shape " << ShapeToString(input_shape) << " != "
+      << ShapeToString(forward_input) << " for argmax "
+      << ShapeToString(argmax.shape());
+  Tensor grad_input(input_shape);
   for (int64_t i = 0; i < grad_output.size(); ++i) {
     const int64_t flat = static_cast<int64_t>(argmax[i]);
     grad_input[flat] += grad_output[i];

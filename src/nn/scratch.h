@@ -13,10 +13,15 @@
 // the calling thread's instance) and no pointer may cross threads; the
 // `tsan` preset's GemmConcurrency tests exercise concurrent kernels each
 // bumping their own arena.
+//
+// ColumnWorkspace, below, is the one scratch store that outlives a kernel
+// call: it carries a training forward's im2col columns to the matching
+// backward.
 
 #ifndef FEDMIGR_NN_SCRATCH_H_
 #define FEDMIGR_NN_SCRATCH_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,6 +65,65 @@ class ScratchArena {
 
   std::vector<Chunk> chunks_;
   size_t current_ = 0;
+};
+
+// Per-thread slots that keep a training forward's im2col columns until the
+// matching backward reads them (see DESIGN.md §8, "Column reuse").
+//
+// A conv layer's training forward Acquires a slot, lowers its batch into it
+// and keeps the Token; its backward Finds the columns through the Token and
+// Releases the slot. A Token names one Acquire on one thread's workspace:
+// Find returns null once the slot was taken by a later Acquire (every slot
+// busy, the least recently acquired one is evicted), when the Token was
+// released, or when the caller runs on another thread, and the caller then
+// lowers again. Memory is per thread, not per model: kSlots slots, each
+// sized to the largest request it has served. Released slots are reused
+// lowest index first, so a thread that trains one model at a time keeps one
+// step of columns however many models it trains.
+class ColumnWorkspace {
+ public:
+  static constexpr int kSlots = 4;
+
+  // Default-constructed: owns nothing.
+  struct Token {
+    uint64_t workspace = 0;  // id of the owning thread's workspace; 0: none
+    uint64_t generation = 0;
+    int slot = -1;
+  };
+
+  // The calling thread's workspace.
+  static ColumnWorkspace& ThreadLocal();
+
+  // Releases *token, then claims a slot of at least n floats and records it
+  // in *token. The storage is uninitialized and stays valid until the slot
+  // is acquired again.
+  float* Acquire(int64_t n, Token* token);
+
+  // The storage of *token's Acquire if the Token still owns its slot on
+  // this thread's workspace; otherwise null.
+  const float* Find(const Token& token) const;
+
+  // Frees the Token's slot if it owns one on this thread's workspace, and
+  // resets the Token either way.
+  void Release(Token* token);
+
+  // Floats reserved across all slots (diagnostics/tests).
+  int64_t capacity() const;
+
+ private:
+  ColumnWorkspace();
+
+  struct Slot {
+    std::unique_ptr<float[]> data;
+    int64_t capacity = 0;     // floats
+    uint64_t generation = 0;  // of the Acquire that owns it; 0: free
+  };
+
+  bool Owns(const Token& token) const;
+
+  const uint64_t id_;
+  uint64_t next_generation_ = 1;
+  std::array<Slot, kSlots> slots_;
 };
 
 }  // namespace fedmigr::nn
