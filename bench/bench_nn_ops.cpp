@@ -1,7 +1,8 @@
 // Supporting microbenchmarks for the NN substrate: the kernels whose cost
 // dominates simulated training (GEMM, im2col conv forward/backward, ReLU,
-// one C10 net training step) plus model (de)serialization, which bounds how
-// fast migrations can be simulated.
+// one C10 net training step) plus model (de)serialization and the CRC-32
+// that frames it, which bound how fast migrations and snapshots can be
+// simulated.
 //
 // Each optimized kernel is benchmarked beside its retained *Naive reference
 // so speedups are measured inside one binary under identical compiler
@@ -21,6 +22,7 @@
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -285,6 +287,27 @@ void BM_Conv2dBackwardThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackwardThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
+// One Conv2D layer's share of a local-update step at batch 16: a training
+// Forward, which keeps the batch's columns in the thread's column
+// workspace, then BackwardParams, which reads them for the kernel gradient.
+void BM_Conv2dLayerTrainStep(benchmark::State& state) {
+  const ConvShape shape = kZooConv[static_cast<size_t>(state.range(0))];
+  IntraOpGuard guard(1);
+  util::Rng rng(15);
+  nn::Conv2D layer(shape.cin, shape.cout, 5, 2, &rng);
+  const nn::Tensor input = RandomTensor({16, shape.cin, shape.hw, shape.hw}, 16);
+  const nn::Tensor grad = RandomTensor({16, shape.cout, shape.hw, shape.hw}, 17);
+  for (auto _ : state) {
+    nn::Tensor out = layer.Forward(input, /*training=*/true);
+    benchmark::DoNotOptimize(out.data());
+    layer.BackwardParams(grad);
+    benchmark::ClobberMemory();
+  }
+  // The forward GEMM and the kernel-gradient GEMM.
+  state.SetItemsProcessed(state.iterations() * 2 * ConvForwardFlops(16, shape));
+}
+BENCHMARK(BM_Conv2dLayerTrainStep)->DenseRange(0, 1)->ArgName("layer");
+
 // ------------------------------------------------------------------ ReLU --
 // The C10 net's first activation: [16, 8, 8, 8] after conv 0 at batch 16.
 // Random-sign inputs, so a branchy kernel mispredicts about half the time.
@@ -368,6 +391,20 @@ void BM_DeserializeModel(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * model.ByteSize());
 }
 BENCHMARK(BM_DeserializeModel);
+
+// CRC-32 over a buffer the size of a fedmigr-durable snapshot frame
+// (415323 bytes); snapshots, the journal and checkpoints all frame their
+// bytes with it.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  util::Rng rng(18);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(415323);
 
 }  // namespace
 
