@@ -80,8 +80,10 @@ class DdpgAgent {
 
  private:
   // Runs `model` on a [K, F] tensor assembled from rows; returns [K] column.
+  // A training forward also leaves the caches a backward pass reads.
   static std::vector<double> ForwardColumn(
-      nn::Sequential* model, const std::vector<std::vector<float>>& rows);
+      nn::Sequential* model, const std::vector<std::vector<float>>& rows,
+      bool training = false);
 
   AgentConfig config_;
   nn::Sequential actor_;
