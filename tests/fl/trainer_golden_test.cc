@@ -20,14 +20,8 @@
 
 #include <gtest/gtest.h>
 
-#include "data/partition.h"
-#include "data/synthetic.h"
-#include "fl/policies.h"
+#include "golden_fleets.h"
 #include "fl/trainer.h"
-#include "net/device.h"
-#include "net/topology.h"
-#include "nn/zoo.h"
-#include "util/rng.h"
 
 namespace fedmigr::fl {
 namespace {
@@ -74,74 +68,6 @@ std::string Render(const RunResult& r) {
   return out;
 }
 
-// The Fig. 3 fleet: 10 clients of the C10 simulation topology (3 LANs),
-// LAN-shard non-IID data and the cross-LAN migration strategy.
-struct Fig3Fleet {
-  Fig3Fleet() : topology(net::MakeC10SimTopology()) {
-    data::SyntheticSpec spec = data::C10Spec();
-    spec.train_per_class = 20;
-    spec.test_per_class = 4;
-    data = data::GenerateSynthetic(spec);
-    util::Rng rng(3);
-    partition =
-        data::PartitionByLanShards(data.train, topology.config().lan_of, &rng);
-    devices = net::MakeTestbedFleet(topology.num_clients());
-  }
-
-  static TrainerConfig MakeConfig() {
-    TrainerConfig config;
-    config.scheme_name = "crosslan";
-    config.max_epochs = 12;
-    config.agg_period = 5;
-    config.eval_every = 6;
-    config.batch_size = 8;
-    config.seed = 5;
-    return config;
-  }
-
-  RunResult Run(TrainerConfig config) const {
-    Trainer trainer(std::move(config), &data.train, partition, &data.test,
-                    topology, devices,
-                    [](util::Rng* rng) { return nn::MakeC10Net(rng); },
-                    std::make_unique<LanConstrainedPolicy>(/*cross_lan=*/true));
-    return trainer.Run();
-  }
-
-  net::Topology topology;
-  data::TrainTest data;
-  data::Partition partition;
-  std::vector<net::DeviceProfile> devices;
-};
-
-// The trainer_chaos_test fleet: K = 60 across 4 LANs, IID slices, random
-// migration.
-struct ChaosFleet {
-  ChaosFleet() {
-    data::SyntheticSpec spec = data::C10Spec();
-    spec.train_per_class = 30;
-    spec.test_per_class = 5;
-    data = data::GenerateSynthetic(spec);
-    util::Rng rng(3);
-    partition = data::PartitionIid(data.train, kClients, &rng);
-    devices = net::MakeUniformFleet(kClients);
-  }
-
-  RunResult Run(TrainerConfig config) const {
-    net::TopologyConfig tc;
-    tc.lan_of = net::EvenLanAssignment(kClients, 4);
-    Trainer trainer(std::move(config), &data.train, partition, &data.test,
-                    net::Topology(std::move(tc)), devices,
-                    [](util::Rng* rng) { return nn::MakeC10Net(rng); },
-                    std::make_unique<RandomMigrationPolicy>());
-    return trainer.Run();
-  }
-
-  static constexpr int kClients = 60;
-  data::TrainTest data;
-  data::Partition partition;
-  std::vector<net::DeviceProfile> devices;
-};
-
 TEST(TrainerGoldenTest, Fig3CrossLanFullParticipation) {
   const Fig3Fleet fleet;
   const std::string expected =
@@ -165,13 +91,6 @@ TEST(TrainerGoldenTest, Fig3CrossLanFullParticipation) {
 
 TEST(TrainerGoldenTest, Fig3PartialParticipationUnderLinkFaults) {
   const Fig3Fleet fleet;
-  TrainerConfig config = Fig3Fleet::MakeConfig();
-  config.client_fraction = 0.5;
-  config.dropout_prob = 0.1;
-  config.quorum_fraction = 0.6;
-  config.fault.link_failure_prob = 0.5;
-  config.fault.corruption_prob = 0.05;
-  config.fault.crash_prob = 0.1;
   const std::string expected =
       "e1 gb=3f021b57ec9d6f09 s=3fc67fb91dc35f65 m=1 a=0\n"
       "e2 gb=3f021b57ec9d6f09 s=3fd59070252c0972 m=0 a=0\n"
@@ -188,25 +107,11 @@ TEST(TrainerGoldenTest, Fig3PartialParticipationUnderLinkFaults) {
       "up=3f4b2903e2ec268d down=3f5bb9dea2511205 c2c=3f433d0d6b6745f9\n"
       "faults 90 41 38 0 3 0 3 3 0 14 10 0 0\n"
       "chaos 10 10 0 0 3 0 0 0 0\n";
-  EXPECT_EQ(Render(fleet.Run(std::move(config))), expected);
+  EXPECT_EQ(Render(fleet.Run(Fig3Fleet::PartialUnderFaultsConfig())), expected);
 }
 
 TEST(TrainerGoldenTest, ChaosCohortOfEight) {
   const ChaosFleet fleet;
-  TrainerConfig config;
-  config.scheme_name = "chaos-test";
-  config.max_epochs = 6;
-  config.agg_period = 2;
-  config.cohort_size = 8;
-  config.eval_every = 2;
-  config.batch_size = 8;
-  config.seed = 99;
-  config.fault.chaos.partitions.push_back({/*lan=*/1, /*start_epoch=*/2,
-                                           /*duration_epochs=*/3});
-  config.fault.chaos.outages.push_back({/*start_epoch=*/6,
-                                        /*duration_epochs=*/1});
-  config.fault.chaos.churn_rate = 0.25;
-  config.quorum_fraction = 0.5;
   const std::string expected =
       "e1 gb=3f345ec2ea311cea s=3fc3df9e60a8b744 m=4 a=0\n"
       "e2 gb=3f3b2903e2ec268d s=3fd12ba9d1f6017a m=0 a=1\n"
@@ -217,7 +122,7 @@ TEST(TrainerGoldenTest, ChaosCohortOfEight) {
       "up=3f345ec2ea311cea down=3f445ec2ea311cea c2c=3f40f9a26dd39818\n"
       "faults 42 0 0 0 0 0 0 0 0 0 0 2 7\n"
       "chaos 15 15 0 0 2 1 0 6 4\n";
-  EXPECT_EQ(Render(fleet.Run(std::move(config))), expected);
+  EXPECT_EQ(Render(fleet.Run(ChaosFleet::CohortOfEightConfig())), expected);
 }
 
 }  // namespace
