@@ -30,9 +30,9 @@ constexpr char kSnapshotSuffix[] = ".fsnp";
 
 std::vector<uint8_t> FrameSnapshot(const std::vector<uint8_t>& payload) {
   util::ByteWriter writer;
-  writer.WriteU32(kSnapshotMagic);
-  writer.WriteU32(kSnapshotVersion);
-  writer.WriteU64(payload.size());
+  writer.Io(kSnapshotMagic);
+  writer.Io(kSnapshotVersion);
+  writer.Io(static_cast<uint64_t>(payload.size()));
   std::vector<uint8_t> framed = writer.TakeBytes();
   framed.insert(framed.end(), payload.begin(), payload.end());
   const uint32_t crc = util::Crc32(framed.data(), framed.size());
@@ -50,9 +50,10 @@ util::Result<std::vector<uint8_t>> UnframeSnapshot(
   uint32_t magic = 0;
   uint32_t version = 0;
   uint64_t payload_size = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  FEDMIGR_RETURN_IF_ERROR(reader.ReadU32(&version));
-  FEDMIGR_RETURN_IF_ERROR(reader.ReadU64(&payload_size));
+  reader.Io(magic);
+  reader.Io(version);
+  reader.Io(payload_size);
+  FEDMIGR_RETURN_IF_ERROR(reader.status());
   if (magic != kSnapshotMagic) {
     return util::Status::DataLoss("snapshot magic mismatch");
   }

@@ -78,31 +78,4 @@ void CountChurnDeparture(ChaosCounters* counters) {
   BumpChaos(&counters->churn_departures, &ChaosMetrics::churn_departures);
 }
 
-void SaveChaosCounters(const ChaosCounters& counters,
-                       util::ByteWriter* writer) {
-  writer->WriteI64(counters.migrations_planned);
-  writer->WriteI64(counters.migrations_completed);
-  writer->WriteI64(counters.migration_fallbacks);
-  writer->WriteI64(counters.migrations_rolled_back);
-  writer->WriteI64(counters.quorum_commits);
-  writer->WriteI64(counters.quorum_misses);
-  writer->WriteI64(counters.carryover_clients);
-  writer->WriteI64(counters.churn_absences);
-  writer->WriteI64(counters.churn_departures);
-}
-
-util::Status LoadChaosCounters(util::ByteReader* reader,
-                               ChaosCounters* counters) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->migrations_planned));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->migrations_completed));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->migration_fallbacks));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->migrations_rolled_back));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->quorum_commits));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->quorum_misses));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->carryover_clients));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->churn_absences));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->churn_departures));
-  return util::Status::Ok();
-}
-
 }  // namespace fedmigr::fl

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 
-#include "util/serial.h"
 #include "util/status.h"
 
 namespace fedmigr::fl {
@@ -42,6 +41,20 @@ struct ChaosCounters {
   // Fleet churn.
   int64_t churn_absences = 0;    // sampled members skipped for one round
   int64_t churn_departures = 0;  // members whose private state was discarded
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(migrations_planned);
+    ar.Io(migrations_completed);
+    ar.Io(migration_fallbacks);
+    ar.Io(migrations_rolled_back);
+    ar.Io(quorum_commits);
+    ar.Io(quorum_misses);
+    ar.Io(carryover_clients);
+    ar.Io(churn_absences);
+    ar.Io(churn_departures);
+    return ar.status();
+  }
 };
 
 void CountMigrationPlanned(ChaosCounters* counters);
@@ -53,10 +66,6 @@ void CountQuorumMiss(ChaosCounters* counters);
 void CountCarryoverClient(ChaosCounters* counters);
 void CountChurnAbsence(ChaosCounters* counters);
 void CountChurnDeparture(ChaosCounters* counters);
-
-void SaveChaosCounters(const ChaosCounters& counters, util::ByteWriter* writer);
-util::Status LoadChaosCounters(util::ByteReader* reader,
-                               ChaosCounters* counters);
 
 }  // namespace fedmigr::fl
 

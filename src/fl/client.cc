@@ -6,17 +6,6 @@
 #include "util/logging.h"
 
 namespace fedmigr::fl {
-namespace {
-
-// Per-client snapshot flag byte (trainer state v3). Bit 0: the replica
-// aliases the trainer's current aggregate block, parameters elided. Bit 1:
-// the proximal reference aliases the aggregate's flattened view, payload
-// elided. Bit 2: no replica installed yet.
-constexpr uint8_t kModelAliased = 1u << 0;
-constexpr uint8_t kProximalAliased = 1u << 1;
-constexpr uint8_t kNoModel = 1u << 2;
-
-}  // namespace
 
 Client::Client(int id, const data::Dataset* dataset, std::vector<int> indices,
                double learning_rate, double momentum, uint64_t seed)
@@ -69,14 +58,15 @@ void Client::SetProximalReference(const nn::Sequential& global) {
   proximal_reference_ = ModelStore::Flatten(global);
 }
 
-void Client::SaveState(util::ByteWriter* writer) const {
-  SaveState(writer, nullptr, nullptr);
-}
-
-void Client::SaveState(util::ByteWriter* writer, const ModelRef& aggregate,
-                       const FlatRef& aggregate_flat) const {
-  writer->WriteI32(id_);
-  writer->WriteU64(indices_.size());
+template <class Ar>
+util::Status Client::Visit(Ar& ar, const ModelRef& aggregate,
+                           const FlatRef& aggregate_flat) {
+  int32_t id = id_;
+  uint64_t samples = indices_.size();
+  ar.Io(id);
+  ar.Io(samples);
+  ar.Check(id == id_ && samples == indices_.size(),
+           "client fingerprint mismatch");
   uint8_t flags = 0;
   if (model_ == nullptr) {
     flags |= kNoModel;
@@ -87,80 +77,71 @@ void Client::SaveState(util::ByteWriter* writer, const ModelRef& aggregate,
       proximal_reference_ == aggregate_flat) {
     flags |= kProximalAliased;
   }
-  writer->WriteU8(flags);
-  if (!(flags & (kModelAliased | kNoModel))) {
-    nn::WriteParams(writer, *model_);
-  }
-  optimizer_.SaveState(writer);
-  util::SaveRngState(rng_, writer);
-  if (!(flags & kProximalAliased)) {
-    writer->WriteF32Vector(proximal_reference_ == nullptr
-                               ? std::vector<float>()
-                               : *proximal_reference_);
-  }
-}
-
-util::Status Client::LoadState(util::ByteReader* reader) {
-  return LoadState(reader, nullptr, nullptr);
-}
-
-util::Status Client::LoadState(util::ByteReader* reader,
-                               const ModelRef& aggregate,
-                               const FlatRef& aggregate_flat) {
-  int32_t id = 0;
-  uint64_t samples = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&id));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&samples));
-  if (id != id_ || samples != indices_.size()) {
-    return util::Status::InvalidArgument(
-        "client fingerprint mismatch for client " + std::to_string(id_));
-  }
-  uint8_t flags = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU8(&flags));
-  if (flags & kNoModel) {
-    model_.reset();
-    owns_model_ = false;
-  } else if (flags & kModelAliased) {
-    if (aggregate == nullptr) {
-      return util::Status::DataLoss(
-          "client " + std::to_string(id_) +
-          " aliases the aggregate block but none was restored");
-    }
-    model_ = std::const_pointer_cast<nn::Sequential>(aggregate);
-    owns_model_ = false;
-  } else {
-    // Inline payload: materialize a private block shaped like the replica
-    // we already hold (or the aggregate when restoring a lazy client).
-    if (model_ == nullptr || !owns_model_) {
+  ar.Io(flags);
+  if (!ar.ok()) return ar.status();
+  if constexpr (Ar::kLoading) {
+    if (flags & kNoModel) {
+      model_.reset();
+      owns_model_ = false;
+    } else if (flags & kModelAliased) {
+      if (aggregate == nullptr) {
+        ar.Fail(util::Status::DataLoss(
+            "client aliases the aggregate block but none was restored"));
+        return ar.status();
+      }
+      model_ = std::const_pointer_cast<nn::Sequential>(aggregate);
+      owns_model_ = false;
+    } else if (model_ == nullptr || !owns_model_) {
+      // Inline payload: materialize a private block shaped like the replica
+      // we already hold (or the aggregate when restoring a lazy client).
       const nn::Sequential* shape =
           model_ != nullptr ? model_.get() : aggregate.get();
       if (shape == nullptr) {
-        return util::Status::DataLoss(
-            "client " + std::to_string(id_) +
-            " carries inline parameters but no block shape is available");
+        ar.Fail(util::Status::DataLoss(
+            "client carries inline parameters but no block shape is "
+            "available"));
+        return ar.status();
       }
       model_ = ModelStore::Clone(*shape);
       owns_model_ = true;
     }
-    FEDMIGR_RETURN_IF_ERROR(nn::ReadParams(reader, model_.get()));
   }
-  FEDMIGR_RETURN_IF_ERROR(optimizer_.LoadState(reader));
-  FEDMIGR_RETURN_IF_ERROR(util::LoadRngState(reader, &rng_));
-  if (flags & kProximalAliased) {
-    if (aggregate_flat == nullptr) {
-      return util::Status::DataLoss(
-          "client " + std::to_string(id_) +
-          " aliases the flattened aggregate but none was restored");
+  if (ar.Present(!(flags & (kModelAliased | kNoModel)))) {
+    nn::IoParams(ar, model_.get());
+  }
+  ar.Io(optimizer_);
+  ar.Check([&] { return model_ == nullptr || optimizer_.FitsModel(*model_); },
+           "client momentum does not match its model");
+  ar.Io(rng_);
+  if (ar.Present(!(flags & kProximalAliased))) {
+    if constexpr (Ar::kLoading) {
+      std::vector<float> proximal;
+      ar.Io(proximal);
+      if (ar.ok()) {
+        proximal_reference_ =
+            std::make_shared<const std::vector<float>>(std::move(proximal));
+      }
+    } else {
+      const std::vector<float> none;
+      ar.Io(proximal_reference_ != nullptr ? *proximal_reference_ : none);
     }
-    proximal_reference_ = aggregate_flat;
-  } else {
-    std::vector<float> proximal;
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadF32Vector(&proximal));
-    proximal_reference_ =
-        std::make_shared<const std::vector<float>>(std::move(proximal));
+  } else if constexpr (Ar::kLoading) {
+    if (aggregate_flat == nullptr) {
+      ar.Fail(util::Status::DataLoss(
+          "client aliases the flattened aggregate but none was restored"));
+    } else if (ar.ok()) {
+      proximal_reference_ = aggregate_flat;
+    }
   }
-  return util::Status::Ok();
+  return ar.status();
 }
+
+template util::Status Client::Visit(util::ByteWriter&, const ModelRef&,
+                                    const FlatRef&);
+template util::Status Client::Visit(util::ByteReader&, const ModelRef&,
+                                    const FlatRef&);
+template util::Status Client::Visit(util::SchemaDigest&, const ModelRef&,
+                                    const FlatRef&);
 
 LocalUpdateResult Client::LocalUpdate(const LocalUpdateOptions& options) {
   LocalUpdateResult result;

@@ -96,22 +96,24 @@ class Client {
   // Runs `options.epochs` passes of mini-batch SGD over the local data.
   LocalUpdateResult LocalUpdate(const LocalUpdateOptions& options);
 
-  // Snapshot state: model replica, SGD momentum, shuffling RNG, FedProx
+  // Snapshot layout: model replica, SGD momentum, shuffling RNG, FedProx
   // reference. The dataset slice is rebuilt from the workload seed, so only
   // a fingerprint (id, sample count) is stored for validation.
   //
-  // The aliased forms write a flag byte instead of the parameter payload
-  // when the replica (resp. proximal reference) aliases `aggregate`
-  // (resp. `aggregate_flat`); LoadState re-aliases against the same refs.
-  // Passing nulls (the two-argument form) always inlines the payload.
-  void SaveState(util::ByteWriter* writer) const;
-  void SaveState(util::ByteWriter* writer, const ModelRef& aggregate,
-                 const FlatRef& aggregate_flat) const;
-  util::Status LoadState(util::ByteReader* reader);
-  util::Status LoadState(util::ByteReader* reader, const ModelRef& aggregate,
-                         const FlatRef& aggregate_flat);
+  // A flag byte elides the parameter payload when the replica (resp. the
+  // proximal reference) aliases `aggregate` (resp. `aggregate_flat`), and
+  // loading re-aliases against the same refs. Null refs always inline the
+  // payload. Loading rejects momentum buffers shaped unlike the replica.
+  template <class Ar>
+  util::Status Visit(Ar& ar, const ModelRef& aggregate = nullptr,
+                     const FlatRef& aggregate_flat = nullptr);
 
  private:
+  // Flag byte bits (trainer state v3).
+  static constexpr uint8_t kModelAliased = 1u << 0;
+  static constexpr uint8_t kProximalAliased = 1u << 1;
+  static constexpr uint8_t kNoModel = 1u << 2;
+
   int id_;
   // SNAPSHOT-SKIP(construction-time view of the shared dataset)
   const data::Dataset* dataset_;

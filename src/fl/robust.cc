@@ -77,33 +77,6 @@ void CountQuarantineExcluded(RobustCounters* counters) {
              &RobustMetrics::quarantine_excluded);
 }
 
-void SaveRobustCounters(const RobustCounters& counters,
-                        util::ByteWriter* writer) {
-  writer->WriteI64(counters.screened_updates);
-  writer->WriteI64(counters.nonfinite_rejected);
-  writer->WriteI64(counters.norm_clipped);
-  writer->WriteI64(counters.norm_rejected);
-  writer->WriteI64(counters.cosine_rejected);
-  writer->WriteI64(counters.attacked_updates);
-  writer->WriteI64(counters.quarantine_excluded);
-  writer->WriteI64(counters.quarantines);
-  writer->WriteI64(counters.rehabilitations);
-}
-
-util::Status LoadRobustCounters(util::ByteReader* reader,
-                                RobustCounters* counters) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->screened_updates));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->nonfinite_rejected));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->norm_clipped));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->norm_rejected));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->cosine_rejected));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->attacked_updates));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->quarantine_excluded));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->quarantines));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters->rehabilitations));
-  return util::Status::Ok();
-}
-
 // ---------------------------------------------------------------------------
 // Aggregators
 // ---------------------------------------------------------------------------
@@ -599,46 +572,6 @@ void ReputationTracker::AdvanceRound(RobustCounters* counters) {
       BumpRobust(&counters->rehabilitations, &RobustMetrics::rehabilitations);
     }
   }
-}
-
-void ReputationTracker::SaveState(util::ByteWriter* writer) const {
-  writer->WriteI32(round_);
-  writer->WriteU64(states_.size());
-  for (const ClientRecord& record : states_) {
-    writer->WriteI32(static_cast<int32_t>(record.state));
-    writer->WriteI32(record.strikes);
-    writer->WriteI32(record.clean_streak);
-    writer->WriteI32(record.quarantine_left);
-    writer->WriteI32(record.first_quarantine_round);
-  }
-}
-
-util::Status ReputationTracker::LoadState(util::ByteReader* reader) {
-  int32_t round = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&round));
-  uint64_t count = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&count));
-  if (count != states_.size()) {
-    return util::Status::InvalidArgument(
-        "reputation state client count mismatch");
-  }
-  std::vector<ClientRecord> records(static_cast<size_t>(count));
-  for (ClientRecord& record : records) {
-    int32_t state = 0;
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&state));
-    if (state < 0 || state > static_cast<int32_t>(
-                                 ReputationState::kRehabilitating)) {
-      return util::Status::InvalidArgument("reputation state out of range");
-    }
-    record.state = static_cast<ReputationState>(state);
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&record.strikes));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&record.clean_streak));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&record.quarantine_left));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&record.first_quarantine_round));
-  }
-  round_ = round;
-  states_ = std::move(records);
-  return util::Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -113,6 +113,20 @@ struct RobustCounters {
   int64_t quarantine_excluded = 0;  // uploads skipped while quarantined
   int64_t quarantines = 0;          // transitions into quarantine
   int64_t rehabilitations = 0;      // rehabilitating -> healthy transitions
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(screened_updates);
+    ar.Io(nonfinite_rejected);
+    ar.Io(norm_clipped);
+    ar.Io(norm_rejected);
+    ar.Io(cosine_rejected);
+    ar.Io(attacked_updates);
+    ar.Io(quarantine_excluded);
+    ar.Io(quarantines);
+    ar.Io(rehabilitations);
+    return ar.status();
+  }
 };
 
 void CountScreenedUpdate(RobustCounters* counters);
@@ -122,11 +136,6 @@ void CountNormRejected(RobustCounters* counters);
 void CountCosineRejected(RobustCounters* counters);
 void CountAttackedUpdate(RobustCounters* counters);
 void CountQuarantineExcluded(RobustCounters* counters);
-
-void SaveRobustCounters(const RobustCounters& counters,
-                        util::ByteWriter* writer);
-util::Status LoadRobustCounters(util::ByteReader* reader,
-                                RobustCounters* counters);
 
 // ---------------------------------------------------------------------------
 // Update screening
@@ -238,8 +247,17 @@ class ReputationTracker {
   // quarantine; -1 if never. The bench's quarantine-latency column.
   int first_quarantine_round(int client) const;
 
-  void SaveState(util::ByteWriter* writer) const;
-  util::Status LoadState(util::ByteReader* reader);
+  // Snapshot layout: the round counter and one record per client; the
+  // client count must match this tracker's.
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    const size_t clients = states_.size();
+    ar.Io(round_);
+    ar.Io(states_);
+    ar.Check(states_.size() == clients,
+             "reputation state client count mismatch");
+    return ar.status();
+  }
 
   // One state-machine edge, recorded as it happens. Drained by the trainer
   // once per round and re-emitted as journal kQuarantineTransition events.
@@ -260,6 +278,19 @@ class ReputationTracker {
     int clean_streak = 0;     // consecutive clean rounds in current state
     int quarantine_left = 0;  // rounds remaining in quarantine
     int first_quarantine_round = -1;
+
+    template <class Ar>
+    util::Status Visit(Ar& ar) {
+      ar.Io(state);
+      ar.Check(state >= ReputationState::kHealthy &&
+                   state <= ReputationState::kRehabilitating,
+               "reputation state out of range");
+      ar.Io(strikes);
+      ar.Io(clean_streak);
+      ar.Io(quarantine_left);
+      ar.Io(first_quarantine_round);
+      return ar.status();
+    }
   };
 
   void Quarantine(ClientRecord* record, RobustCounters* counters);

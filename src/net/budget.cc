@@ -42,21 +42,4 @@ double Budget::BandwidthUsedFraction() const {
   return std::min(1.0, bandwidth_used_ / bandwidth_budget_);
 }
 
-void Budget::SaveState(util::ByteWriter* writer) const {
-  writer->WriteF64(compute_used_);
-  writer->WriteF64(bandwidth_used_);
-  writer->WriteF64(time_used_);
-}
-
-util::Status Budget::LoadState(util::ByteReader* reader) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&compute_used_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&bandwidth_used_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&time_used_));
-  if (!(compute_used_ >= 0.0) || !(bandwidth_used_ >= 0.0) ||
-      !(time_used_ >= 0.0)) {
-    return util::Status::InvalidArgument("negative budget consumption");
-  }
-  return util::Status::Ok();
-}
-
 }  // namespace fedmigr::net

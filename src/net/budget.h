@@ -49,9 +49,18 @@ class Budget {
   double ComputeUsedFraction() const;
   double BandwidthUsedFraction() const;
 
-  // Consumed-amount snapshot state (the limits come from configuration).
-  void SaveState(util::ByteWriter* writer) const;
-  util::Status LoadState(util::ByteReader* reader);
+  // Snapshot layout: the consumed amounts (the limits come from
+  // configuration).
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(compute_used_);
+    ar.Io(bandwidth_used_);
+    ar.Io(time_used_);
+    ar.Check(compute_used_ >= 0.0 && bandwidth_used_ >= 0.0 &&
+                 time_used_ >= 0.0,
+             "negative budget consumption");
+    return ar.status();
+  }
 
  private:
   // SNAPSHOT-SKIP(configured limits; only consumed amounts are state)

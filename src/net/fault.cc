@@ -12,7 +12,7 @@ namespace fedmigr::net {
 namespace {
 
 // Live registry mirrors of FaultCounters, one counter per field. The struct
-// stays the serialized per-run source (SaveState/LoadState); the registry
+// stays the serialized per-run source (FaultInjector::Visit); the registry
 // accumulates process-wide, so every mutation goes through Bump to keep the
 // two views in lockstep.
 struct FaultMetrics {
@@ -260,57 +260,6 @@ double FaultInjector::AttemptSeconds(int src, int dst, int64_t bytes,
     seconds *= 1.0 + rng_.Uniform(0.0, config_.bandwidth_jitter);
   }
   return seconds;
-}
-
-void FaultInjector::SaveState(util::ByteWriter* writer) const {
-  util::SaveRngState(rng_, writer);
-  writer->WriteI64(counters_.attempts);
-  writer->WriteI64(counters_.failures);
-  writer->WriteI64(counters_.retries);
-  writer->WriteI64(counters_.deadline_aborts);
-  writer->WriteI64(counters_.aborted_transfers);
-  writer->WriteI64(counters_.fallbacks);
-  writer->WriteI64(counters_.corrupted);
-  writer->WriteI64(counters_.corrupt_rejected);
-  writer->WriteI64(counters_.dropped_stragglers);
-  writer->WriteI64(counters_.crash_epochs);
-  writer->WriteI64(counters_.crashes);
-  writer->WriteI32Vector(down_epochs_);
-  writer->WriteBoolVector(straggler_);
-  util::SaveRngState(attack_rng_, writer);
-  writer->WriteBoolVector(attacker_);
-  writer->WriteBool(attackers_sampled_);
-  writer->WriteI64(counters_.partitioned_transfers);
-  writer->WriteI64(counters_.outage_transfers);
-  writer->WriteI32(epoch_);
-}
-
-util::Status FaultInjector::LoadState(util::ByteReader* reader) {
-  FEDMIGR_RETURN_IF_ERROR(util::LoadRngState(reader, &rng_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.attempts));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.failures));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.retries));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.deadline_aborts));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.aborted_transfers));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.fallbacks));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.corrupted));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.corrupt_rejected));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.dropped_stragglers));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.crash_epochs));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.crashes));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32Vector(&down_epochs_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadBoolVector(&straggler_));
-  FEDMIGR_RETURN_IF_ERROR(util::LoadRngState(reader, &attack_rng_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadBoolVector(&attacker_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadBool(&attackers_sampled_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.partitioned_transfers));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&counters_.outage_transfers));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&epoch_));
-  if (down_epochs_.size() != straggler_.size()) {
-    return util::Status::InvalidArgument(
-        "fault injector client vectors out of sync");
-  }
-  return util::Status::Ok();
 }
 
 void FaultInjector::CountCorruptRejected() {

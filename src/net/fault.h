@@ -258,10 +258,35 @@ class FaultInjector {
   void CountDroppedStraggler();
   void CountFallback();
 
-  // Full injector state (RNG stream, counters, outage/straggler rolls) so a
-  // resumed run replays the same fault trajectory bit-identically.
-  void SaveState(util::ByteWriter* writer) const;
-  util::Status LoadState(util::ByteReader* reader);
+  // Snapshot layout: the full injector state (RNG streams, counters,
+  // outage/straggler rolls) so a resumed run replays the same fault
+  // trajectory bit-identically.
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(rng_);
+    ar.Io(counters_.attempts);
+    ar.Io(counters_.failures);
+    ar.Io(counters_.retries);
+    ar.Io(counters_.deadline_aborts);
+    ar.Io(counters_.aborted_transfers);
+    ar.Io(counters_.fallbacks);
+    ar.Io(counters_.corrupted);
+    ar.Io(counters_.corrupt_rejected);
+    ar.Io(counters_.dropped_stragglers);
+    ar.Io(counters_.crash_epochs);
+    ar.Io(counters_.crashes);
+    ar.Io(down_epochs_);
+    ar.Io(straggler_);
+    ar.Io(attack_rng_);
+    ar.Io(attacker_);
+    ar.Io(attackers_sampled_);
+    ar.Io(counters_.partitioned_transfers);
+    ar.Io(counters_.outage_transfers);
+    ar.Io(epoch_);
+    ar.Check(down_epochs_.size() == straggler_.size(),
+             "fault injector client vectors out of sync");
+    return ar.status();
+  }
 
  private:
   double AttemptSeconds(int src, int dst, int64_t bytes,

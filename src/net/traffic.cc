@@ -84,59 +84,4 @@ void TrafficAccountant::Reset() {
   link_bytes_.clear();
 }
 
-namespace {
-
-void WriteLinkMap(util::ByteWriter* writer,
-                  const std::map<std::pair<int, int>, int64_t>& entries) {
-  writer->WriteU64(entries.size());
-  for (const auto& [key, value] : entries) {
-    writer->WriteI32(key.first);
-    writer->WriteI32(key.second);
-    writer->WriteI64(value);
-  }
-}
-
-util::Status ReadLinkMap(util::ByteReader* reader,
-                         std::map<std::pair<int, int>, int64_t>* entries) {
-  uint64_t count = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&count));
-  if (count > reader->remaining()) {
-    return util::Status::InvalidArgument("link map size exceeds buffer");
-  }
-  entries->clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    int32_t a = 0;
-    int32_t b = 0;
-    int64_t value = 0;
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&a));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&b));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&value));
-    (*entries)[{a, b}] = value;
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
-
-void TrafficAccountant::SaveState(util::ByteWriter* writer) const {
-  writer->WriteI64(c2s_bytes_);
-  writer->WriteI64(c2c_bytes_);
-  writer->WriteI64(c2s_up_bytes_);
-  writer->WriteI64(c2s_down_bytes_);
-  writer->WriteI64(num_transfers_);
-  WriteLinkMap(writer, link_counts_);
-  WriteLinkMap(writer, link_bytes_);
-}
-
-util::Status TrafficAccountant::LoadState(util::ByteReader* reader) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&c2s_bytes_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&c2c_bytes_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&c2s_up_bytes_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&c2s_down_bytes_));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&num_transfers_));
-  FEDMIGR_RETURN_IF_ERROR(ReadLinkMap(reader, &link_counts_));
-  FEDMIGR_RETURN_IF_ERROR(ReadLinkMap(reader, &link_bytes_));
-  return util::Status::Ok();
-}
-
 }  // namespace fedmigr::net

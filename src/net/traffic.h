@@ -43,10 +43,19 @@ class TrafficAccountant {
 
   void Reset();
 
-  // Full accounting state, including the per-link maps behind the Fig. 8
-  // analysis, for the run-snapshot subsystem.
-  void SaveState(util::ByteWriter* writer) const;
-  util::Status LoadState(util::ByteReader* reader);
+  // Snapshot layout: the full accounting state, including the per-link
+  // maps behind the Fig. 8 analysis.
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(c2s_bytes_);
+    ar.Io(c2c_bytes_);
+    ar.Io(c2s_up_bytes_);
+    ar.Io(c2s_down_bytes_);
+    ar.Io(num_transfers_);
+    ar.Io(link_counts_);
+    ar.Io(link_bytes_);
+    return ar.status();
+  }
 
  private:
   static std::pair<int, int> Key(int a, int b);

@@ -2,32 +2,21 @@
 
 #include <cmath>
 
-#include "nn/serialize.h"
 #include "util/logging.h"
 
 namespace fedmigr::nn {
 
 namespace {
 
-void WriteTensorList(util::ByteWriter* writer,
-                     const std::vector<Tensor>& tensors) {
-  writer->WriteU64(tensors.size());
-  for (const Tensor& t : tensors) WriteTensor(writer, t);
-}
-
-util::Status ReadTensorList(util::ByteReader* reader,
-                            std::vector<Tensor>* tensors) {
-  uint64_t count = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&count));
-  if (count > reader->remaining()) {
-    return util::Status::InvalidArgument("tensor list length exceeds buffer");
+// One moment tensor shaped like each parameter.
+template <class P>
+bool MomentsMatch(const std::vector<Tensor>& moments,
+                  const std::vector<P*>& params) {
+  if (moments.size() != params.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (!moments[i].SameShape(*params[i])) return false;
   }
-  std::vector<Tensor> result(static_cast<size_t>(count));
-  for (auto& t : result) {
-    FEDMIGR_RETURN_IF_ERROR(ReadTensor(reader, &t));
-  }
-  *tensors = std::move(result);
-  return util::Status::Ok();
+  return true;
 }
 
 }  // namespace
@@ -41,7 +30,7 @@ void Sgd::Step(Sequential* model) {
   auto params = model->Params();
   auto grads = model->Grads();
   FEDMIGR_CHECK_EQ(params.size(), grads.size());
-  if (momentum_ != 0.0 && velocity_.size() != params.size()) {
+  if (momentum_ != 0.0 && !MomentsMatch(velocity_, params)) {
     velocity_.clear();
     for (Tensor* p : params) velocity_.emplace_back(p->shape());
   }
@@ -67,12 +56,16 @@ void Sgd::Step(Sequential* model) {
   }
 }
 
+bool Sgd::FitsModel(const Sequential& model) const {
+  return velocity_.empty() || MomentsMatch(velocity_, model.Params());
+}
+
 void Sgd::SaveState(util::ByteWriter* writer) const {
-  WriteTensorList(writer, velocity_);
+  util::Save(*this, writer);
 }
 
 util::Status Sgd::LoadState(util::ByteReader* reader) {
-  return ReadTensorList(reader, &velocity_);
+  return util::Load(reader, this);
 }
 
 Adam::Adam(double learning_rate, double beta1, double beta2, double epsilon)
@@ -85,7 +78,7 @@ void Adam::Step(Sequential* model) {
   auto params = model->Params();
   auto grads = model->Grads();
   FEDMIGR_CHECK_EQ(params.size(), grads.size());
-  if (m_.size() != params.size()) {
+  if (!MomentsMatch(m_, params) || !MomentsMatch(v_, params)) {
     m_.clear();
     v_.clear();
     for (Tensor* p : params) {
@@ -111,26 +104,17 @@ void Adam::Step(Sequential* model) {
   }
 }
 
+bool Adam::FitsModel(const Sequential& model) const {
+  return (m_.empty() || MomentsMatch(m_, model.Params())) &&
+         (v_.empty() || MomentsMatch(v_, model.Params()));
+}
+
 void Adam::SaveState(util::ByteWriter* writer) const {
-  writer->WriteI64(t_);
-  WriteTensorList(writer, m_);
-  WriteTensorList(writer, v_);
+  util::Save(*this, writer);
 }
 
 util::Status Adam::LoadState(util::ByteReader* reader) {
-  int64_t t = 0;
-  std::vector<Tensor> m;
-  std::vector<Tensor> v;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&t));
-  FEDMIGR_RETURN_IF_ERROR(ReadTensorList(reader, &m));
-  FEDMIGR_RETURN_IF_ERROR(ReadTensorList(reader, &v));
-  if (t < 0 || m.size() != v.size()) {
-    return util::Status::InvalidArgument("inconsistent Adam state");
-  }
-  t_ = t;
-  m_ = std::move(m);
-  v_ = std::move(v);
-  return util::Status::Ok();
+  return util::Load(reader, this);
 }
 
 }  // namespace fedmigr::nn

@@ -22,9 +22,11 @@ class Optimizer {
 
   // Full internal state (momentum/moment buffers, step counters) for the
   // run-snapshot subsystem; restoring resumes updates bit-identically.
+  // Each optimizer's Visit defines the layout.
   virtual void SaveState(util::ByteWriter* writer) const = 0;
   virtual util::Status LoadState(util::ByteReader* reader) = 0;
 };
+
 
 class Sgd : public Optimizer {
  public:
@@ -34,6 +36,16 @@ class Sgd : public Optimizer {
   void Step(Sequential* model) override;
   void SaveState(util::ByteWriter* writer) const override;
   util::Status LoadState(util::ByteReader* reader) override;
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(velocity_);
+    return ar.status();
+  }
+  // True when the velocity is unsized or holds one tensor shaped like each
+  // of the model's parameters. Step re-sizes buffers that do not fit;
+  // loaders reject them, so a crafted snapshot cannot load as Ok.
+  bool FitsModel(const Sequential& model) const;
 
   void set_learning_rate(double lr) { learning_rate_ = lr; }
   double learning_rate() const { return learning_rate_; }
@@ -56,6 +68,17 @@ class Adam : public Optimizer {
   void Step(Sequential* model) override;
   void SaveState(util::ByteWriter* writer) const override;
   util::Status LoadState(util::ByteReader* reader) override;
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(t_);
+    ar.Io(m_);
+    ar.Io(v_);
+    ar.Check(t_ >= 0 && m_.size() == v_.size(), "inconsistent Adam state");
+    return ar.status();
+  }
+  // As Sgd::FitsModel, for both moment sets.
+  bool FitsModel(const Sequential& model) const;
 
  private:
   // SNAPSHOT-SKIP(hyperparameters, supplied identically on resume)

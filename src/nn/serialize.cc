@@ -27,9 +27,9 @@ T ReadLe(const uint8_t* p) {
 
 // Ingest gate shared by both wire formats: a single NaN coordinate entering
 // an aggregation would turn the whole mean non-finite, permanently, and a
-// CRC only proves the NaN arrived intact. Checkpoint/snapshot restore paths
-// (ReadParams/ReadTensor) are deliberately not gated — they replay whatever
-// state was saved.
+// CRC only proves the NaN arrived intact. Snapshot restore (IoParams and
+// Tensor::Visit) is deliberately not gated — it replays whatever state was
+// saved.
 util::Status CheckPayloadFinite(const std::vector<float>& flat) {
   for (float v : flat) {
     if (!std::isfinite(v)) {
@@ -136,64 +136,6 @@ util::Status DeserializeParams(const std::vector<uint8_t>& bytes,
 util::Status SaveCheckpoint(const Sequential& model,
                             const std::string& path) {
   return util::AtomicWriteFile(path, SerializeParams(model));
-}
-
-void WriteTensor(util::ByteWriter* writer, const Tensor& tensor) {
-  writer->WriteI32Vector(tensor.shape());
-  writer->WriteU64(static_cast<uint64_t>(tensor.size()));
-  for (int64_t i = 0; i < tensor.size(); ++i) writer->WriteF32(tensor[i]);
-}
-
-util::Status ReadTensor(util::ByteReader* reader, Tensor* tensor) {
-  Shape shape;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32Vector(&shape));
-  uint64_t count = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&count));
-  if (count > reader->remaining() / sizeof(float)) {
-    return util::Status::InvalidArgument("tensor payload truncated");
-  }
-  if (shape.empty()) {
-    if (count != 0) {
-      return util::Status::InvalidArgument(
-          "scalar-shaped tensor with nonzero payload");
-    }
-    *tensor = Tensor();
-    return util::Status::Ok();
-  }
-  // Overflow-safe element count; anything not backed by the buffer was
-  // already rejected above, so the cap only guards the multiplication.
-  int64_t elements = 1;
-  constexpr int64_t kMaxElements = int64_t{1} << 40;
-  for (int dim : shape) {
-    if (dim < 0) {
-      return util::Status::InvalidArgument("negative tensor dimension");
-    }
-    if (dim > 0 && elements > kMaxElements / dim) {
-      return util::Status::InvalidArgument("tensor shape overflows");
-    }
-    elements *= dim;
-  }
-  if (static_cast<int64_t>(count) != elements) {
-    return util::Status::InvalidArgument(
-        "tensor element count does not match shape");
-  }
-  Tensor result(shape);
-  for (uint64_t i = 0; i < count; ++i) {
-    FEDMIGR_RETURN_IF_ERROR(
-        reader->ReadF32(&result[static_cast<int64_t>(i)]));
-  }
-  *tensor = std::move(result);
-  return util::Status::Ok();
-}
-
-void WriteParams(util::ByteWriter* writer, const Sequential& model) {
-  writer->WriteF32Vector(FlattenParams(model));
-}
-
-util::Status ReadParams(util::ByteReader* reader, Sequential* model) {
-  std::vector<float> flat;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF32Vector(&flat));
-  return UnflattenParams(flat, model);
 }
 
 util::Status LoadCheckpoint(const std::string& path, Sequential* model) {

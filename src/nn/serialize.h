@@ -8,6 +8,7 @@
 #define FEDMIGR_NN_SERIALIZE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,13 +50,26 @@ util::Status SaveCheckpoint(const Sequential& model,
                             const std::string& path);
 util::Status LoadCheckpoint(const std::string& path, Sequential* model);
 
-// Byte-stream helpers for snapshot serialization (core/snapshot).
-void WriteTensor(util::ByteWriter* writer, const Tensor& tensor);
-util::Status ReadTensor(util::ByteReader* reader, Tensor* tensor);
-// Length-prefixed flattened parameters; ReadParams requires a model of the
-// same parameter count.
-void WriteParams(util::ByteWriter* writer, const Sequential& model);
-util::Status ReadParams(util::ByteReader* reader, Sequential* model);
+// Snapshot layout of a model's parameters (util/serial.h): a u64 count,
+// then every parameter's floats in FlattenParams order, one span per
+// tensor. Loading requires a model with the same parameter count. The
+// schema digest sees one float run, whatever the architecture.
+template <class Ar>
+void IoParams(Ar& ar, Sequential* model) {
+  if constexpr (Ar::kSchema) {
+    std::vector<float> run;
+    ar.Io(run);
+  } else {
+    const uint64_t expected = static_cast<uint64_t>(model->NumParams());
+    uint64_t count = expected;
+    ar.Io(count);
+    ar.Check(count == expected, "parameter count mismatch");
+    if (!ar.ok()) return;
+    for (Tensor* p : model->Params()) {
+      ar.Io(std::span<float>(p->data(), static_cast<size_t>(p->size())));
+    }
+  }
+}
 
 }  // namespace fedmigr::nn
 

@@ -15,6 +15,20 @@ int64_t NumElements(const Shape& shape) {
   return n;
 }
 
+bool ShapeHoldsCount(const Shape& shape, uint64_t count) {
+  if (shape.empty()) return count == 0;
+  for (int d : shape) {
+    if (d < 0) return false;
+    if (d == 0) return count == 0;
+  }
+  uint64_t elements = 1;
+  for (int d : shape) {
+    if (elements > count / static_cast<uint64_t>(d)) return false;
+    elements *= static_cast<uint64_t>(d);
+  }
+  return elements == count;
+}
+
 std::string ShapeToString(const Shape& shape) {
   std::string out = "[";
   for (size_t i = 0; i < shape.size(); ++i) {

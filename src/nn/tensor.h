@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace fedmigr::nn {
 
 // Shape of a tensor; up to 4 dimensions in practice ([N, C, H, W] for conv
@@ -21,6 +23,10 @@ using Shape = std::vector<int>;
 
 // Number of elements described by a shape.
 int64_t NumElements(const Shape& shape);
+
+// True when a loaded shape describes exactly `count` elements (an empty
+// shape holds none); overflow-safe for corrupt shapes.
+bool ShapeHoldsCount(const Shape& shape, uint64_t count);
 
 // "[2, 3, 4]" — for error messages and logs.
 std::string ShapeToString(const Shape& shape);
@@ -76,6 +82,16 @@ class Tensor {
   double Norm() const;
 
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
+
+  // Snapshot layout (util/serial.h): the shape, then the counted floats.
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(shape_);
+    ar.Io(data_);
+    ar.Check([&] { return ShapeHoldsCount(shape_, data_.size()); },
+             "tensor element count does not match shape");
+    return ar.status();
+  }
 
  private:
   Shape shape_;

@@ -12,7 +12,6 @@ namespace {
 
 // "FJRN" read as a little-endian u32.
 constexpr uint32_t kJournalMagic = 0x4E524A46u;
-constexpr uint32_t kJournalVersion = 1;
 // magic + version + payload_size before the payload, crc32 after it.
 constexpr size_t kChunkHeaderSize = 4 + 4 + 8;
 constexpr size_t kChunkOverhead = kChunkHeaderSize + 4;
@@ -81,83 +80,38 @@ void AccumulateSummaryEvent(const JournalEvent& event, JournalSummary* s) {
 // --- Wire serializers -----------------------------------------------------
 
 void WriteJournalEvent(const JournalEvent& event, util::ByteWriter* writer) {
-  writer->WriteU8(event.kind);
-  writer->WriteI32(event.epoch);
-  writer->WriteI32(event.a);
-  writer->WriteI32(event.b);
-  writer->WriteU64(event.u);
-  writer->WriteU64(event.v);
-  writer->WriteF64(event.x);
+  util::Save(event, writer);
 }
 
 util::Status ReadJournalEvent(util::ByteReader* reader, JournalEvent* event) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU8(&event->kind));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&event->epoch));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&event->a));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&event->b));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&event->u));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&event->v));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&event->x));
-  return util::Status::Ok();
+  return util::Load(reader, event);
 }
 
 void WriteJournalHeader(const JournalHeader& header,
                         util::ByteWriter* writer) {
-  writer->WriteU64(header.run_seed);
-  writer->WriteI64(header.num_clients);
-  writer->WriteI64(header.cohort_size);
-  writer->WriteF64(header.sample_rate);
-  writer->WriteString(header.scheme);
+  util::Save(header, writer);
 }
 
 util::Status ReadJournalHeader(util::ByteReader* reader,
                                JournalHeader* header) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&header->run_seed));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&header->num_clients));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&header->cohort_size));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&header->sample_rate));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadString(&header->scheme));
-  return util::Status::Ok();
+  return util::Load(reader, header);
 }
 
 void WriteJournalSummary(const JournalSummary& summary,
                          util::ByteWriter* writer) {
-  writer->WriteI64(summary.epochs_run);
-  writer->WriteI64(summary.migrations_planned);
-  writer->WriteI64(summary.migrations_completed);
-  writer->WriteI64(summary.migration_fallbacks);
-  writer->WriteI64(summary.migrations_rolled_back);
-  writer->WriteI64(summary.quorum_commits);
-  writer->WriteI64(summary.quorum_misses);
-  writer->WriteI64(summary.carryover_clients);
-  writer->WriteI64(summary.churn_absences);
-  writer->WriteI64(summary.churn_departures);
-  writer->WriteI64(summary.quarantines);
-  writer->WriteI64(summary.model_publishes);
+  util::Save(summary, writer);
 }
 
 util::Status ReadJournalSummary(util::ByteReader* reader,
                                 JournalSummary* summary) {
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->epochs_run));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->migrations_planned));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->migrations_completed));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->migration_fallbacks));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->migrations_rolled_back));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->quorum_commits));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->quorum_misses));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->carryover_clients));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->churn_absences));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->churn_departures));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->quarantines));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI64(&summary->model_publishes));
-  return util::Status::Ok();
+  return util::Load(reader, summary);
 }
 
 std::vector<uint8_t> FrameJournalChunk(const std::vector<uint8_t>& payload) {
   util::ByteWriter writer;
-  writer.WriteU32(kJournalMagic);
-  writer.WriteU32(kJournalVersion);
-  writer.WriteU64(payload.size());
+  writer.Io(kJournalMagic);
+  writer.Io(kJournalVersion);
+  writer.Io(static_cast<uint64_t>(payload.size()));
   std::vector<uint8_t> framed = writer.TakeBytes();
   framed.insert(framed.end(), payload.begin(), payload.end());
   const uint32_t crc = util::Crc32(framed.data(), framed.size());
@@ -177,9 +131,10 @@ util::Result<std::vector<uint8_t>> UnframeJournalChunk(const uint8_t* data,
   uint32_t magic = 0;
   uint32_t version = 0;
   uint64_t payload_size = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  FEDMIGR_RETURN_IF_ERROR(reader.ReadU32(&version));
-  FEDMIGR_RETURN_IF_ERROR(reader.ReadU64(&payload_size));
+  reader.Io(magic);
+  reader.Io(version);
+  reader.Io(payload_size);
+  FEDMIGR_RETURN_IF_ERROR(reader.status());
   if (magic != kJournalMagic) {
     return util::Status::DataLoss("journal chunk magic mismatch");
   }
@@ -241,14 +196,16 @@ uint64_t KeepOffsetForResume(const std::vector<uint8_t>& bytes,
     if (!payload.ok()) break;  // torn tail: truncate here
     util::ByteReader reader(*payload);
     uint8_t chunk_kind = 0;
-    if (!reader.ReadU8(&chunk_kind).ok()) break;
+    reader.Io(chunk_kind);
+    if (!reader.ok()) break;
     if (chunk_kind == kChunkHeader) {
       if (offset != 0) break;  // header only ever leads the file
       *header_kept = true;
       keep = offset + consumed;
     } else if (chunk_kind == kChunkEpoch) {
       int32_t epoch = 0;
-      if (!reader.ReadI32(&epoch).ok()) break;
+      reader.Io(epoch);
+      if (!reader.ok()) break;
       if (epoch > resume_epoch) break;  // replayed on resume
       keep = offset + consumed;
     } else {
@@ -313,7 +270,7 @@ void Journal::BeginRun(const JournalHeader& header) {
   JournalHeader stamped = header;
   stamped.sample_rate = options_.sample_rate;
   util::ByteWriter payload;
-  payload.WriteU8(kChunkHeader);
+  payload.Io(kChunkHeader);
   WriteJournalHeader(stamped, &payload);
   FEDMIGR_CHECK(AppendChunk(payload.TakeBytes()).ok())
       << "journal header append failed";
@@ -445,9 +402,9 @@ util::Status Journal::AppendChunk(const std::vector<uint8_t>& payload) {
 util::Status Journal::CommitEpoch(int epoch) {
   if (!attached_) return util::Status::Ok();
   util::ByteWriter payload;
-  payload.WriteU8(kChunkEpoch);
-  payload.WriteI32(epoch);
-  payload.WriteU32(static_cast<uint32_t>(buffer_.size()));
+  payload.Io(kChunkEpoch);
+  payload.Io(epoch);
+  payload.Io(static_cast<uint32_t>(buffer_.size()));
   for (const JournalEvent& event : buffer_) {
     FEDMIGR_CHECK_EQ(event.epoch, epoch)
         << "buffered journal event from another epoch";
@@ -461,7 +418,7 @@ util::Status Journal::CommitEpoch(int epoch) {
 util::Status Journal::EndRun() {
   if (!attached_) return util::Status::Ok();
   util::ByteWriter payload;
-  payload.WriteU8(kChunkSummary);
+  payload.Io(kChunkSummary);
   WriteJournalSummary(summary_, &payload);
   FEDMIGR_RETURN_IF_ERROR(AppendChunk(payload.TakeBytes()));
   return Finish();
@@ -488,7 +445,8 @@ util::Result<JournalContents> ParseJournal(
     }
     util::ByteReader reader(*payload);
     uint8_t chunk_kind = 0;
-    FEDMIGR_RETURN_IF_ERROR(reader.ReadU8(&chunk_kind));
+    reader.Io(chunk_kind);
+    FEDMIGR_RETURN_IF_ERROR(reader.status());
     if (chunk_kind == kChunkHeader) {
       if (contents.has_header || offset != 0) {
         return util::Status::DataLoss("journal header chunk out of place");
@@ -498,8 +456,9 @@ util::Result<JournalContents> ParseJournal(
     } else if (chunk_kind == kChunkEpoch) {
       int32_t epoch = 0;
       uint32_t count = 0;
-      FEDMIGR_RETURN_IF_ERROR(reader.ReadI32(&epoch));
-      FEDMIGR_RETURN_IF_ERROR(reader.ReadU32(&count));
+      reader.Io(epoch);
+      reader.Io(count);
+      FEDMIGR_RETURN_IF_ERROR(reader.status());
       if (!contents.committed_epochs.empty() &&
           epoch <= contents.committed_epochs.back()) {
         return util::Status::DataLoss("journal epochs not monotone");

@@ -112,6 +112,18 @@ struct JournalEvent {
   uint64_t u = 0;
   uint64_t v = 0;
   double x = 0.0;
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(kind);
+    ar.Io(epoch);
+    ar.Io(a);
+    ar.Io(b);
+    ar.Io(u);
+    ar.Io(v);
+    ar.Io(x);
+    return ar.status();
+  }
 };
 
 // Run identity, written once as the first chunk.
@@ -121,6 +133,16 @@ struct JournalHeader {
   int64_t cohort_size = 0;  // 0 = legacy full-participation mode
   double sample_rate = 1.0;
   std::string scheme;
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(run_seed);
+    ar.Io(num_clients);
+    ar.Io(cohort_size);
+    ar.Io(sample_rate);
+    ar.Io(scheme);
+    return ar.status();
+  }
 };
 
 // End-of-run counter totals, written on clean completion. The recorder
@@ -141,9 +163,32 @@ struct JournalSummary {
   int64_t churn_departures = 0;        // #kClientDeparted
   int64_t quarantines = 0;             // #transitions into quarantined
   int64_t model_publishes = 0;         // #kModelPublished
+
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(epochs_run);
+    ar.Io(migrations_planned);
+    ar.Io(migrations_completed);
+    ar.Io(migration_fallbacks);
+    ar.Io(migrations_rolled_back);
+    ar.Io(quorum_commits);
+    ar.Io(quorum_misses);
+    ar.Io(carryover_clients);
+    ar.Io(churn_absences);
+    ar.Io(churn_departures);
+    ar.Io(quarantines);
+    ar.Io(model_publishes);
+    return ar.status();
+  }
 };
 
-// --- Wire serializers (audited by tools/fedmigr_schema) -------------------
+// --- Wire serializers ------------------------------------------------------
+// One-line entry points into each record's Visit; the journal-emit lint rule
+// keeps them (and the FJRN framer) inside src/obs. The record layouts are
+// owned by kJournalVersion and pinned by the schema-digest test.
+
+// Bumped whenever a journal record layout changes.
+inline constexpr uint32_t kJournalVersion = 1;
 
 void WriteJournalEvent(const JournalEvent& event, util::ByteWriter* writer);
 util::Status ReadJournalEvent(util::ByteReader* reader, JournalEvent* event);

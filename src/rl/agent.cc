@@ -250,33 +250,28 @@ TrainStats DdpgAgent::Train(PrioritizedReplayBuffer* buffer, util::Rng* rng) {
   return stats;
 }
 
-void DdpgAgent::SaveState(util::ByteWriter* writer) const {
-  writer->WriteU32(static_cast<uint32_t>(config_.hidden));
-  nn::WriteParams(writer, actor_);
-  nn::WriteParams(writer, critic_);
-  nn::WriteParams(writer, target_actor_);
-  nn::WriteParams(writer, target_critic_);
-  actor_optimizer_->SaveState(writer);
-  critic_optimizer_->SaveState(writer);
+template <class Ar>
+util::Status DdpgAgent::Visit(Ar& ar) {
+  uint32_t hidden = static_cast<uint32_t>(config_.hidden);
+  ar.Io(hidden);
+  ar.Check(hidden == static_cast<uint32_t>(config_.hidden),
+           "agent architecture mismatch");
+  nn::IoParams(ar, &actor_);
+  nn::IoParams(ar, &critic_);
+  nn::IoParams(ar, &target_actor_);
+  nn::IoParams(ar, &target_critic_);
+  ar.Io(*actor_optimizer_);
+  ar.Io(*critic_optimizer_);
+  ar.Check(
+      [&] {
+        return actor_optimizer_->FitsModel(actor_) &&
+               critic_optimizer_->FitsModel(critic_);
+      },
+      "agent Adam moments do not match its networks");
+  return ar.status();
 }
 
-util::Status DdpgAgent::LoadState(util::ByteReader* reader) {
-  uint32_t hidden = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU32(&hidden));
-  if (hidden != static_cast<uint32_t>(config_.hidden)) {
-    return util::Status::InvalidArgument(
-        "agent architecture mismatch: snapshot hidden=" +
-        std::to_string(hidden) + ", agent hidden=" +
-        std::to_string(config_.hidden));
-  }
-  FEDMIGR_RETURN_IF_ERROR(nn::ReadParams(reader, &actor_));
-  FEDMIGR_RETURN_IF_ERROR(nn::ReadParams(reader, &critic_));
-  FEDMIGR_RETURN_IF_ERROR(nn::ReadParams(reader, &target_actor_));
-  FEDMIGR_RETURN_IF_ERROR(nn::ReadParams(reader, &target_critic_));
-  FEDMIGR_RETURN_IF_ERROR(actor_optimizer_->LoadState(reader));
-  FEDMIGR_RETURN_IF_ERROR(critic_optimizer_->LoadState(reader));
-  return util::Status::Ok();
-}
+FEDMIGR_INSTANTIATE_VISIT(DdpgAgent);
 
 double StepReward(double loss_before, double loss_after,
                   double compute_cost_fraction, double bandwidth_cost_fraction,

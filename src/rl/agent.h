@@ -70,11 +70,12 @@ class DdpgAgent {
   // `config.batch_size` transitions.
   TrainStats Train(PrioritizedReplayBuffer* buffer, util::Rng* rng);
 
-  // Learning state: actor/critic/target parameters and both Adam moment
+  // Snapshot layout: actor/critic/target parameters and both Adam moment
   // sets. Restoring into an agent built with the same architecture resumes
-  // training bit-identically.
-  void SaveState(util::ByteWriter* writer) const;
-  util::Status LoadState(util::ByteReader* reader);
+  // training bit-identically; moments shaped unlike the networks are
+  // rejected.
+  template <class Ar>
+  util::Status Visit(Ar& ar);
 
   const AgentConfig& config() const { return config_; }
 

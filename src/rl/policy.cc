@@ -101,66 +101,27 @@ fl::MigrationPlan DrlMigrationPolicy::Plan(const fl::PolicyContext& ctx) {
   return fl::PlanFromDestinations(destination);
 }
 
+template <class Ar>
+util::Status DrlMigrationPolicy::Visit(Ar& ar) {
+  ar.Io(*agent_);
+  ar.Io(buffer_);
+  ar.Io(rng_);
+  ar.Io(awaiting_reward_);
+  ar.Io(awaiting_next_state_);
+  ar.Io(awaiting_srcs_);
+  ar.Check(awaiting_srcs_.size() == awaiting_next_state_.size(),
+           "pending transition queues out of sync");
+  return ar.status();
+}
+
+FEDMIGR_INSTANTIATE_VISIT(DrlMigrationPolicy);
+
 void DrlMigrationPolicy::SaveState(util::ByteWriter* writer) const {
-  agent_->SaveState(writer);
-  buffer_.SaveState(writer);
-  util::SaveRngState(rng_, writer);
-  writer->WriteU64(awaiting_reward_.size());
-  for (const PendingDecision& decision : awaiting_reward_) {
-    writer->WriteI32(decision.src);
-    writer->WriteU64(decision.candidates.size());
-    for (const auto& row : decision.candidates) writer->WriteF32Vector(row);
-    writer->WriteI32(decision.action);
-    writer->WriteF64(decision.gain);
-    writer->WriteF64(decision.time_norm);
-  }
-  writer->WriteU64(awaiting_next_state_.size());
-  for (const Transition& transition : awaiting_next_state_) {
-    WriteTransition(writer, transition);
-  }
-  writer->WriteI32Vector(awaiting_srcs_);
+  util::Save(*this, writer);
 }
 
 util::Status DrlMigrationPolicy::LoadState(util::ByteReader* reader) {
-  FEDMIGR_RETURN_IF_ERROR(agent_->LoadState(reader));
-  FEDMIGR_RETURN_IF_ERROR(buffer_.LoadState(reader));
-  FEDMIGR_RETURN_IF_ERROR(util::LoadRngState(reader, &rng_));
-  uint64_t pending = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&pending));
-  if (pending > reader->remaining()) {
-    return util::Status::InvalidArgument("pending decision count too large");
-  }
-  awaiting_reward_.assign(static_cast<size_t>(pending), {});
-  for (PendingDecision& decision : awaiting_reward_) {
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&decision.src));
-    uint64_t rows = 0;
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&rows));
-    if (rows > reader->remaining()) {
-      return util::Status::InvalidArgument("candidate row count too large");
-    }
-    decision.candidates.assign(static_cast<size_t>(rows), {});
-    for (auto& row : decision.candidates) {
-      FEDMIGR_RETURN_IF_ERROR(reader->ReadF32Vector(&row));
-    }
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&decision.action));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&decision.gain));
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&decision.time_norm));
-  }
-  uint64_t transitions = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&transitions));
-  if (transitions > reader->remaining()) {
-    return util::Status::InvalidArgument("transition count too large");
-  }
-  awaiting_next_state_.assign(static_cast<size_t>(transitions), {});
-  for (Transition& transition : awaiting_next_state_) {
-    FEDMIGR_RETURN_IF_ERROR(ReadTransition(reader, &transition));
-  }
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32Vector(&awaiting_srcs_));
-  if (awaiting_srcs_.size() != awaiting_next_state_.size()) {
-    return util::Status::InvalidArgument(
-        "pending transition queues out of sync");
-  }
-  return util::Status::Ok();
+  return util::Load(reader, this);
 }
 
 void DrlMigrationPolicy::Feedback(const fl::PolicyFeedback& feedback) {

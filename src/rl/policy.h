@@ -44,10 +44,14 @@ class DrlMigrationPolicy : public fl::MigrationPolicy {
   void Feedback(const fl::PolicyFeedback& feedback) override;
   std::string name() const override { return "fedmigr-drl"; }
 
-  // Snapshot hooks: agent networks + Adam moments, the prioritized replay
-  // buffer, the policy RNG, and the in-flight decision queues.
+  // Snapshot hooks (see Visit).
   void SaveState(util::ByteWriter* writer) const override;
   util::Status LoadState(util::ByteReader* reader) override;
+
+  // Snapshot layout: agent networks + Adam moments, the prioritized replay
+  // buffer, the policy RNG, and the in-flight decision queues.
+  template <class Ar>
+  util::Status Visit(Ar& ar);
 
   const DdpgAgent& agent() const { return *agent_; }
 
@@ -60,6 +64,16 @@ class DrlMigrationPolicy : public fl::MigrationPolicy {
     // action, for ShapedDecisionReward.
     double gain = 0.0;
     double time_norm = 0.0;
+
+    template <class Ar>
+    util::Status Visit(Ar& ar) {
+      ar.Io(src);
+      ar.Io(candidates);
+      ar.Io(action);
+      ar.Io(gain);
+      ar.Io(time_norm);
+      return ar.status();
+    }
   };
 
   std::shared_ptr<DdpgAgent> agent_;

@@ -7,55 +7,6 @@
 
 namespace fedmigr::rl {
 
-namespace {
-
-void WriteRows(util::ByteWriter* writer,
-               const std::vector<std::vector<float>>& rows) {
-  writer->WriteU64(rows.size());
-  for (const auto& row : rows) writer->WriteF32Vector(row);
-}
-
-util::Status ReadRows(util::ByteReader* reader,
-                      std::vector<std::vector<float>>* rows) {
-  uint64_t count = 0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&count));
-  if (count > reader->remaining()) {
-    return util::Status::InvalidArgument("row count exceeds buffer");
-  }
-  rows->assign(static_cast<size_t>(count), {});
-  for (auto& row : *rows) {
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadF32Vector(&row));
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
-
-void WriteTransition(util::ByteWriter* writer, const Transition& transition) {
-  WriteRows(writer, transition.candidates);
-  writer->WriteI32(transition.action_index);
-  writer->WriteF32(transition.reward);
-  writer->WriteBool(transition.done);
-  WriteRows(writer, transition.next_candidates);
-}
-
-util::Status ReadTransition(util::ByteReader* reader,
-                            Transition* transition) {
-  Transition result;
-  FEDMIGR_RETURN_IF_ERROR(ReadRows(reader, &result.candidates));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadI32(&result.action_index));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF32(&result.reward));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadBool(&result.done));
-  FEDMIGR_RETURN_IF_ERROR(ReadRows(reader, &result.next_candidates));
-  if (result.action_index < 0 ||
-      (!result.candidates.empty() &&
-       result.action_index >= static_cast<int>(result.candidates.size()))) {
-    return util::Status::InvalidArgument("transition action out of range");
-  }
-  *transition = std::move(result);
-  return util::Status::Ok();
-}
-
 SumTree::SumTree(size_t capacity) : capacity_(capacity) {
   FEDMIGR_CHECK_GT(capacity, 0u);
   base_ = 1;
@@ -77,6 +28,11 @@ void SumTree::Set(size_t index, double priority) {
 double SumTree::Get(size_t index) const {
   FEDMIGR_CHECK_LT(index, capacity_);
   return nodes_[index + base_];
+}
+
+std::span<const double> SumTree::Leaves(size_t n) const {
+  FEDMIGR_CHECK_LE(n, capacity_);
+  return std::span<const double>(nodes_.data() + base_, n);
 }
 
 double SumTree::Total() const { return nodes_[1]; }
@@ -146,59 +102,45 @@ std::vector<SampledTransition> PrioritizedReplayBuffer::Sample(
   return batch;
 }
 
-void PrioritizedReplayBuffer::SaveState(util::ByteWriter* writer) const {
-  writer->WriteU64(capacity_);
-  writer->WriteU64(next_);
-  writer->WriteU64(size_);
-  writer->WriteF64(max_priority_);
-  for (size_t i = 0; i < size_; ++i) {
-    WriteTransition(writer, storage_[i]);
-  }
+template <class Ar>
+util::Status PrioritizedReplayBuffer::Visit(Ar& ar) {
+  uint64_t capacity = capacity_;
+  uint64_t next = next_;
+  uint64_t size = size_;
+  ar.Io(capacity);
+  ar.Io(next);
+  ar.Io(size);
+  ar.Io(max_priority_);
+  ar.Check(capacity == capacity_, "replay buffer capacity mismatch");
+  ar.Check(size <= capacity && next < capacity &&
+               (size == capacity || next == size),
+           "inconsistent replay buffer state");
+  if (!ar.ok()) return ar.status();
+  ar.Io(std::span<Transition>(storage_.data(), size));
   // Tree leaves carry the ξ-exponentiated priorities; storing them verbatim
-  // avoids re-deriving (and re-rounding) them on load.
-  for (size_t i = 0; i < size_; ++i) {
-    writer->WriteF64(tree_.Get(i));
+  // avoids re-deriving (and re-rounding) them. Loading replays them into a
+  // fresh tree in index order.
+  if constexpr (Ar::kLoading) {
+    std::vector<double> leaves(size);
+    ar.Io(std::span<double>(leaves));
+    ar.Check(
+        [&] {
+          return std::all_of(leaves.begin(), leaves.end(),
+                             [](double p) { return p >= 0.0; });
+        },
+        "negative replay priority");
+    if (!ar.ok()) return ar.status();
+    next_ = next;
+    size_ = size;
+    tree_ = SumTree(capacity_);
+    for (size_t i = 0; i < size_; ++i) tree_.Set(i, leaves[i]);
+  } else {
+    ar.Io(tree_.Leaves(size));
   }
+  return ar.status();
 }
 
-util::Status PrioritizedReplayBuffer::LoadState(util::ByteReader* reader) {
-  uint64_t capacity = 0;
-  uint64_t next = 0;
-  uint64_t size = 0;
-  double max_priority = 0.0;
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&capacity));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&next));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&size));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&max_priority));
-  if (capacity != capacity_) {
-    return util::Status::InvalidArgument(
-        "replay buffer capacity mismatch: snapshot has " +
-        std::to_string(capacity) + ", buffer has " +
-        std::to_string(capacity_));
-  }
-  if (size > capacity || next >= capacity ||
-      (size < capacity && next != size)) {
-    return util::Status::InvalidArgument("inconsistent replay buffer state");
-  }
-  std::vector<Transition> storage(capacity_);
-  for (size_t i = 0; i < size; ++i) {
-    FEDMIGR_RETURN_IF_ERROR(ReadTransition(reader, &storage[i]));
-  }
-  std::vector<double> leaves(static_cast<size_t>(size), 0.0);
-  for (size_t i = 0; i < size; ++i) {
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&leaves[i]));
-    if (!(leaves[i] >= 0.0)) {
-      return util::Status::InvalidArgument("negative replay priority");
-    }
-  }
-  storage_ = std::move(storage);
-  next_ = next;
-  size_ = size;
-  max_priority_ = max_priority;
-  tree_ = SumTree(capacity_);
-  for (size_t i = 0; i < size_; ++i) tree_.Set(i, leaves[i]);
-  return util::Status::Ok();
-}
+FEDMIGR_INSTANTIATE_VISIT(PrioritizedReplayBuffer);
 
 void PrioritizedReplayBuffer::UpdatePriority(size_t index, double priority) {
   FEDMIGR_CHECK_LT(index, size_);

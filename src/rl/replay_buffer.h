@@ -9,6 +9,7 @@
 #define FEDMIGR_RL_REPLAY_BUFFER_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -26,12 +27,21 @@ struct Transition {
   float reward = 0.0f;
   bool done = false;
   std::vector<std::vector<float>> next_candidates;  // K x F, empty if done
-};
 
-// Snapshot serialization for one transition (also used by the DRL policy
-// for its in-flight decision queues).
-void WriteTransition(util::ByteWriter* writer, const Transition& transition);
-util::Status ReadTransition(util::ByteReader* reader, Transition* transition);
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(candidates);
+    ar.Io(action_index);
+    ar.Io(reward);
+    ar.Io(done);
+    ar.Io(next_candidates);
+    ar.Check(action_index >= 0 &&
+                 (candidates.empty() ||
+                  action_index < static_cast<int>(candidates.size())),
+             "transition action out of range");
+    return ar.status();
+  }
+};
 
 // Binary sum-tree over priorities for O(log n) sampling and updates.
 class SumTree {
@@ -45,6 +55,8 @@ class SumTree {
   size_t Find(double mass) const;
 
   size_t capacity() const { return capacity_; }
+  // The first `n` leaf priorities.
+  std::span<const double> Leaves(size_t n) const;
 
  private:
   size_t capacity_;
@@ -83,11 +95,12 @@ class PrioritizedReplayBuffer {
   size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
 
-  // Full buffer state — stored transitions, write cursor, and the sum-tree
-  // priorities — so a resumed run replays (and re-prioritizes) identically.
-  // LoadState fails if the serialized capacity does not match this buffer's.
-  void SaveState(util::ByteWriter* writer) const;
-  util::Status LoadState(util::ByteReader* reader);
+  // Snapshot layout: the full buffer state — stored transitions, write
+  // cursor, and the sum-tree priorities — so a resumed run replays (and
+  // re-prioritizes) identically. Loading fails if the serialized capacity
+  // does not match this buffer's.
+  template <class Ar>
+  util::Status Visit(Ar& ar);
 
  private:
   size_t capacity_;

@@ -109,24 +109,6 @@ int Rng::Categorical(const std::vector<double>& weights) {
   return static_cast<int>(weights.size()) - 1;
 }
 
-void SaveRngState(const Rng& rng, ByteWriter* writer) {
-  const RngState state = rng.State();
-  for (uint64_t word : state.words) writer->WriteU64(word);
-  writer->WriteBool(state.has_cached_normal);
-  writer->WriteF64(state.cached_normal);
-}
-
-Status LoadRngState(ByteReader* reader, Rng* rng) {
-  RngState state;
-  for (auto& word : state.words) {
-    FEDMIGR_RETURN_IF_ERROR(reader->ReadU64(&word));
-  }
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadBool(&state.has_cached_normal));
-  FEDMIGR_RETURN_IF_ERROR(reader->ReadF64(&state.cached_normal));
-  rng->Restore(state);
-  return Status::Ok();
-}
-
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   FEDMIGR_CHECK_GE(k, 0);
   FEDMIGR_CHECK_LE(k, n);

@@ -9,6 +9,7 @@
 #define FEDMIGR_UTIL_RNG_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/serial.h"
@@ -70,16 +71,21 @@ class Rng {
   // k distinct indices drawn uniformly from [0, n). Requires 0 <= k <= n.
   std::vector<int> SampleWithoutReplacement(int n, int k);
 
+  // Snapshot layout (util/serial.h): the four words, then the spare.
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Io(std::span<uint64_t>(state_));
+    ar.Io(has_cached_normal_);
+    ar.Io(cached_normal_);
+    return ar.status();
+  }
+
  private:
   uint64_t state_[4];
   // Box-Muller produces pairs; cache the spare value.
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
-
-// Byte-stream helpers for snapshot serialization.
-void SaveRngState(const Rng& rng, ByteWriter* writer);
-Status LoadRngState(ByteReader* reader, Rng* rng);
 
 }  // namespace fedmigr::util
 

@@ -394,13 +394,13 @@ TEST(ReputationTest, StateRoundTripsByteEqual) {
   tracker.AdvanceRound(&counters);
 
   util::ByteWriter first;
-  tracker.SaveState(&first);
+  util::Save(tracker, &first);
 
   ReputationTracker restored(config, 4);
   util::ByteReader reader(first.bytes());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   util::ByteWriter second;
-  restored.SaveState(&second);
+  util::Save(restored, &second);
   EXPECT_EQ(first.bytes(), second.bytes());
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(restored.state(i), tracker.state(i));
@@ -411,7 +411,7 @@ TEST(ReputationTest, StateRoundTripsByteEqual) {
   // Client-count mismatch is rejected.
   ReputationTracker wrong(config, 5);
   util::ByteReader bad(first.bytes());
-  EXPECT_FALSE(wrong.LoadState(&bad).ok());
+  EXPECT_FALSE(util::Load(&bad, &wrong).ok());
 }
 
 TEST(RobustCountersTest, RoundTripsByteEqual) {
@@ -422,12 +422,12 @@ TEST(RobustCountersTest, RoundTripsByteEqual) {
   counters.cosine_rejected = 5;
   counters.quarantines = 1;
   util::ByteWriter writer;
-  SaveRobustCounters(counters, &writer);
+  util::Save(counters, &writer);
   RobustCounters restored;
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(LoadRobustCounters(&reader, &restored).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   util::ByteWriter again;
-  SaveRobustCounters(restored, &again);
+  util::Save(restored, &again);
   EXPECT_EQ(writer.bytes(), again.bytes());
   EXPECT_EQ(restored.cosine_rejected, 5);
 }
@@ -624,7 +624,7 @@ TEST(RobustTrainerTest, ReputationStateSurvivesSnapshotByteEqual) {
   util::ByteReader reader(saved.bytes());
   ASSERT_TRUE(restored.LoadState(&reader).ok());
   util::ByteWriter resaved;
-  restored.SaveState(&resaved);
+  util::Save(restored, &resaved);
   EXPECT_EQ(saved.bytes(), resaved.bytes());
 
   // And the restored run finishes identically to an uninterrupted one.

@@ -218,10 +218,10 @@ TEST(FaultInjectorStateTest, SaveLoadContinuesIdenticalTrajectory) {
     }
   }
   util::ByteWriter writer;
-  reference.SaveState(&writer);
+  util::Save(reference, &writer);
   FaultInjector restored(config);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   EXPECT_TRUE(reader.AtEnd());
 
   EXPECT_EQ(restored.counters().attempts, reference.counters().attempts);
@@ -420,10 +420,10 @@ TEST(FaultInjectorStateTest, ChaosEpochSurvivesSaveLoad) {
   reference.Transfer(0, kServerId, 100, topology, nullptr);  // epoch 2: open
 
   util::ByteWriter writer;
-  reference.SaveState(&writer);
+  util::Save(reference, &writer);
   FaultInjector restored(config);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(restored.epoch(), reference.epoch());
 
@@ -447,11 +447,11 @@ TEST(FaultInjectorStateTest, TruncatedStateRejected) {
   FaultInjector injector(config);
   injector.BeginEpoch(4);
   util::ByteWriter writer;
-  injector.SaveState(&writer);
+  util::Save(injector, &writer);
   for (size_t cut = 0; cut < writer.size(); cut += 3) {
     FaultInjector victim(config);
     util::ByteReader reader(writer.bytes().data(), cut);
-    EXPECT_FALSE(victim.LoadState(&reader).ok()) << "cut " << cut;
+    EXPECT_FALSE(util::Load(&reader, &victim).ok()) << "cut " << cut;
   }
 }
 

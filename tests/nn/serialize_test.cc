@@ -278,10 +278,10 @@ TEST(SerializeTest, WriteReadTensorRoundTrip) {
     t[i] = static_cast<float>(i) * 0.5f - 1.0f;
   }
   util::ByteWriter writer;
-  WriteTensor(&writer, t);
+  util::Save(t, &writer);
   util::ByteReader reader(writer.bytes());
   Tensor out;
-  ASSERT_TRUE(ReadTensor(&reader, &out).ok());
+  ASSERT_TRUE(util::Load(&reader, &out).ok());
   EXPECT_TRUE(reader.AtEnd());
   ASSERT_EQ(out.shape(), t.shape());
   for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(out[i], t[i]);
@@ -289,10 +289,10 @@ TEST(SerializeTest, WriteReadTensorRoundTrip) {
 
 TEST(SerializeTest, WriteReadDefaultTensorRoundTrip) {
   util::ByteWriter writer;
-  WriteTensor(&writer, Tensor());
+  util::Save(Tensor(), &writer);
   util::ByteReader reader(writer.bytes());
   Tensor out({4});
-  ASSERT_TRUE(ReadTensor(&reader, &out).ok());
+  ASSERT_TRUE(util::Load(&reader, &out).ok());
   EXPECT_TRUE(out.shape().empty());
   EXPECT_EQ(out.size(), 0);
 }
@@ -300,12 +300,12 @@ TEST(SerializeTest, WriteReadDefaultTensorRoundTrip) {
 TEST(SerializeTest, ReadTensorSurvivesTruncationFuzz) {
   Tensor t({3, 2, 2});
   util::ByteWriter writer;
-  WriteTensor(&writer, t);
+  util::Save(t, &writer);
   const std::vector<uint8_t>& full = writer.bytes();
   for (size_t cut = 0; cut < full.size(); ++cut) {
     util::ByteReader reader(full.data(), cut);
     Tensor out;
-    EXPECT_FALSE(ReadTensor(&reader, &out).ok()) << "cut " << cut;
+    EXPECT_FALSE(util::Load(&reader, &out).ok()) << "cut " << cut;
   }
 }
 
@@ -315,7 +315,7 @@ TEST(SerializeTest, ReadTensorSurvivesBitFlipFuzz) {
   // tensor — never a crash or over-allocation.
   Tensor t({2, 2});
   util::ByteWriter writer;
-  WriteTensor(&writer, t);
+  util::Save(t, &writer);
   const std::vector<uint8_t> full = writer.bytes();
   for (size_t pos = 0; pos < full.size(); ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -323,7 +323,7 @@ TEST(SerializeTest, ReadTensorSurvivesBitFlipFuzz) {
       corrupt[pos] ^= static_cast<uint8_t>(1u << bit);
       util::ByteReader reader(corrupt);
       Tensor out;
-      const util::Status status = ReadTensor(&reader, &out);
+      const util::Status status = util::Load(&reader, &out);
       if (status.ok()) {
         // Accepted streams must at least be self-consistent.
         int64_t elements = out.shape().empty() ? 0 : 1;
@@ -338,9 +338,10 @@ TEST(SerializeTest, WriteReadParamsRoundTrip) {
   Sequential a = SmallModel(37);
   Sequential b = SmallModel(38);
   util::ByteWriter writer;
-  WriteParams(&writer, a);
+  IoParams(writer, &a);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(ReadParams(&reader, &b).ok());
+  IoParams(reader, &b);
+  ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
 }
@@ -348,12 +349,13 @@ TEST(SerializeTest, WriteReadParamsRoundTrip) {
 TEST(SerializeTest, ReadParamsRejectsWrongArchitecture) {
   Sequential a = SmallModel(39);
   util::ByteWriter writer;
-  WriteParams(&writer, a);
+  IoParams(writer, &a);
   util::Rng rng(40);
   Sequential other;
   other.Add(std::make_unique<Dense>(9, 9, &rng));
   util::ByteReader reader(writer.bytes());
-  EXPECT_FALSE(ReadParams(&reader, &other).ok());
+  IoParams(reader, &other);
+  EXPECT_FALSE(reader.ok());
 }
 
 TEST(SerializeTest, ZooModelsRoundTrip) {

@@ -181,10 +181,10 @@ TEST(ReplayBufferStateTest, SaveLoadRoundTripsContentsAndPriorities) {
   buffer.UpdatePriority(2, 0.25);
 
   util::ByteWriter writer;
-  buffer.SaveState(&writer);
+  util::Save(buffer, &writer);
   PrioritizedReplayBuffer restored(4, /*xi=*/0.7, /*beta=*/0.5);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   EXPECT_TRUE(reader.AtEnd());
 
   ASSERT_EQ(restored.size(), buffer.size());
@@ -223,20 +223,20 @@ TEST(ReplayBufferStateTest, PartiallyFilledBufferRoundTrips) {
   buffer.Add(RichTransition(1.0f));
   buffer.Add(RichTransition(2.0f));
   util::ByteWriter writer;
-  buffer.SaveState(&writer);
+  util::Save(buffer, &writer);
   PrioritizedReplayBuffer restored(8);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   EXPECT_EQ(restored.size(), 2u);
 }
 
 TEST(ReplayBufferStateTest, EmptyBufferRoundTrips) {
   PrioritizedReplayBuffer buffer(3);
   util::ByteWriter writer;
-  buffer.SaveState(&writer);
+  util::Save(buffer, &writer);
   PrioritizedReplayBuffer restored(3);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(util::Load(&reader, &restored).ok());
   EXPECT_TRUE(restored.empty());
 }
 
@@ -244,22 +244,22 @@ TEST(ReplayBufferStateTest, CapacityMismatchRejected) {
   PrioritizedReplayBuffer buffer(4);
   buffer.Add(RichTransition(1.0f));
   util::ByteWriter writer;
-  buffer.SaveState(&writer);
+  util::Save(buffer, &writer);
   PrioritizedReplayBuffer wrong(8);
   util::ByteReader reader(writer.bytes());
-  EXPECT_FALSE(wrong.LoadState(&reader).ok());
+  EXPECT_FALSE(util::Load(&reader, &wrong).ok());
 }
 
 TEST(ReplayBufferStateTest, TruncationFuzzNeverCrashes) {
   PrioritizedReplayBuffer buffer(4);
   for (int i = 0; i < 4; ++i) buffer.Add(RichTransition(1.0f + i));
   util::ByteWriter writer;
-  buffer.SaveState(&writer);
+  util::Save(buffer, &writer);
   const std::vector<uint8_t>& full = writer.bytes();
   for (size_t cut = 0; cut < full.size(); ++cut) {
     PrioritizedReplayBuffer victim(4);
     util::ByteReader reader(full.data(), cut);
-    EXPECT_FALSE(victim.LoadState(&reader).ok()) << "cut " << cut;
+    EXPECT_FALSE(util::Load(&reader, &victim).ok()) << "cut " << cut;
   }
 }
 
@@ -268,7 +268,7 @@ TEST(ReplayBufferStateTest, BitFlipFuzzNeverCrashes) {
   buffer.Add(RichTransition(1.0f));
   buffer.Add(RichTransition(2.0f));
   util::ByteWriter writer;
-  buffer.SaveState(&writer);
+  util::Save(buffer, &writer);
   const std::vector<uint8_t> full = writer.bytes();
   for (size_t pos = 0; pos < full.size(); ++pos) {
     for (int bit = 0; bit < 8; bit += 3) {
@@ -278,7 +278,7 @@ TEST(ReplayBufferStateTest, BitFlipFuzzNeverCrashes) {
       util::ByteReader reader(corrupt);
       // Either a clean error or a structurally valid buffer; never a crash
       // or hang (ASan/UBSan enforce the rest).
-      (void)victim.LoadState(&reader);
+      (void)util::Load(&reader, &victim);
     }
   }
 }

@@ -210,10 +210,10 @@ TEST(RngStateTest, SerializedStateRoundTrips) {
   (void)rng.Normal();  // populate the cached spare
   for (int i = 0; i < 5; ++i) rng.Next();
   ByteWriter writer;
-  SaveRngState(rng, &writer);
+  Save(rng, &writer);
   Rng restored(0);
   ByteReader reader(writer.bytes());
-  ASSERT_TRUE(LoadRngState(&reader, &restored).ok());
+  ASSERT_TRUE(Load(&reader, &restored).ok());
   EXPECT_TRUE(reader.AtEnd());
   for (int i = 0; i < 64; ++i) {
     ASSERT_EQ(rng.Next(), restored.Next());
@@ -224,11 +224,11 @@ TEST(RngStateTest, SerializedStateRoundTrips) {
 TEST(RngStateTest, TruncatedSerializedStateFails) {
   Rng rng(26);
   ByteWriter writer;
-  SaveRngState(rng, &writer);
+  Save(rng, &writer);
   for (size_t cut = 0; cut < writer.size(); ++cut) {
     Rng victim(3);
     ByteReader reader(writer.bytes().data(), cut);
-    EXPECT_FALSE(LoadRngState(&reader, &victim).ok()) << "cut " << cut;
+    EXPECT_FALSE(Load(&reader, &victim).ok()) << "cut " << cut;
   }
 }
 

@@ -12,15 +12,15 @@ namespace {
 
 TEST(SerialTest, PrimitivesRoundTrip) {
   ByteWriter writer;
-  writer.WriteU8(7);
-  writer.WriteU32(0xDEADBEEFu);
-  writer.WriteU64(0x0123456789ABCDEFull);
-  writer.WriteI32(-42);
-  writer.WriteI64(-1234567890123LL);
-  writer.WriteF32(3.5f);
-  writer.WriteF64(-2.25);
-  writer.WriteBool(true);
-  writer.WriteBool(false);
+  writer.Io(uint8_t{7});
+  writer.Io(uint32_t{0xDEADBEEFu});
+  writer.Io(uint64_t{0x0123456789ABCDEFull});
+  writer.Io(int32_t{-42});
+  writer.Io(int64_t{-1234567890123LL});
+  writer.Io(3.5f);
+  writer.Io(-2.25);
+  writer.Io(true);
+  writer.Io(false);
 
   ByteReader reader(writer.bytes());
   uint8_t u8 = 0;
@@ -31,15 +31,16 @@ TEST(SerialTest, PrimitivesRoundTrip) {
   float f32 = 0.0f;
   double f64 = 0.0;
   bool b1 = false, b2 = true;
-  ASSERT_TRUE(reader.ReadU8(&u8).ok());
-  ASSERT_TRUE(reader.ReadU32(&u32).ok());
-  ASSERT_TRUE(reader.ReadU64(&u64).ok());
-  ASSERT_TRUE(reader.ReadI32(&i32).ok());
-  ASSERT_TRUE(reader.ReadI64(&i64).ok());
-  ASSERT_TRUE(reader.ReadF32(&f32).ok());
-  ASSERT_TRUE(reader.ReadF64(&f64).ok());
-  ASSERT_TRUE(reader.ReadBool(&b1).ok());
-  ASSERT_TRUE(reader.ReadBool(&b2).ok());
+  reader.Io(u8);
+  reader.Io(u32);
+  reader.Io(u64);
+  reader.Io(i32);
+  reader.Io(i64);
+  reader.Io(f32);
+  reader.Io(f64);
+  reader.Io(b1);
+  reader.Io(b2);
+  ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(u8, 7);
   EXPECT_EQ(u32, 0xDEADBEEFu);
@@ -63,11 +64,12 @@ TEST(SerialTest, FloatBitPatternsSurviveExactly) {
       -0.0,
   };
   ByteWriter writer;
-  for (double v : specials) writer.WriteF64(v);
+  for (double v : specials) writer.Io(v);
   ByteReader reader(writer.bytes());
   for (double v : specials) {
     double out = 0.0;
-    ASSERT_TRUE(reader.ReadF64(&out).ok());
+    reader.Io(out);
+    ASSERT_TRUE(reader.ok());
     uint64_t expected_bits = 0, actual_bits = 0;
     std::memcpy(&expected_bits, &v, sizeof(v));
     std::memcpy(&actual_bits, &out, sizeof(out));
@@ -77,12 +79,12 @@ TEST(SerialTest, FloatBitPatternsSurviveExactly) {
 
 TEST(SerialTest, SequencesRoundTrip) {
   ByteWriter writer;
-  writer.WriteString("hello snapshot");
-  writer.WriteBytes({0x00, 0xFF, 0x42});
-  writer.WriteF32Vector({1.0f, -2.0f, 0.5f});
-  writer.WriteF64Vector({});
-  writer.WriteI32Vector({-1, 0, 1, 1 << 20});
-  writer.WriteBoolVector({true, false, true, true});
+  writer.Io(std::string("hello snapshot"));
+  writer.Io(std::vector<uint8_t>{0x00, 0xFF, 0x42});
+  writer.Io(std::vector<float>{1.0f, -2.0f, 0.5f});
+  writer.Io(std::vector<double>{});
+  writer.Io(std::vector<int>{-1, 0, 1, 1 << 20});
+  writer.Io(std::vector<bool>{true, false, true, true});
 
   ByteReader reader(writer.bytes());
   std::string s;
@@ -91,12 +93,13 @@ TEST(SerialTest, SequencesRoundTrip) {
   std::vector<double> f64s = {9.0};
   std::vector<int> i32s;
   std::vector<bool> bools;
-  ASSERT_TRUE(reader.ReadString(&s).ok());
-  ASSERT_TRUE(reader.ReadBytes(&bytes).ok());
-  ASSERT_TRUE(reader.ReadF32Vector(&f32s).ok());
-  ASSERT_TRUE(reader.ReadF64Vector(&f64s).ok());
-  ASSERT_TRUE(reader.ReadI32Vector(&i32s).ok());
-  ASSERT_TRUE(reader.ReadBoolVector(&bools).ok());
+  reader.Io(s);
+  reader.Io(bytes);
+  reader.Io(f32s);
+  reader.Io(f64s);
+  reader.Io(i32s);
+  reader.Io(bools);
+  ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(s, "hello snapshot");
   EXPECT_EQ(bytes, (std::vector<uint8_t>{0x00, 0xFF, 0x42}));
@@ -108,35 +111,46 @@ TEST(SerialTest, SequencesRoundTrip) {
 
 TEST(SerialTest, ReadPastEndFailsAndLeavesCursor) {
   ByteWriter writer;
-  writer.WriteU32(5);
+  writer.Io(uint32_t{5});
   ByteReader reader(writer.bytes());
-  uint64_t too_big = 0;
-  EXPECT_FALSE(reader.ReadU64(&too_big).ok());
-  // The failed read must not consume anything.
-  uint32_t ok_value = 0;
-  ASSERT_TRUE(reader.ReadU32(&ok_value).ok());
-  EXPECT_EQ(ok_value, 5u);
+  uint64_t too_big = 7;
+  reader.Io(too_big);
+  EXPECT_FALSE(reader.ok());
+  // The failed read consumes nothing and leaves its target alone; the
+  // error is sticky, so a later read touches nothing either.
+  EXPECT_EQ(reader.remaining(), sizeof(uint32_t));
+  EXPECT_EQ(too_big, 7u);
+  uint32_t later = 9;
+  reader.Io(later);
+  EXPECT_EQ(later, 9u);
+  EXPECT_EQ(reader.remaining(), sizeof(uint32_t));
 }
 
 TEST(SerialTest, EmptyBufferFailsEverything) {
-  ByteReader reader(nullptr, 0);
   uint8_t u8;
   std::string s;
   std::vector<float> f;
-  EXPECT_FALSE(reader.ReadU8(&u8).ok());
-  EXPECT_FALSE(reader.ReadString(&s).ok());
-  EXPECT_FALSE(reader.ReadF32Vector(&f).ok());
+  ByteReader r1(nullptr, 0);
+  r1.Io(u8);
+  EXPECT_FALSE(r1.ok());
+  ByteReader r2(nullptr, 0);
+  r2.Io(s);
+  EXPECT_FALSE(r2.ok());
+  ByteReader r3(nullptr, 0);
+  r3.Io(f);
+  EXPECT_FALSE(r3.ok());
 }
 
 TEST(SerialTest, OversizedCountIsRejectedWithoutAllocating) {
   // A u64 count far beyond the bytes that follow must be rejected up front
   // (the fuzz-safety property: no multi-terabyte resize on corrupt input).
   ByteWriter writer;
-  writer.WriteU64(std::numeric_limits<uint64_t>::max());
-  writer.WriteF32(1.0f);
+  writer.Io(std::numeric_limits<uint64_t>::max());
+  writer.Io(1.0f);
   ByteReader reader(writer.bytes());
   std::vector<float> values;
-  EXPECT_FALSE(reader.ReadF32Vector(&values).ok());
+  reader.Io(values);
+  EXPECT_FALSE(reader.ok());
   EXPECT_TRUE(values.empty());
 }
 
@@ -144,24 +158,25 @@ TEST(SerialTest, InvalidBoolByteRejected) {
   const std::vector<uint8_t> bytes = {2};
   ByteReader reader(bytes);
   bool value = false;
-  EXPECT_FALSE(reader.ReadBool(&value).ok());
+  reader.Io(value);
+  EXPECT_FALSE(reader.ok());
 }
 
 TEST(SerialTest, TruncationAtEveryOffsetFailsCleanly) {
   ByteWriter writer;
-  writer.WriteString("abcdef");
-  writer.WriteI32Vector({1, 2, 3});
-  writer.WriteF64(1.5);
+  writer.Io(std::string("abcdef"));
+  writer.Io(std::vector<int>{1, 2, 3});
+  writer.Io(1.5);
   const std::vector<uint8_t>& full = writer.bytes();
   for (size_t cut = 0; cut < full.size(); ++cut) {
     ByteReader reader(full.data(), cut);
     std::string s;
     std::vector<int> v;
     double d;
-    const bool all_ok = reader.ReadString(&s).ok() &&
-                        reader.ReadI32Vector(&v).ok() &&
-                        reader.ReadF64(&d).ok();
-    EXPECT_FALSE(all_ok) << "cut " << cut;
+    reader.Io(s);
+    reader.Io(v);
+    reader.Io(d);
+    EXPECT_FALSE(reader.ok()) << "cut " << cut;
   }
 }
 
