@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "nn/optimizer.h"
+#include "nn/serialize.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
+#include "util/serial.h"
 
 namespace fedmigr::fl {
 namespace {
@@ -110,6 +113,34 @@ TEST(ClientTest, SetModelReplacesParameters) {
   client.SetModel(a);
   client.SetModel(b);
   EXPECT_EQ(nn::Sequential::ParamDistance(client.model(), b), 0.0);
+}
+
+// A CRC-valid client record whose momentum buffers match the model's
+// parameter count but not its shapes (a Dense 2->6 against a Dense 5->3,
+// both 18 parameters in two tensors) must not load: the next SGD step
+// would index each buffer by its parameter's size.
+TEST(ClientStateTest, RejectsMomentumShapedUnlikeTheModel) {
+  Fixture f;
+  util::Rng rng(5);
+  nn::Sequential other = nn::MakeMlp({2, 6}, /*softmax_output=*/false, &rng);
+  nn::Sgd stepped(0.1, /*momentum=*/0.9);
+  stepped.Step(&other);
+
+  util::ByteWriter writer;
+  writer.Io(int32_t{0});      // id
+  writer.Io(uint64_t{10});    // sample count
+  writer.Io(uint8_t{0});      // flags: inline parameters
+  nn::IoParams(writer, &other);
+  util::Save(stepped, &writer);
+  util::Save(util::Rng(1), &writer);
+  writer.Io(std::vector<float>());  // proximal reference
+
+  Client victim(0, &f.data.train, FirstN(10), 0.1, 0.9, 1);
+  victim.SetModel(nn::MakeMlp({5, 3}, /*softmax_output=*/false, &rng));
+  util::ByteReader reader(writer.bytes());
+  const util::Status status = util::Load(&reader, &victim);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
 }
 
 }  // namespace

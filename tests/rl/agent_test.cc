@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/optimizer.h"
+#include "nn/zoo.h"
+#include "rl/state.h"
+#include "util/serial.h"
+
 namespace fedmigr::rl {
 namespace {
 
@@ -164,6 +169,38 @@ TEST(RewardTest, ShapedDecisionReward) {
             ShapedDecisionReward(base, 1.0, 1.0));
   // Staying (no gain, no time) keeps the bare epoch reward.
   EXPECT_DOUBLE_EQ(ShapedDecisionReward(base, 0.0, 0.0), base);
+}
+
+// A CRC-valid agent record whose actor Adam moments match the actor's
+// tensor count but not its shapes must not load: the next Adam step would
+// index each moment by its parameter's size.
+TEST(AgentTest, LoadRejectsMomentsShapedUnlikeTheNetworks) {
+  const AgentConfig config;
+  const DdpgAgent source(config);
+  util::ByteWriter fresh;
+  util::Save(source, &fresh);
+  // A fresh agent's record ends with two unsized Adam states (step count,
+  // empty m, empty v: 24 bytes each); swap the actor's for moments sized
+  // to a wider input layer.
+  std::vector<uint8_t> bytes = fresh.bytes();
+  ASSERT_GT(bytes.size(), 48u);
+  bytes.resize(bytes.size() - 48);
+  util::Rng rng(3);
+  nn::Sequential wider = nn::MakeMlp(
+      {kActionFeatureDim + 1, config.hidden, config.hidden, 1},
+      /*softmax_output=*/false, &rng);
+  nn::Adam stepped(config.actor_lr);
+  stepped.Step(&wider);
+  util::ByteWriter tail;
+  util::Save(stepped, &tail);
+  util::Save(nn::Adam(config.critic_lr), &tail);
+  bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
+
+  DdpgAgent victim(config);
+  util::ByteReader reader(bytes);
+  const util::Status status = util::Load(&reader, &victim);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
 }
 
 }  // namespace

@@ -143,6 +143,23 @@ void ForgesJournalRecords(fedmigr::util::ByteWriter* writer,
   (void)framed;
 }
 
+// --- snapshot-coverage -----------------------------------------------------
+
+class Gadget {
+ public:
+  template <class Ar>
+  util::Status Visit(Ar& ar) {
+    ar.Io(ticks_);
+    return ar.status();
+  }
+
+ private:
+  int64_t ticks_ = 0;
+  double drift_ = 0.0;  // LINT-EXPECT: snapshot-coverage
+  // SNAPSHOT-SKIP()
+  int scratch_ = 0;  // LINT-EXPECT: snapshot-coverage
+};
+
 // --- discarded-status ------------------------------------------------------
 
 void DropsStatuses(const std::string& path) {
