@@ -3,12 +3,13 @@
 // Each case runs a small workload and renders what the simulation charged:
 // per-epoch cumulative traffic and time (as IEEE-754 bit patterns), the
 // migration count and aggregation flag of every epoch, the directional
-// traffic totals, and the fault and chaos counters. The rendering is
-// compared line by line with one recorded from a known-good build. None of
-// these values depends on model float values, so the pins hold under every
-// GEMM kernel (run with FEDMIGR_GEMM_KERNEL=portable too). A refactor of the
-// participation paths must leave every line unchanged; a deliberate
-// behaviour change re-records the affected rendering and states why.
+// traffic totals, and the fault, robustness and chaos counters. The
+// rendering is compared line by line with one recorded from a known-good
+// build. None of these values depends on model float values, so the pins
+// hold under every GEMM kernel (run with FEDMIGR_GEMM_KERNEL=portable too).
+// A refactor of the participation paths must leave every line unchanged; a
+// deliberate behaviour change re-records the affected rendering and states
+// why.
 
 #include <cinttypes>
 #include <cstdint>
@@ -56,6 +57,15 @@ std::string Render(const RunResult& r) {
     out += " " + std::to_string(v);
   }
   out += "\n";
+  const RobustCounters& b = r.robust;
+  out += "robust";
+  for (int64_t v :
+       {b.screened_updates, b.nonfinite_rejected, b.norm_clipped,
+        b.norm_rejected, b.cosine_rejected, b.attacked_updates,
+        b.quarantine_excluded, b.quarantines, b.rehabilitations}) {
+    out += " " + std::to_string(v);
+  }
+  out += "\n";
   const ChaosCounters& c = r.chaos;
   out += "chaos";
   for (int64_t v :
@@ -85,6 +95,7 @@ TEST(TrainerGoldenTest, Fig3CrossLanFullParticipation) {
       "e12 gb=3f7513d4596f4340 s=400bf45fb8cd3b88 m=0 a=1\n"
       "up=3f50f9a26dd39818 down=3f50f9a26dd39818 c2c=3f692e06450aee68\n"
       "faults 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+      "robust 30 0 0 0 0 0 0 0 0\n"
       "chaos 89 89 0 0 0 0 0 0 0\n";
   EXPECT_EQ(Render(fleet.Run(Fig3Fleet::MakeConfig())), expected);
 }
@@ -106,6 +117,7 @@ TEST(TrainerGoldenTest, Fig3PartialParticipationUnderLinkFaults) {
       "e12 gb=3f697673a4bd6424 s=403bb5a71659de98 m=0 a=1\n"
       "up=3f4b2903e2ec268d down=3f5bb9dea2511205 c2c=3f433d0d6b6745f9\n"
       "faults 90 41 38 0 3 0 3 3 0 14 10 0 0\n"
+      "robust 11 0 0 0 0 0 0 0 0\n"
       "chaos 10 10 0 0 3 0 0 0 0\n";
   EXPECT_EQ(Render(fleet.Run(Fig3Fleet::PartialUnderFaultsConfig())), expected);
 }
@@ -121,6 +133,7 @@ TEST(TrainerGoldenTest, ChaosCohortOfEight) {
       "e6 gb=3f57c3e3668ea1bb s=3fed00848a3ddc04 m=0 a=1\n"
       "up=3f345ec2ea311cea down=3f445ec2ea311cea c2c=3f40f9a26dd39818\n"
       "faults 42 0 0 0 0 0 0 0 0 0 0 2 7\n"
+      "robust 9 0 0 0 0 0 0 0 0\n"
       "chaos 15 15 0 0 2 1 0 6 4\n";
   EXPECT_EQ(Render(fleet.Run(ChaosFleet::CohortOfEightConfig())), expected);
 }
