@@ -8,12 +8,13 @@
 // membership (absences, departures, re-joins minting from the aggregate).
 // ChaosCounters records every one of those decisions so benches and tests
 // can reconcile them: migrations_planned must always equal
-// migrations_completed + migration_fallbacks + migrations_rolled_back.
+// migrations_completed + migration_fallbacks + migrations_rolled_back, and
+// each ledger total equals the one the flight recorder derives from its
+// events (obs/journal.h).
 //
-// Counters follow the FaultCounters/RobustCounters contract: every mutation
-// flows through the Count* funnels below (enforced by fedmigr_lint's
-// counter-mutation rule), which also mirror each increment into the obs
-// registry as live `fl/chaos_*` metrics.
+// Counters follow the FaultCounters/RobustCounters contract: plain data,
+// incremented in place by the trainer, which publishes each field's
+// per-epoch growth to the obs registry as an `fl/chaos_*` counter.
 
 #ifndef FEDMIGR_FL_CHAOS_H_
 #define FEDMIGR_FL_CHAOS_H_
@@ -24,9 +25,11 @@
 
 namespace fedmigr::fl {
 
-// Per-run chaos counters surfaced in RunResult / bench tables. All stay
-// zero on a zero-chaos config with the watchdog disabled. Mutate only
-// through the funnels below (fedmigr_lint: counter-mutation).
+// Per-run chaos counters surfaced in RunResult / bench tables. The
+// migration ledger counts every move, chaos or not: a fault-free run has
+// planned == completed. The watchdog fields stay zero while the watchdog is
+// off (quorum_fraction 0), the churn fields without churn, and fallbacks and
+// rollbacks while the fault model is off (FaultConfig::enabled() false).
 struct ChaosCounters {
   // Two-phase migration ledger. Every planned move is captured at its
   // source and ends in exactly one of the three buckets below.
@@ -56,16 +59,6 @@ struct ChaosCounters {
     return ar.status();
   }
 };
-
-void CountMigrationPlanned(ChaosCounters* counters);
-void CountMigrationCompleted(ChaosCounters* counters);
-void CountMigrationFallback(ChaosCounters* counters);
-void CountMigrationRolledBack(ChaosCounters* counters);
-void CountQuorumCommit(ChaosCounters* counters);
-void CountQuorumMiss(ChaosCounters* counters);
-void CountCarryoverClient(ChaosCounters* counters);
-void CountChurnAbsence(ChaosCounters* counters);
-void CountChurnDeparture(ChaosCounters* counters);
 
 }  // namespace fedmigr::fl
 

@@ -5,77 +5,9 @@
 #include <limits>
 
 #include "nn/serialize.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "util/logging.h"
 
 namespace fedmigr::fl {
-
-namespace {
-
-// Live registry mirrors of RobustCounters, one counter per field — same
-// contract as FaultMetrics in net/fault.cc: the struct is the serialized
-// per-run source of truth, the registry accumulates process-wide, and every
-// mutation goes through BumpRobust to keep the two views in lockstep.
-struct RobustMetrics {
-  obs::Counter* screened_updates;
-  obs::Counter* nonfinite_rejected;
-  obs::Counter* norm_clipped;
-  obs::Counter* norm_rejected;
-  obs::Counter* cosine_rejected;
-  obs::Counter* attacked_updates;
-  obs::Counter* quarantine_excluded;
-  obs::Counter* quarantines;
-  obs::Counter* rehabilitations;
-
-  static const RobustMetrics& Get() {
-    static const RobustMetrics* metrics = [] {
-      obs::Registry& registry = obs::Registry::Default();
-      return new RobustMetrics{
-          registry.GetCounter("fl/robust_screened_updates"),
-          registry.GetCounter("fl/robust_nonfinite_rejected"),
-          registry.GetCounter("fl/robust_norm_clipped"),
-          registry.GetCounter("fl/robust_norm_rejected"),
-          registry.GetCounter("fl/robust_cosine_rejected"),
-          registry.GetCounter("fl/robust_attacked_updates"),
-          registry.GetCounter("fl/robust_quarantine_excluded"),
-          registry.GetCounter("fl/robust_quarantines"),
-          registry.GetCounter("fl/robust_rehabilitations"),
-      };
-    }();
-    return *metrics;
-  }
-};
-
-void BumpRobust(int64_t* slot, obs::Counter* RobustMetrics::*member) {
-  ++*slot;
-  if (obs::Telemetry::enabled()) (RobustMetrics::Get().*member)->Increment();
-}
-
-}  // namespace
-
-void CountScreenedUpdate(RobustCounters* counters) {
-  BumpRobust(&counters->screened_updates, &RobustMetrics::screened_updates);
-}
-void CountNonFiniteRejected(RobustCounters* counters) {
-  BumpRobust(&counters->nonfinite_rejected, &RobustMetrics::nonfinite_rejected);
-}
-void CountNormClipped(RobustCounters* counters) {
-  BumpRobust(&counters->norm_clipped, &RobustMetrics::norm_clipped);
-}
-void CountNormRejected(RobustCounters* counters) {
-  BumpRobust(&counters->norm_rejected, &RobustMetrics::norm_rejected);
-}
-void CountCosineRejected(RobustCounters* counters) {
-  BumpRobust(&counters->cosine_rejected, &RobustMetrics::cosine_rejected);
-}
-void CountAttackedUpdate(RobustCounters* counters) {
-  BumpRobust(&counters->attacked_updates, &RobustMetrics::attacked_updates);
-}
-void CountQuarantineExcluded(RobustCounters* counters) {
-  BumpRobust(&counters->quarantine_excluded,
-             &RobustMetrics::quarantine_excluded);
-}
 
 // ---------------------------------------------------------------------------
 // Aggregators
@@ -369,14 +301,14 @@ std::vector<ScreeningVerdict> ScreenUpdates(
   std::vector<bool> finite(models.size(), true);
   std::vector<double> finite_norms;
   for (size_t m = 0; m < models.size(); ++m) {
-    CountScreenedUpdate(counters);
+    ++counters->screened_updates;
     ScreeningVerdict& verdict = verdicts[m];
     if (!ParamsFinite(*models[m])) {
       finite[m] = false;
       verdict.outcome = ScreeningOutcome::kNonFinite;
       verdict.update_norm = std::numeric_limits<double>::infinity();
       verdict.cosine = 0.0;
-      CountNonFiniteRejected(counters);
+      ++counters->nonfinite_rejected;
       continue;
     }
     flats[m] = nn::FlattenParams(*models[m]);
@@ -403,13 +335,13 @@ std::vector<ScreeningVerdict> ScreenUpdates(
     if (config.cosine_reject_below > -1.0 &&
         verdict.cosine < config.cosine_reject_below) {
       verdict.outcome = ScreeningOutcome::kCosineOutlier;
-      CountCosineRejected(counters);
+      ++counters->cosine_rejected;
       continue;
     }
     if (config.norm_reject_factor > 0.0 && median_norm > 0.0 &&
         verdict.update_norm > config.norm_reject_factor * median_norm) {
       verdict.outcome = ScreeningOutcome::kNormOutlier;
-      CountNormRejected(counters);
+      ++counters->norm_rejected;
       continue;
     }
     if (config.clip_norm > 0.0 && verdict.update_norm > config.clip_norm) {
@@ -423,7 +355,7 @@ std::vector<ScreeningVerdict> ScreenUpdates(
       auto model = std::make_unique<nn::Sequential>(*models[m]);
       WriteFlat(clipped, model.get());
       verdict.outcome = ScreeningOutcome::kClipped;
-      CountNormClipped(counters);
+      ++counters->norm_clipped;
       out_models->push_back(model.get());
       out_weights->push_back(weights[m]);
       clipped_storage->push_back(std::move(model));
@@ -495,7 +427,7 @@ void ReputationTracker::Quarantine(ClientRecord* record,
   if (record->first_quarantine_round < 0) {
     record->first_quarantine_round = round_ + 1;
   }
-  BumpRobust(&counters->quarantines, &RobustMetrics::quarantines);
+  ++counters->quarantines;
 }
 
 void ReputationTracker::ReportFlagged(int client, RobustCounters* counters) {
@@ -569,7 +501,7 @@ void ReputationTracker::AdvanceRound(RobustCounters* counters) {
       record.state = ReputationState::kHealthy;
       record.strikes = 0;
       record.clean_streak = 0;
-      BumpRobust(&counters->rehabilitations, &RobustMetrics::rehabilitations);
+      ++counters->rehabilitations;
     }
   }
 }

@@ -25,10 +25,10 @@
 // beyond the non-finite gate, no reputation — the trainer follows exactly
 // the legacy code path and produces bit-identical results.
 //
-// Counters follow the FaultCounters contract: every mutation flows through
-// the Count*/Report* funnels in robust.cc (enforced by fedmigr_lint's
-// counter-mutation rule), which also mirror each increment into the obs
-// registry as live `fl/robust_*` metrics.
+// Counters follow the FaultCounters contract: RobustCounters is plain data,
+// incremented in place by the screen, the reputation machine and the
+// trainer, and the trainer publishes each field's per-epoch growth to the
+// obs registry as an `fl/robust_*` counter.
 
 #ifndef FEDMIGR_FL_ROBUST_H_
 #define FEDMIGR_FL_ROBUST_H_
@@ -101,8 +101,7 @@ void WeightedMean(const std::vector<const nn::Sequential*>& models,
 
 // Per-run robustness counters surfaced in RunResult / bench tables. On an
 // inert config everything except `screened_updates` stays zero (the
-// non-finite gate is always on, so every upload is screened). Mutate only
-// through the funnels below (fedmigr_lint: counter-mutation).
+// non-finite gate is always on, so every upload is screened).
 struct RobustCounters {
   int64_t screened_updates = 0;     // uploads that entered the screen
   int64_t nonfinite_rejected = 0;   // dropped: NaN/Inf coordinates
@@ -128,14 +127,6 @@ struct RobustCounters {
     return ar.status();
   }
 };
-
-void CountScreenedUpdate(RobustCounters* counters);
-void CountNonFiniteRejected(RobustCounters* counters);
-void CountNormClipped(RobustCounters* counters);
-void CountNormRejected(RobustCounters* counters);
-void CountCosineRejected(RobustCounters* counters);
-void CountAttackedUpdate(RobustCounters* counters);
-void CountQuarantineExcluded(RobustCounters* counters);
 
 // ---------------------------------------------------------------------------
 // Update screening
@@ -184,7 +175,7 @@ struct ScreeningVerdict {
 // appended to `out_models`/`out_weights`; a clipped survivor is
 // materialized into `clipped_storage`, which the caller must keep alive
 // until aggregation is done. The non-finite gate always runs; the other
-// rules follow `config`. Counter mutations flow through the funnels above.
+// rules follow `config`. Each verdict is counted in `counters`.
 std::vector<ScreeningVerdict> ScreenUpdates(
     const ScreeningConfig& config,
     const std::vector<const nn::Sequential*>& models,

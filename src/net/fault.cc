@@ -3,55 +3,11 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "util/logging.h"
 
 namespace fedmigr::net {
 
 namespace {
-
-// Live registry mirrors of FaultCounters, one counter per field. The struct
-// stays the serialized per-run source (FaultInjector::Visit); the registry
-// accumulates process-wide, so every mutation goes through Bump to keep the
-// two views in lockstep.
-struct FaultMetrics {
-  obs::Counter* attempts;
-  obs::Counter* failures;
-  obs::Counter* retries;
-  obs::Counter* deadline_aborts;
-  obs::Counter* aborted_transfers;
-  obs::Counter* fallbacks;
-  obs::Counter* corrupted;
-  obs::Counter* corrupt_rejected;
-  obs::Counter* dropped_stragglers;
-  obs::Counter* crash_epochs;
-  obs::Counter* crashes;
-  obs::Counter* partitioned_transfers;
-  obs::Counter* outage_transfers;
-
-  static const FaultMetrics& Get() {
-    static const FaultMetrics* metrics = [] {
-      obs::Registry& registry = obs::Registry::Default();
-      return new FaultMetrics{
-          registry.GetCounter("net/fault_attempts"),
-          registry.GetCounter("net/fault_failures"),
-          registry.GetCounter("net/fault_retries"),
-          registry.GetCounter("net/fault_deadline_aborts"),
-          registry.GetCounter("net/fault_aborted_transfers"),
-          registry.GetCounter("net/fault_fallbacks"),
-          registry.GetCounter("net/fault_corrupted"),
-          registry.GetCounter("net/fault_corrupt_rejected"),
-          registry.GetCounter("net/fault_dropped_stragglers"),
-          registry.GetCounter("net/fault_crash_epochs"),
-          registry.GetCounter("net/fault_crashes"),
-          registry.GetCounter("net/fault_partitioned_transfers"),
-          registry.GetCounter("net/fault_outage_transfers"),
-      };
-    }();
-    return *metrics;
-  }
-};
 
 // Epoch window test shared by the explicit schedules and the recurring
 // generators.
@@ -62,13 +18,6 @@ bool InWindow(int epoch, int start_epoch, int duration_epochs) {
 bool InRecurringWindow(int epoch, int period, int phase, int duration) {
   if (period <= 0 || epoch < phase) return false;
   return (epoch - phase) % period < duration;
-}
-
-// The registry lookup stays inside the enabled() branch so a disabled (or
-// compiled-out) build never touches the metrics statics.
-void Bump(int64_t* slot, obs::Counter* FaultMetrics::*member) {
-  ++*slot;
-  if (obs::Telemetry::enabled()) (FaultMetrics::Get().*member)->Increment();
 }
 
 }  // namespace
@@ -187,14 +136,6 @@ bool FaultInjector::ChurnedOut(int client, int64_t round) const {
 void FaultInjector::BeginEpoch(int num_clients) {
   if (!enabled()) return;
   ++epoch_;
-  if (config_.chaos.enabled() && obs::Telemetry::enabled()) {
-    static obs::Gauge* partitions_gauge =
-        obs::Registry::Default().GetGauge("net/chaos_partitions_active");
-    static obs::Gauge* server_down_gauge =
-        obs::Registry::Default().GetGauge("net/chaos_server_down");
-    partitions_gauge->Set(ActivePartitions(epoch_));
-    server_down_gauge->Set(ServerDown(epoch_) ? 1 : 0);
-  }
   if (config_.attacks_enabled() && !attackers_sampled_) {
     // One-time persistent Byzantine set: round(f * K) distinct clients.
     attacker_.assign(static_cast<size_t>(num_clients), false);
@@ -220,9 +161,9 @@ void FaultInjector::BeginEpoch(int num_clients) {
       const int span = config_.crash_max_epochs - config_.crash_min_epochs;
       down = config_.crash_min_epochs +
              (span > 0 ? rng_.UniformInt(span + 1) : 0);
-      Bump(&counters_.crashes, &FaultMetrics::crashes);
+      ++counters_.crashes;
     }
-    if (down > 0) Bump(&counters_.crash_epochs, &FaultMetrics::crash_epochs);
+    if (down > 0) ++counters_.crash_epochs;
     straggler_[static_cast<size_t>(i)] =
         config_.straggler_prob > 0.0 && rng_.Bernoulli(config_.straggler_prob);
   }
@@ -262,18 +203,6 @@ double FaultInjector::AttemptSeconds(int src, int dst, int64_t bytes,
   return seconds;
 }
 
-void FaultInjector::CountCorruptRejected() {
-  Bump(&counters_.corrupt_rejected, &FaultMetrics::corrupt_rejected);
-}
-
-void FaultInjector::CountDroppedStraggler() {
-  Bump(&counters_.dropped_stragglers, &FaultMetrics::dropped_stragglers);
-}
-
-void FaultInjector::CountFallback() {
-  Bump(&counters_.fallbacks, &FaultMetrics::fallbacks);
-}
-
 TransferResult FaultInjector::Transfer(int src, int dst, int64_t bytes,
                                        const Topology& topology,
                                        TrafficAccountant* traffic) {
@@ -293,7 +222,7 @@ TransferResult FaultInjector::Transfer(int src, int dst, int64_t bytes,
   // no RNG, so a partition window leaves the link-fault stream untouched.
   if (config_.chaos.has_outages() && ServerDown(epoch_) &&
       (src == kServerId || dst == kServerId)) {
-    Bump(&counters_.outage_transfers, &FaultMetrics::outage_transfers);
+    ++counters_.outage_transfers;
     result.seconds = topology.config().link_latency_s;
     result.status = util::Status::Unavailable(
         "transfer " + std::to_string(src) + "->" + std::to_string(dst) +
@@ -305,8 +234,7 @@ TransferResult FaultInjector::Transfer(int src, int dst, int64_t bytes,
     const int dst_lan = dst == kServerId ? -1 : topology.lan_of(dst);
     if (src_lan != dst_lan &&
         (LanSealed(src_lan, epoch_) || LanSealed(dst_lan, epoch_))) {
-      Bump(&counters_.partitioned_transfers,
-           &FaultMetrics::partitioned_transfers);
+      ++counters_.partitioned_transfers;
       result.seconds = topology.config().link_latency_s;
       result.status = util::Status::Unavailable(
           "transfer " + std::to_string(src) + "->" + std::to_string(dst) +
@@ -321,8 +249,8 @@ TransferResult FaultInjector::Transfer(int src, int dst, int64_t bytes,
     if (result.seconds + attempt_seconds > config_.transfer_deadline_s) {
       // Not enough deadline left for another attempt: the sender waits out
       // the deadline and gives up. Bytes already spent stay charged.
-      Bump(&counters_.deadline_aborts, &FaultMetrics::deadline_aborts);
-      Bump(&counters_.aborted_transfers, &FaultMetrics::aborted_transfers);
+      ++counters_.deadline_aborts;
+      ++counters_.aborted_transfers;
       result.seconds = config_.transfer_deadline_s;
       result.status = util::Status::DeadlineExceeded(
           "transfer " + std::to_string(src) + "->" + std::to_string(dst) +
@@ -331,7 +259,7 @@ TransferResult FaultInjector::Transfer(int src, int dst, int64_t bytes,
     }
 
     ++result.attempts;
-    Bump(&counters_.attempts, &FaultMetrics::attempts);
+    ++counters_.attempts;
     result.seconds += attempt_seconds;
     // A failed attempt still pushed the full payload into the network: the
     // bytes are spent whether or not the far end got them.
@@ -344,17 +272,17 @@ TransferResult FaultInjector::Transfer(int src, int dst, int64_t bytes,
       if (config_.corruption_prob > 0.0 &&
           rng_.Bernoulli(config_.corruption_prob)) {
         result.corrupted = true;
-        Bump(&counters_.corrupted, &FaultMetrics::corrupted);
+        ++counters_.corrupted;
       }
       return result;
     }
-    Bump(&counters_.failures, &FaultMetrics::failures);
+    ++counters_.failures;
     if (attempt + 1 < max_attempts) {
-      Bump(&counters_.retries, &FaultMetrics::retries);
+      ++counters_.retries;
       result.seconds += config_.backoff_base_s * static_cast<double>(1 << attempt);
     }
   }
-  Bump(&counters_.aborted_transfers, &FaultMetrics::aborted_transfers);
+  ++counters_.aborted_transfers;
   result.status = util::Status::Unavailable(
       "transfer " + std::to_string(src) + "->" + std::to_string(dst) +
       " failed after " + std::to_string(max_attempts) + " attempts");

@@ -174,8 +174,10 @@ struct FaultConfig {
   }
 };
 
-// Aggregate counters surfaced into RunResult / bench CSVs. All increments
-// happen inside the injector or the fault-aware callers in fl/.
+// Per-run fault counters surfaced in RunResult / bench tables: plain data,
+// incremented in place by the injector (receiver-side outcomes through its
+// Count* methods). The trainer publishes each field's per-epoch growth to
+// the obs registry as a `net/fault_*` counter (fl/trainer.cc).
 struct FaultCounters {
   int64_t attempts = 0;           // transfer attempts (incl. retries)
   int64_t failures = 0;           // attempts that failed in flight
@@ -232,7 +234,8 @@ class FaultInjector {
   int epoch() const { return epoch_; }
   bool LanSealed(int lan, int epoch) const;
   bool ServerDown(int epoch) const;
-  // Number of distinct LANs sealed at `epoch` (mirrored as a gauge).
+  // Number of distinct LANs sealed at `epoch` (the trainer publishes it as
+  // the net/chaos_partitions_active gauge).
   int ActivePartitions(int epoch) const;
   // Fleet churn membership: true when `client` is out of the fleet for
   // `round`. Pure hash of (chaos.churn_seed, client, round).
@@ -250,13 +253,11 @@ class FaultInjector {
   const FaultCounters& counters() const { return counters_; }
 
   // Fault outcomes detected by the *receiver* (checksum rejects, uploads
-  // past the aggregation deadline, server fallbacks) are reported back here
-  // so every counter mutation flows through the injector — the struct stays
-  // the per-run snapshot while the obs registry mirrors each increment as a
-  // live `net/fault_*` metric.
-  void CountCorruptRejected();
-  void CountDroppedStraggler();
-  void CountFallback();
+  // past the aggregation deadline, server fallbacks) are counted here, since
+  // the counters are the injector's own state.
+  void CountCorruptRejected() { ++counters_.corrupt_rejected; }
+  void CountDroppedStraggler() { ++counters_.dropped_stragglers; }
+  void CountFallback() { ++counters_.fallbacks; }
 
   // Snapshot layout: the full injector state (RNG streams, counters,
   // outage/straggler rolls) so a resumed run replays the same fault

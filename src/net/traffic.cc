@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "net/topology.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "util/logging.h"
 
 namespace fedmigr::net {
@@ -17,8 +15,7 @@ void TrafficAccountant::Record(int src, int dst, int64_t bytes) {
   FEDMIGR_CHECK_GE(bytes, 0);
   FEDMIGR_CHECK_NE(src, dst);
   ++num_transfers_;
-  const bool server_hop = src == kServerId || dst == kServerId;
-  if (server_hop) {
+  if (src == kServerId || dst == kServerId) {
     c2s_bytes_ += bytes;
     if (dst == kServerId) {
       c2s_up_bytes_ += bytes;
@@ -27,17 +24,6 @@ void TrafficAccountant::Record(int src, int dst, int64_t bytes) {
     }
   } else {
     c2c_bytes_ += bytes;
-  }
-  // Live registry mirror, split by link class (server hop vs peer-to-peer).
-  if (obs::Telemetry::enabled()) {
-    static obs::Counter* transfers =
-        obs::Registry::Default().GetCounter("net/transfers");
-    static obs::Counter* c2s_live =
-        obs::Registry::Default().GetCounter("net/c2s_bytes");
-    static obs::Counter* c2c_live =
-        obs::Registry::Default().GetCounter("net/c2c_bytes");
-    transfers->Increment();
-    (server_hop ? c2s_live : c2c_live)->Add(bytes);
   }
   const auto key = Key(src, dst);
   link_counts_[key] += 1;

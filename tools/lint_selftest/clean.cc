@@ -31,29 +31,6 @@ double SumInKeyOrder(const std::map<int, double>& weights) {
   return total;
 }
 
-// The counter-mutation boundary: address-of funnel calls, serialization
-// reads, comparisons and whole-struct assignment are all sanctioned —
-// only a direct field mutation is a finding.
-struct CleanCounters {
-  long crashes = 0;
-  long retries = 0;
-};
-
-void Bump(long* slot) { ++*slot; }
-void ReadI64Fixture(const long* slot, long* out);
-
-long FunnelledCounterUse(CleanCounters* counters) {
-  Bump(&counters->crashes);
-  long staged = 0;
-  ReadI64Fixture(&counters->retries, &staged);
-  if (counters->crashes == 3 || counters->retries >= 1) {
-    return counters->crashes;
-  }
-  CleanCounters snapshot;
-  snapshot = *counters;  // whole-struct staging commit
-  return snapshot.retries;
-}
-
 // The eager-client-alloc boundary: references, pointers and const shared
 // handles are the sanctioned CoW currency — only by-value construction
 // (and make_shared/make_unique/vector of whole models) is a finding.

@@ -86,33 +86,6 @@ long HostTimeLeak() {
          ts.tv_sec + tv.tv_sec;
 }
 
-// --- counter-mutation ------------------------------------------------------
-
-struct FixtureCounters {
-  long screened_updates = 0;
-  long crashes = 0;
-  long retries = 0;
-  long fallbacks = 0;
-};
-
-void MutatesCountersDirectly(FixtureCounters* counters) {
-  counters->screened_updates += 1;  // LINT-EXPECT: counter-mutation
-  counters->crashes++;  // LINT-EXPECT: counter-mutation
-  ++counters->retries;  // LINT-EXPECT: counter-mutation
-  counters->fallbacks = 7;  // LINT-EXPECT: counter-mutation
-}
-
-struct OwnsCounters {
-  FixtureCounters counters_;
-  void Tamper() {
-    counters_.crashes -= 1;  // LINT-EXPECT: counter-mutation
-    robust_counters_.screened_updates++;  // LINT-EXPECT: counter-mutation
-    chaos_counters_.retries++;  // LINT-EXPECT: counter-mutation
-  }
-  FixtureCounters robust_counters_;
-  FixtureCounters chaos_counters_;
-};
-
 // --- eager-client-alloc ----------------------------------------------------
 
 namespace nn {
