@@ -113,6 +113,8 @@ std::string JsonReport(const std::vector<ChaosPoint>& points, int epochs) {
         "      \"churn_absences\": %lld,\n"
         "      \"churn_departures\": %lld,\n"
         "      \"migrations_planned\": %lld,\n"
+        "      \"migrations_completed\": %lld,\n"
+        "      \"migration_fallbacks\": %lld,\n"
         "      \"migrations_rolled_back\": %lld,\n"
         "      \"partitioned_transfers\": %lld,\n"
         "      \"outage_transfers\": %lld\n"
@@ -125,6 +127,8 @@ std::string JsonReport(const std::vector<ChaosPoint>& points, int epochs) {
         static_cast<long long>(r.chaos.churn_absences),
         static_cast<long long>(r.chaos.churn_departures),
         static_cast<long long>(r.chaos.migrations_planned),
+        static_cast<long long>(r.chaos.migrations_completed),
+        static_cast<long long>(r.chaos.migration_fallbacks),
         static_cast<long long>(r.chaos.migrations_rolled_back),
         static_cast<long long>(r.faults.partitioned_transfers),
         static_cast<long long>(r.faults.outage_transfers),
