@@ -168,8 +168,10 @@ struct RunResult {
   // quarantine events; see fl/robust.h).
   RobustCounters robust;
   // Chaos-recovery counters (migration capture/rollback ledger, quorum
-  // commits/misses, churn membership; see fl/chaos.h). All zero on a
-  // zero-chaos config with the watchdog disabled.
+  // commits/misses, churn membership; see fl/chaos.h). The ledger counts
+  // every migration, so a fault-free run has planned == completed; the
+  // watchdog and churn fields stay zero without a quorum or churn, and
+  // fallbacks and rollbacks while the fault model is off.
   ChaosCounters chaos;
   // Aggregation round (1-based) in which each client first entered
   // quarantine; -1 = never. Empty when reputation is disabled.
