@@ -28,11 +28,13 @@
 // is silently lost.
 //
 // Flags: --epochs=N (default 120), --json-out=PATH (google-benchmark JSON,
-// same schema family as BENCH_nn_ops.json), plus the shared telemetry
-// flags.
+// same schema family as BENCH_nn_ops.json: `real_time` and `cpu_time` are
+// the measured host seconds per run, `sim_time_s` the simulated run time),
+// plus the shared telemetry flags.
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -40,6 +42,7 @@
 
 #include "common.h"
 #include "obs/journal.h"
+#include "obs/trace.h"
 #include "util/csv.h"
 #include "util/file.h"
 #include "util/logging.h"
@@ -57,11 +60,14 @@ struct Condition {
 struct ChaosPoint {
   std::string name;
   fl::RunResult result;
-  // Totals re-derived from the flight-recorder event streams (all seeds),
-  // reconciled against the trainer's independently-serialized ChaosCounters
-  // when --journal-out is given.
+  // Totals re-derived from the persisted journal files (all seeds),
+  // reconciled against the ChaosCounters the trainer folded from its own
+  // event stream when --journal-out is given.
   obs::JournalSummary journal;
   int64_t epochs_run = 0;
+  // Host cost per run (mean over seeds): wall-clock and process CPU.
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
 };
 
 // The chaos script: a two-epoch partition storm every 40 epochs (each
@@ -104,6 +110,7 @@ std::string JsonReport(const std::vector<ChaosPoint>& points, int epochs) {
         "      \"real_time\": %.6e,\n"
         "      \"cpu_time\": %.6e,\n"
         "      \"time_unit\": \"s\",\n"
+        "      \"sim_time_s\": %.6e,\n"
         "      \"final_accuracy\": %.6f,\n"
         "      \"best_accuracy\": %.6f,\n"
         "      \"traffic_gb\": %.6f,\n"
@@ -119,7 +126,8 @@ std::string JsonReport(const std::vector<ChaosPoint>& points, int epochs) {
         "      \"partitioned_transfers\": %lld,\n"
         "      \"outage_transfers\": %lld\n"
         "    }%s\n",
-        points[p].name.c_str(), r.time_s, r.time_s, r.final_accuracy,
+        points[p].name.c_str(), points[p].wall_s, points[p].cpu_s, r.time_s,
+        r.final_accuracy,
         r.best_accuracy, r.traffic_gb,
         static_cast<long long>(r.chaos.quorum_commits),
         static_cast<long long>(r.chaos.quorum_misses),
@@ -194,6 +202,8 @@ int main(int argc, char** argv) {
     fl::RunResult result;
     obs::JournalSummary journal_total;
     int64_t epochs_total = 0;
+    double wall_s = 0.0;
+    double cpu_s = 0.0;
     for (uint64_t seed : seeds) {
       bench::BenchRunOptions run;
       run.max_epochs = epochs;
@@ -210,10 +220,15 @@ int main(int argc, char** argv) {
       // name carries the condition to keep the journal files apart.
       const std::string run_name =
           std::string(condition.name) + "-s" + std::to_string(seed);
+      const obs::Stopwatch wall;
+      const std::clock_t cpu_start = std::clock();
       const fl::RunResult one =
           bench::RunBenchNamed(workload, "randmigr", run,
                                bench::SnapshotFlags(), journal_flags,
                                run_name);
+      wall_s += wall.ElapsedSeconds() / num_seeds;
+      cpu_s += static_cast<double>(std::clock() - cpu_start) /
+               CLOCKS_PER_SEC / num_seeds;
       if (journal_flags.enabled()) {
         const util::Result<obs::JournalContents> contents =
             obs::ReadJournalFile(journal_flags.PathFor(run_name));
@@ -276,8 +291,8 @@ int main(int argc, char** argv) {
                          chaos.migrations_rolled_back)
         << "chaos ledger does not reconcile for " << condition.name;
 
-    // Reconciliation half two: the journal's event-derived totals must
-    // match the ChaosCounters the trainer accumulated independently.
+    // Reconciliation half two: the totals parsed back from the files must
+    // match the ChaosCounters the trainer folded in memory.
     if (journal_flags.enabled()) {
       FEDMIGR_CHECK_EQ(journal_total.epochs_run, epochs_total)
           << "journal epochs diverge for " << condition.name;
@@ -317,7 +332,8 @@ int main(int argc, char** argv) {
     table.AddCell(static_cast<int>(chaos.migrations_rolled_back));
     table.AddCell(static_cast<int>(result.faults.partitioned_transfers +
                                    result.faults.outage_transfers));
-    points.push_back({condition.name, result, journal_total, epochs_total});
+    points.push_back(
+        {condition.name, result, journal_total, epochs_total, wall_s, cpu_s});
   }
   table.Print(std::cout);
 

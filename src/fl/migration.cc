@@ -51,56 +51,29 @@ MigrationPlan PlanFromDestinations(const std::vector<int>& destination,
   return plan;
 }
 
-MigrationCost CostAndRecord(const MigrationPlan& plan,
-                            const net::Topology& topology, int64_t model_bytes,
-                            net::TrafficAccountant* traffic) {
-  return ExecuteWithFaults(plan, topology, model_bytes, traffic,
-                           /*faults=*/nullptr)
-      .cost;
-}
-
 MigrationExecution ExecuteWithFaults(const MigrationPlan& plan,
                                      const net::Topology& topology,
                                      int64_t model_bytes,
                                      net::TrafficAccountant* traffic,
                                      net::FaultInjector* faults,
-                                     const std::vector<int>* node_ids) {
-  const bool faulty = faults != nullptr && faults->enabled();
-  if (node_ids != nullptr) {
-    FEDMIGR_CHECK_EQ(node_ids->size(), plan.incoming.size());
-  }
+                                     const std::vector<int>& node_ids) {
+  FEDMIGR_CHECK(faults != nullptr);
+  FEDMIGR_CHECK_EQ(node_ids.size(), plan.incoming.size());
   MigrationExecution exec;
   exec.delivered.assign(plan.incoming.size(), false);
   exec.corrupted.assign(plan.incoming.size(), false);
   exec.via_fallback.assign(plan.incoming.size(), false);
   for (size_t j = 0; j < plan.incoming.size(); ++j) {
     if (plan.incoming[j] == static_cast<int>(j)) continue;
-    const int src = node_ids != nullptr
-                        ? (*node_ids)[static_cast<size_t>(plan.incoming[j])]
-                        : plan.incoming[j];
-    const int dst =
-        node_ids != nullptr ? (*node_ids)[j] : static_cast<int>(j);
+    const int src = node_ids[static_cast<size_t>(plan.incoming[j])];
+    const int dst = node_ids[j];
     ++exec.cost.num_moves;
     double seconds = 0.0;
     bool delivered = true;
     bool corrupted = false;
     bool used_fallback = false;
-    if (!faulty) {
-      if (plan.via_server) {
-        // Two WAN hops: src -> server, server -> dst.
-        seconds = topology.TransferSeconds(src, net::kServerId, model_bytes) +
-                  topology.TransferSeconds(net::kServerId, dst, model_bytes);
-        exec.cost.bytes += 2 * model_bytes;
-        if (traffic != nullptr) {
-          traffic->Record(src, net::kServerId, model_bytes);
-          traffic->Record(net::kServerId, dst, model_bytes);
-        }
-      } else {
-        seconds = topology.TransferSeconds(src, dst, model_bytes);
-        exec.cost.bytes += model_bytes;
-        if (traffic != nullptr) traffic->Record(src, dst, model_bytes);
-      }
-    } else if (plan.via_server) {
+    if (plan.via_server) {
+      // Two WAN hops: src -> server, server -> dst.
       const net::TransferResult up =
           faults->Transfer(src, net::kServerId, model_bytes, topology, traffic);
       seconds = up.seconds;

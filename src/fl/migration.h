@@ -47,13 +47,6 @@ struct MigrationCost {
   int num_moves = 0;
 };
 
-// Computes the traffic/time cost of executing `plan` with models of
-// `model_bytes` bytes and records every transfer in `traffic` (if non-null).
-// Does not touch any models — callers move the actual replicas.
-MigrationCost CostAndRecord(const MigrationPlan& plan,
-                            const net::Topology& topology, int64_t model_bytes,
-                            net::TrafficAccountant* traffic);
-
 // Outcome of executing a plan over a faulty network. `delivered[j]` is true
 // when destination j actually received its planned model; a move that is
 // not delivered degrades gracefully — j simply keeps the model it had.
@@ -72,23 +65,24 @@ struct MigrationExecution {
   int fallback_moves = 0;  // C2C moves re-routed through the server (C2S)
 };
 
-// Executes `plan` through the fault-aware transfer path. Failed attempts,
-// retries and fallback hops are all charged to `traffic` and to the
-// returned cost. When `faults` is null or disabled this is exactly
-// CostAndRecord with every move delivered. A C2C move whose direct link
-// gives up is re-routed via the server (two C2S hops) when the injector's
-// `server_fallback` is set; via-server plans have no further fallback.
+// Executes `plan` through the fault-aware transfer path and records every
+// transfer in `traffic` (if non-null). Does not touch any models — callers
+// move the actual replicas. Failed attempts, retries and fallback hops are
+// all charged to `traffic` and to the returned cost; a disabled injector
+// charges each move its direct transfer and delivers everything. A C2C move
+// whose direct link gives up is re-routed via the server (two C2S hops)
+// when the injector's `server_fallback` is set; via-server plans have no
+// further fallback.
 //
-// `node_ids` (optional) maps the plan's index space to global client ids:
-// a cohort-local plan over C active clients executes against the full
+// `node_ids` maps the plan's index space to global client ids: a
+// cohort-local plan over C active clients executes against the full
 // topology, and traffic/fault accounting is attributed to the real clients.
-// Null means the identity map (the plan already uses global ids).
 MigrationExecution ExecuteWithFaults(const MigrationPlan& plan,
                                      const net::Topology& topology,
                                      int64_t model_bytes,
                                      net::TrafficAccountant* traffic,
                                      net::FaultInjector* faults,
-                                     const std::vector<int>* node_ids = nullptr);
+                                     const std::vector<int>& node_ids);
 
 }  // namespace fedmigr::fl
 

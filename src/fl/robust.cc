@@ -414,8 +414,7 @@ ReputationTracker::DrainTransitions() {
   return drained;
 }
 
-void ReputationTracker::Quarantine(ClientRecord* record,
-                                   RobustCounters* counters) {
+void ReputationTracker::Quarantine(ClientRecord* record) {
   RecordTransition(static_cast<int>(record - states_.data()), record->state,
                    ReputationState::kQuarantined);
   record->state = ReputationState::kQuarantined;
@@ -427,10 +426,9 @@ void ReputationTracker::Quarantine(ClientRecord* record,
   if (record->first_quarantine_round < 0) {
     record->first_quarantine_round = round_ + 1;
   }
-  ++counters->quarantines;
 }
 
-void ReputationTracker::ReportFlagged(int client, RobustCounters* counters) {
+void ReputationTracker::ReportFlagged(int client) {
   if (!enabled() || client < 0 || client >= num_clients()) return;
   ClientRecord& record = states_[static_cast<size_t>(client)];
   switch (record.state) {
@@ -440,18 +438,18 @@ void ReputationTracker::ReportFlagged(int client, RobustCounters* counters) {
       record.state = ReputationState::kSuspect;
       record.strikes = 1;
       record.clean_streak = 0;
-      if (record.strikes >= config_.patience) Quarantine(&record, counters);
+      if (record.strikes >= config_.patience) Quarantine(&record);
       break;
     case ReputationState::kSuspect:
       // Strikes accumulate and never reset inside suspect: an attacker
       // cannot oscillate clean/flagged to stay under the radar forever.
       ++record.strikes;
       record.clean_streak = 0;
-      if (record.strikes >= config_.patience) Quarantine(&record, counters);
+      if (record.strikes >= config_.patience) Quarantine(&record);
       break;
     case ReputationState::kRehabilitating:
       // Zero tolerance during rehabilitation.
-      Quarantine(&record, counters);
+      Quarantine(&record);
       break;
     case ReputationState::kQuarantined:
       break;  // quarantined clients do not upload; defensive no-op
@@ -474,14 +472,14 @@ void ReputationTracker::ReportClean(int client) {
       break;
     case ReputationState::kRehabilitating:
       ++record.clean_streak;
-      break;  // promotion happens in AdvanceRound so counters flow there
+      break;  // promotion happens at the round tick (AdvanceRound)
     case ReputationState::kHealthy:
     case ReputationState::kQuarantined:
       break;
   }
 }
 
-void ReputationTracker::AdvanceRound(RobustCounters* counters) {
+void ReputationTracker::AdvanceRound() {
   if (!enabled()) return;
   ++round_;
   for (ClientRecord& record : states_) {
@@ -501,7 +499,6 @@ void ReputationTracker::AdvanceRound(RobustCounters* counters) {
       record.state = ReputationState::kHealthy;
       record.strikes = 0;
       record.clean_streak = 0;
-      ++counters->rehabilitations;
     }
   }
 }

@@ -5,8 +5,8 @@
 // in one round's mean — it can be *migrated* C2C and trained on by honest
 // clients, contaminating the whole lineage. Three layers:
 //
-//   1. Aggregator — pluggable aggregation rule. `Mean` is bit-identical to
-//      the legacy weighted FedAvg path; `TrimmedMean`, `CoordinateMedian`
+//   1. Aggregator — pluggable aggregation rule. `Mean` is the weighted
+//      FedAvg of Eq. 7 (the default); `TrimmedMean`, `CoordinateMedian`
 //      and `Krum`/`MultiKrum` bound the influence of up to f adversarial
 //      uploads at increasing cost in statistical efficiency.
 //   2. Update screening — per-upload gate at ingest: non-finite rejection
@@ -22,12 +22,13 @@
 //      lineage contamination.
 //
 // The all-defaults RobustConfig is inert: Mean aggregation, no screening
-// beyond the non-finite gate, no reputation — the trainer follows exactly
-// the legacy code path and produces bit-identical results.
+// beyond the non-finite gate, no reputation — plain FedAvg.
 //
-// Counters follow the FaultCounters contract: RobustCounters is plain data,
-// incremented in place by the screen, the reputation machine and the
-// trainer, and the trainer publishes each field's per-epoch growth to the
+// RobustCounters is plain data. The screen bumps its outcome fields in
+// place; the quarantine fields are folded from the trainer's event stream
+// (obs/events.h): kClientUploaded{kExcludedQuarantined} and the
+// kQuarantineTransition events the reputation machine's transition log
+// turns into. The trainer publishes each field's per-epoch growth to the
 // obs registry as an `fl/robust_*` counter.
 
 #ifndef FEDMIGR_FL_ROBUST_H_
@@ -40,6 +41,7 @@
 
 #include "net/fault.h"
 #include "nn/sequential.h"
+#include "obs/events.h"
 #include "util/rng.h"
 #include "util/serial.h"
 #include "util/status.h"
@@ -74,8 +76,8 @@ struct AggregatorOptions {
 };
 
 // Aggregation rule: writes the aggregate of `models` into `out`. `weights`
-// are per-model sample counts; Mean uses them (bit-identical to the legacy
-// weighted FedAvg), the robust rules deliberately ignore them — a sample
+// are per-model sample counts; Mean uses them (weighted FedAvg through
+// WeightedMean), the robust rules deliberately ignore them — a sample
 // count is attacker-controlled metadata, and weighting by it would hand a
 // Byzantine client a free influence multiplier.
 class Aggregator {
@@ -99,34 +101,9 @@ void WeightedMean(const std::vector<const nn::Sequential*>& models,
 // Counters
 // ---------------------------------------------------------------------------
 
-// Per-run robustness counters surfaced in RunResult / bench tables. On an
-// inert config everything except `screened_updates` stays zero (the
-// non-finite gate is always on, so every upload is screened).
-struct RobustCounters {
-  int64_t screened_updates = 0;     // uploads that entered the screen
-  int64_t nonfinite_rejected = 0;   // dropped: NaN/Inf coordinates
-  int64_t norm_clipped = 0;         // kept, update delta L2-clipped
-  int64_t norm_rejected = 0;        // dropped: delta-norm outlier
-  int64_t cosine_rejected = 0;      // dropped: cosine anomaly vs aggregate
-  int64_t attacked_updates = 0;     // models tampered by the injector
-  int64_t quarantine_excluded = 0;  // uploads skipped while quarantined
-  int64_t quarantines = 0;          // transitions into quarantine
-  int64_t rehabilitations = 0;      // rehabilitating -> healthy transitions
-
-  template <class Ar>
-  util::Status Visit(Ar& ar) {
-    ar.Io(screened_updates);
-    ar.Io(nonfinite_rejected);
-    ar.Io(norm_clipped);
-    ar.Io(norm_rejected);
-    ar.Io(cosine_rejected);
-    ar.Io(attacked_updates);
-    ar.Io(quarantine_excluded);
-    ar.Io(quarantines);
-    ar.Io(rehabilitations);
-    return ar.status();
-  }
-};
+// Per-run robustness counters surfaced in RunResult / bench tables
+// (defined beside the event fold that writes the quarantine fields).
+using RobustCounters = obs::RobustCounters;
 
 // ---------------------------------------------------------------------------
 // Update screening
@@ -229,10 +206,10 @@ class ReputationTracker {
   bool Eligible(int client) const;
 
   void ReportClean(int client);
-  void ReportFlagged(int client, RobustCounters* counters);
+  void ReportFlagged(int client);
   // Round tick: quarantine countdowns, rehabilitation promotions. Call
   // once per aggregation round, after all reports.
-  void AdvanceRound(RobustCounters* counters);
+  void AdvanceRound();
 
   // Aggregation round (1-based) in which the client first entered
   // quarantine; -1 if never. The bench's quarantine-latency column.
@@ -251,7 +228,8 @@ class ReputationTracker {
   }
 
   // One state-machine edge, recorded as it happens. Drained by the trainer
-  // once per round and re-emitted as journal kQuarantineTransition events.
+  // once per round into kQuarantineTransition events, from which the
+  // quarantine and rehabilitation counts are folded.
   struct Transition {
     int client = 0;
     ReputationState from = ReputationState::kHealthy;
@@ -284,15 +262,15 @@ class ReputationTracker {
     }
   };
 
-  void Quarantine(ClientRecord* record, RobustCounters* counters);
+  void Quarantine(ClientRecord* record);
   void RecordTransition(int client, ReputationState from, ReputationState to);
 
   // SNAPSHOT-SKIP(configuration, supplied identically on resume)
   ReputationConfig config_;
   std::vector<ClientRecord> states_;
   int round_ = 0;  // completed aggregation rounds
-  // Drained into the journal every aggregation round, so always empty at
-  // the epoch boundaries where snapshots are taken.
+  // Drained into the event stream every aggregation round, so always empty
+  // at the epoch boundaries where snapshots are taken.
   // SNAPSHOT-SKIP(drained every round; empty at snapshot boundaries)
   std::vector<Transition> transitions_;
 };
@@ -308,7 +286,7 @@ struct RobustConfig {
   ReputationConfig reputation;
 
   // True when any defense beyond the always-on non-finite gate is active.
-  // Inactive == the trainer's legacy bit-identical path.
+  // Inactive == plain FedAvg.
   bool active() const {
     return aggregator != AggregatorKind::kMean || screening.active() ||
            reputation.enabled;

@@ -22,11 +22,8 @@ void Server::SetAggregator(const Aggregator* aggregator) {
 
 void Server::Aggregate(const std::vector<const nn::Sequential*>& models,
                        const std::vector<double>& weights) {
-  if (aggregator_ != nullptr) {
-    aggregator_->Aggregate(models, weights, &global_model_);
-  } else {
-    WeightedMean(models, weights, &global_model_);
-  }
+  FEDMIGR_CHECK(aggregator_ != nullptr) << "no aggregation rule installed";
+  aggregator_->Aggregate(models, weights, &global_model_);
 }
 
 Evaluation Server::EvaluateGlobal(int batch_size) const {

@@ -25,15 +25,14 @@ class Server {
   nn::Sequential& global_model() { return global_model_; }
   const nn::Sequential& global_model() const { return global_model_; }
 
-  // Installs a non-owning aggregation rule used by Aggregate(); nullptr
-  // restores the default weighted FedAvg. The rule must outlive the server
-  // (the Trainer owns it alongside the server).
+  // Installs the non-owning aggregation rule Aggregate() uses. The rule
+  // must outlive the server (the Trainer owns it alongside the server).
   void SetAggregator(const Aggregator* aggregator);
 
-  // w_g = sum_k (n_k / N) w_k over the given models. `weights` are the n_k
-  // (any non-negative scale); at least one must be positive. With a custom
-  // aggregator installed, that rule decides instead (and may ignore the
-  // weights — see fl/robust.h).
+  // Replaces the global model with the installed rule's aggregate of
+  // `models`. `weights` are the sample counts n_k; the Mean rule computes
+  // w_g = sum_k (n_k / N) w_k (Eq. 7), the robust rules may ignore them
+  // (see fl/robust.h). Requires an installed rule.
   void Aggregate(const std::vector<const nn::Sequential*>& models,
                  const std::vector<double>& weights);
 
@@ -52,7 +51,7 @@ class Server {
  private:
   nn::Sequential global_model_;
   const data::Dataset* test_;
-  const Aggregator* aggregator_ = nullptr;  // non-owning; null = FedAvg
+  const Aggregator* aggregator_ = nullptr;  // non-owning
 };
 
 }  // namespace fedmigr::fl

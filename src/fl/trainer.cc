@@ -30,6 +30,13 @@ bool CorruptedPayloadRejected(const nn::Sequential& model) {
   return !nn::DeserializeParams(bytes, &scratch).ok();
 }
 
+// Where a trainer with no journal attached persists its events: never
+// attached, so every call returns at once without touching its state.
+obs::Journal* DetachedJournal() {
+  static obs::Journal detached{obs::Journal::Options{}};
+  return &detached;
+}
+
 // The registry series of the run counters: one table per counter struct,
 // naming each field's counter. Trainer::Run adds each field's growth over
 // an epoch to its counter; nothing else writes these series.
@@ -140,7 +147,8 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
       budget_(config_.budget),
       faults_(config_.fault),
       rng_(config_.seed),
-      pool_(std::max(1, config_.num_threads)) {
+      pool_(std::max(1, config_.num_threads)),
+      journal_(DetachedJournal()) {
   FEDMIGR_CHECK(train_ != nullptr);
   FEDMIGR_CHECK(test_ != nullptr);
   FEDMIGR_CHECK(policy_ != nullptr);
@@ -205,15 +213,18 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
   eligible_ = participating_;
   model_samples_.assign(static_cast<size_t>(k), 0.0);
 
-  // Robustness layer. The Mean default installs nothing so the server runs
-  // the literal legacy aggregation path; a disabled ReputationTracker is a
-  // no-op whose Eligible() is always true.
-  if (config_.robust.aggregator != AggregatorKind::kMean) {
-    aggregator_ = MakeAggregator(config_.robust.aggregator,
-                                 config_.robust.aggregator_options);
-    server_->SetAggregator(aggregator_.get());
-  }
+  // Robustness layer. A disabled ReputationTracker is a no-op whose
+  // Eligible() is always true.
+  aggregator_ = MakeAggregator(config_.robust.aggregator,
+                               config_.robust.aggregator_options);
+  server_->SetAggregator(aggregator_.get());
   reputation_ = ReputationTracker(config_.robust.reputation, k);
+}
+
+void Trainer::SetJournal(obs::Journal* journal) {
+  FEDMIGR_CHECK(journal == nullptr || journal->attached())
+      << "journal must be Attach()ed before it is set";
+  journal_ = journal == nullptr ? DetachedJournal() : journal;
 }
 
 Client& Trainer::ClientAt(int i) {
@@ -266,7 +277,7 @@ void Trainer::BeginRound(int64_t round) {
     return;
   }
   // The epoch this round boundary executes in (BeginRound only runs on
-  // boundary epochs) — the stamp for everything journaled below.
+  // boundary epochs) — the stamp for every event recorded below.
   const int epoch = static_cast<int>(round) * config_.agg_period + 1;
   // Retire the previous cohort (restored verbatim by LoadState on resume).
   const bool churning = config_.fault.chaos.churn_rate > 0.0;
@@ -288,8 +299,7 @@ void Trainer::BeginRound(int64_t round) {
       std::fill(dist.begin(), dist.end(), 0.0);
       model_samples_[static_cast<size_t>(i)] = 0.0;
       model_lineage_[static_cast<size_t>(i)] = 0;
-      ++chaos_counters_.churn_departures;
-      if (journal_ != nullptr) journal_->ClientDeparted(epoch, i);
+      events_.ClientDeparted(epoch, i);
     }
   }
   // Effective roster: the (seed, round)-pure sample minus churned-out
@@ -301,8 +311,7 @@ void Trainer::BeginRound(int64_t round) {
   cohort_.reserve(sampled.size() + carryover_.size());
   for (int i : sampled) {
     if (churning && faults_.ChurnedOut(i, round)) {
-      ++chaos_counters_.churn_absences;
-      if (journal_ != nullptr) journal_->ChurnAbsence(epoch, i);
+      events_.ChurnAbsence(epoch, i);
       continue;
     }
     cohort_.push_back(i);
@@ -321,8 +330,7 @@ void Trainer::BeginRound(int64_t round) {
       }
       carried.push_back(i);
       cohort_.push_back(i);
-      ++chaos_counters_.carryover_clients;
-      if (journal_ != nullptr) journal_->ClientCarriedOver(epoch, i);
+      events_.ClientCarriedOver(epoch, i);
     }
     std::inplace_merge(cohort_.begin(),
                        cohort_.begin() + static_cast<long>(sampled_n),
@@ -330,10 +338,8 @@ void Trainer::BeginRound(int64_t round) {
   }
   carryover_.clear();
   cohort_round_ = round;
-  if (journal_ != nullptr) {
-    journal_->CohortSampled(epoch, static_cast<int>(cohort_.size()),
-                            static_cast<int>(carried.size()));
-  }
+  events_.CohortSampled(epoch, static_cast<int>(cohort_.size()),
+                        static_cast<int>(carried.size()));
 
   // A sampled cohort's Model Distribution happens here, so only the clients
   // that will actually train download the aggregate. Carryover members keep
@@ -381,9 +387,7 @@ double Trainer::DistributeAggregate(int epoch,
     std::fill(dist.begin(), dist.end(), 0.0);
     model_samples_[static_cast<size_t>(i)] = 0.0;
     model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
-    if (journal_ != nullptr) {
-      journal_->ModelDistributed(epoch, i, store_.aggregate_lineage());
-    }
+    events_.ModelDistributed(epoch, i, store_.aggregate_lineage());
   }
   return download_seconds;
 }
@@ -438,13 +442,11 @@ double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
     const double samples = static_cast<double>(client.num_samples());
     loss_weighted += res.mean_loss * samples;
     total_samples += samples;
-    // Journaled from this serial reduction (never the ParallelFor above),
+    // Recorded from this serial reduction (never the ParallelFor above),
     // so the event order is independent of the pool width.
-    if (journal_ != nullptr) {
-      journal_->ClientParticipated(epoch, i, topology_.lan_of(i),
-                                   model_lineage_[static_cast<size_t>(i)],
-                                   res.mean_loss);
-    }
+    events_.ClientParticipated(epoch, i, topology_.lan_of(i),
+                               model_lineage_[static_cast<size_t>(i)],
+                               res.mean_loss);
     budget_.ConsumeCompute(static_cast<double>(res.samples_processed));
     slowest = std::max(
         slowest, net::ComputeSeconds(devices_[static_cast<size_t>(i)],
@@ -473,7 +475,7 @@ double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
       if (!client.has_model()) continue;
       ApplyAttack(config_.fault.attack_mode, config_.fault.attack_scale,
                   faults_.attack_rng(), &client.mutable_model());
-      ++robust_counters_.attacked_updates;
+      ++counts_.robust.attacked_updates;
     }
   }
 
@@ -502,16 +504,12 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
   std::vector<bool> arrived(static_cast<size_t>(k), false);
   for (int i : active) {
     if (!participating_[static_cast<size_t>(i)]) continue;
-    if (faulty && faults_.IsCrashed(i)) continue;
+    if (faults_.IsCrashed(i)) continue;
     if (!reputation_.Eligible(i)) {
       // Quarantined: the server refuses the upload outright — no transfer,
       // no traffic, no seat in the aggregate.
-      ++robust_counters_.quarantine_excluded;
-      if (journal_ != nullptr) {
-        journal_->ClientUploaded(epoch, i,
-                                 obs::UploadStatus::kExcludedQuarantined,
-                                 model_lineage_[static_cast<size_t>(i)]);
-      }
+      events_.ClientUploaded(epoch, i, obs::UploadStatus::kExcludedQuarantined,
+                             model_lineage_[static_cast<size_t>(i)]);
       continue;
     }
     Client& client = MaterializedClient(i);
@@ -529,26 +527,19 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
     if (faulty && arrival > upload_deadline) {
       // The server stopped waiting; the bytes are spent anyway.
       faults_.CountDroppedStraggler();
-      if (journal_ != nullptr) {
-        journal_->ClientUploaded(epoch, i,
-                                 obs::UploadStatus::kDroppedStraggler,
-                                 model_lineage_[static_cast<size_t>(i)]);
-      }
+      events_.ClientUploaded(epoch, i, obs::UploadStatus::kDroppedStraggler,
+                             model_lineage_[static_cast<size_t>(i)]);
       continue;
     }
     if (res.corrupted && CorruptedPayloadRejected(client.model())) {
       faults_.CountCorruptRejected();
-      if (journal_ != nullptr) {
-        journal_->ClientUploaded(epoch, i, obs::UploadStatus::kDroppedCorrupt,
-                                 model_lineage_[static_cast<size_t>(i)]);
-      }
+      events_.ClientUploaded(epoch, i, obs::UploadStatus::kDroppedCorrupt,
+                             model_lineage_[static_cast<size_t>(i)]);
       continue;
     }
     arrived[static_cast<size_t>(i)] = true;
-    if (journal_ != nullptr) {
-      journal_->ClientUploaded(epoch, i, obs::UploadStatus::kArrived,
-                               model_lineage_[static_cast<size_t>(i)]);
-    }
+    events_.ClientUploaded(epoch, i, obs::UploadStatus::kArrived,
+                           model_lineage_[static_cast<size_t>(i)]);
   }
   if (faulty && upload_seconds > upload_deadline) {
     upload_seconds = upload_deadline;
@@ -576,10 +567,7 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
         std::ceil(config_.quorum_fraction * static_cast<double>(expected) -
                   1e-12));
     if (!quorum_met) {
-      ++chaos_counters_.quorum_misses;
-      if (journal_ != nullptr) {
-        journal_->QuorumMiss(epoch, arrived_count, required);
-      }
+      events_.QuorumMiss(epoch, arrived_count, required);
       if (cohort_mode()) {
         carryover_.clear();
         for (int i : active) {
@@ -594,10 +582,7 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
       }
       return eval;
     }
-    ++chaos_counters_.quorum_commits;
-    if (journal_ != nullptr) {
-      journal_->QuorumCommit(epoch, arrived_count, required);
-    }
+    events_.QuorumCommit(epoch, arrived_count, required);
   }
 
   std::vector<const nn::Sequential*> models;
@@ -623,29 +608,24 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
     std::vector<std::unique_ptr<nn::Sequential>> clipped;
     const std::vector<ScreeningVerdict> verdicts = ScreenUpdates(
         config_.robust.screening, models, weights, server_->global_model(),
-        &kept_models, &kept_weights, &clipped, &robust_counters_);
+        &kept_models, &kept_weights, &clipped, &counts_.robust);
     for (size_t u = 0; u < uploaders.size(); ++u) {
       if (verdicts[u].flagged()) {
-        reputation_.ReportFlagged(uploaders[u], &robust_counters_);
+        reputation_.ReportFlagged(uploaders[u]);
       } else {
         reputation_.ReportClean(uploaders[u]);
       }
-      if (journal_ != nullptr) {
-        journal_->ScreenVerdict(epoch, uploaders[u], verdicts[u].flagged());
-      }
+      events_.ScreenVerdict(epoch, uploaders[u], verdicts[u].flagged());
     }
     if (!kept_models.empty()) server_->Aggregate(kept_models, kept_weights);
   }
-  reputation_.AdvanceRound(&robust_counters_);
-  // Drain the reputation machine's transition log every round (not just
-  // when journaling) so it never accumulates across rounds.
+  reputation_.AdvanceRound();
+  // The transition log becomes events every round; the quarantine and
+  // rehabilitation counts are folded from them.
   for (const ReputationTracker::Transition& t :
        reputation_.DrainTransitions()) {
-    if (journal_ != nullptr) {
-      journal_->QuarantineTransition(epoch, t.client,
-                                     static_cast<int>(t.from),
-                                     static_cast<int>(t.to));
-    }
+    events_.QuarantineTransition(epoch, t.client, static_cast<int>(t.from),
+                                 static_cast<int>(t.to));
   }
   Evaluation eval;
   if (evaluate) {
@@ -656,10 +636,8 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
   // Publish the (possibly refreshed) aggregate into the CoW store: one deep
   // copy + one flatten per aggregation, shared by every alias.
   store_.Publish(server_->global_model());
-  if (journal_ != nullptr) {
-    journal_->ModelPublished(epoch, store_.aggregate_lineage(),
-                             store_.parent_lineage());
-  }
+  events_.ModelPublished(epoch, store_.aggregate_lineage(),
+                         store_.parent_lineage());
 
   // Full participation distributes at commit, to every reachable client —
   // participants or not; a sampled cohort defers it to the next round's
@@ -669,7 +647,7 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
     std::vector<int> targets;
     targets.reserve(identity_.size());
     for (int i : identity_) {
-      if (!(faulty && faults_.IsCrashed(i))) targets.push_back(i);
+      if (!faults_.IsCrashed(i)) targets.push_back(i);
     }
     download_seconds = DistributeAggregate(epoch, targets);
   }
@@ -721,7 +699,6 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
     move.samples = model_samples_[static_cast<size_t>(src)];
     move.lineage = model_lineage_[static_cast<size_t>(src)];
     moves.push_back(std::move(move));
-    ++chaos_counters_.migrations_planned;
   }
   int installed = 0;
   for (Move& move : moves) {
@@ -732,30 +709,18 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
       model_samples_[static_cast<size_t>(move.dst)] = move.samples;
       model_lineage_[static_cast<size_t>(move.dst)] = move.lineage;
       ++installed;
-      if (move.fallback) {
-        ++chaos_counters_.migration_fallbacks;
-      } else {
-        ++chaos_counters_.migrations_completed;
-      }
-      if (journal_ != nullptr) {
-        journal_->MigrationHop(epoch, move.src, move.dst,
-                               move.fallback
-                                   ? obs::MigrationRoute::kServerFallback
-                                   : obs::MigrationRoute::kC2C,
-                               move.lineage);
-      }
+      events_.MigrationHop(epoch, move.src, move.dst,
+                           move.fallback ? obs::MigrationRoute::kServerFallback
+                                         : obs::MigrationRoute::kC2C,
+                           move.lineage);
     } else {
       // Roll back: drop the captured ref, then re-promote the source (a
       // no-op if its block is still aliased elsewhere — exactly the
       // pre-capture ownership state either way).
       move.model = nullptr;
       MaterializedClient(move.src).ReclaimModel();
-      ++chaos_counters_.migrations_rolled_back;
-      if (journal_ != nullptr) {
-        journal_->MigrationHop(epoch, move.src, move.dst,
-                               obs::MigrationRoute::kRolledBack,
-                               move.lineage);
-      }
+      events_.MigrationHop(epoch, move.src, move.dst,
+                           obs::MigrationRoute::kRolledBack, move.lineage);
     }
   }
   // The atomicity invariant: every planned source either shipped its block
@@ -844,8 +809,8 @@ int Trainer::MigrationPhase(int epoch, double loss) {
     }
   }
 
-  MigrationExecution exec = ExecuteWithFaults(
-      plan, topology_, model_bytes_, &traffic_, &faults_, &ids);
+  MigrationExecution exec =
+      ExecuteWithFaults(plan, topology_, model_bytes_, &traffic_, &faults_, ids);
   budget_.ConsumeBandwidth(static_cast<double>(exec.cost.bytes));
   budget_.ConsumeTime(exec.cost.seconds);
 
@@ -890,25 +855,29 @@ Evaluation Trainer::VirtualEvaluation() {
   return server_->Evaluate(aggregate, config_.batch_size * 2);
 }
 
+void Trainer::CommitEvents(int epoch) {
+  for (const obs::JournalEvent& event : events_.events()) {
+    obs::FoldEvent(event, &counts_);
+  }
+  const util::Status committed = journal_->CommitEpoch(epoch, events_.events());
+  FEDMIGR_CHECK(committed.ok())
+      << "journal commit failed: " << committed.message();
+  events_.Clear();
+}
+
 RunResult Trainer::Run() {
   result_.scheme = config_.scheme_name;
   result_.interrupted = false;
 
-  // Checked live at each use below (not latched): the epoch hook may
-  // install or detach the journal between epochs — the overhead harness in
-  // bench_telemetry toggles it per epoch, exactly like obs::Telemetry.
-  if (journal_ != nullptr) {
-    FEDMIGR_CHECK(journal_->attached())
-        << "journal must be Attach()ed before Run()";
-    if (!journal_->header_written()) {
-      obs::JournalHeader header;
-      header.run_seed = config_.seed;
-      header.num_clients = num_clients();
-      header.cohort_size = config_.cohort_size;
-      header.scheme = config_.scheme_name;
-      journal_->BeginRun(header);
-    }
-  }
+  // The epoch hook may install or detach the journal between epochs (the
+  // overhead harness in bench_telemetry toggles it per epoch), so journal_
+  // is read afresh at each commit. A journal attached here gets the header.
+  obs::JournalHeader header;
+  header.run_seed = config_.seed;
+  header.num_clients = num_clients();
+  header.cohort_size = config_.cohort_size;
+  header.scheme = config_.scheme_name;
+  journal_->BeginRun(header);
 
   for (int epoch = progress_.next_epoch;
        !progress_.done && epoch <= config_.max_epochs; ++epoch) {
@@ -919,8 +888,8 @@ RunResult Trainer::Run() {
     // The run counters as the epoch starts; the telemetry block publishes
     // their growth.
     const net::FaultCounters faults_before = faults_.counters();
-    const RobustCounters robust_before = robust_counters_;
-    const ChaosCounters chaos_before = chaos_counters_;
+    const RobustCounters robust_before = counts_.robust;
+    const ChaosCounters chaos_before = counts_.chaos;
     const TrafficTotals traffic_before = Totals(traffic_);
 
     // Epoch tick for the injector: crash/straggler rolls happen on its own
@@ -932,18 +901,18 @@ RunResult Trainer::Run() {
     // Chaos window edges: the injector's schedule is pure in the epoch, so
     // an edge is simply this epoch's sealed/down state differing from the
     // previous epoch's — the same comparison on a fresh and a resumed run.
-    if (journal_ != nullptr && (config_.fault.chaos.has_partitions() ||
-                                config_.fault.chaos.has_outages())) {
+    if (config_.fault.chaos.has_partitions() ||
+        config_.fault.chaos.has_outages()) {
       for (int lan = 0; lan < topology_.num_lans(); ++lan) {
         const bool sealed = faults_.LanSealed(lan, epoch);
         const bool was_sealed = epoch > 1 && faults_.LanSealed(lan, epoch - 1);
-        if (sealed && !was_sealed) journal_->ChaosLanSealed(epoch, lan);
-        if (!sealed && was_sealed) journal_->ChaosLanOpened(epoch, lan);
+        if (sealed && !was_sealed) events_.ChaosLanSealed(epoch, lan);
+        if (!sealed && was_sealed) events_.ChaosLanOpened(epoch, lan);
       }
       const bool down = faults_.ServerDown(epoch);
       const bool was_down = epoch > 1 && faults_.ServerDown(epoch - 1);
-      if (down && !was_down) journal_->ChaosServerDown(epoch);
-      if (!down && was_down) journal_->ChaosServerUp(epoch);
+      if (down && !was_down) events_.ChaosServerDown(epoch);
+      if (!down && was_down) events_.ChaosServerUp(epoch);
     }
 
     // A new global iteration starts right after each aggregation.
@@ -952,14 +921,12 @@ RunResult Trainer::Run() {
     }
     RollAvailability();
 
-    if (journal_ != nullptr) {
-      int available_count = 0;
-      for (int i : active_clients()) {
-        if (available_[static_cast<size_t>(i)]) ++available_count;
-      }
-      journal_->RoundBegin(epoch, static_cast<int>(active_clients().size()),
-                           available_count, store_.aggregate_lineage());
+    int available_count = 0;
+    for (int i : active_clients()) {
+      if (available_[static_cast<size_t>(i)]) ++available_count;
     }
+    events_.RoundBegin(epoch, static_cast<int>(active_clients().size()),
+                       available_count, store_.aggregate_lineage());
     // A publish this epoch moves the store's lineage head; comparing after
     // the phases tells the round-commit event whether one happened.
     const int64_t lineage_before = store_.aggregate_lineage();
@@ -1000,6 +967,20 @@ RunResult Trainer::Run() {
         static_cast<double>(traffic_.total_bytes()) / 1e9;
     result_.history.push_back(record);
 
+    // The round commit closes the epoch's events: they are folded into the
+    // run counters before the telemetry block publishes their growth, and
+    // persisted before the hook may snapshot — Attach(epoch) then keeps
+    // exactly the chunks committed so far, so kill-anywhere resume replays
+    // to a byte-equal journal.
+    int participated = 0;
+    for (int i : active_clients()) {
+      if (participating_[static_cast<size_t>(i)]) ++participated;
+    }
+    events_.RoundCommitted(epoch, participated,
+                           store_.aggregate_lineage() != lineage_before,
+                           store_.aggregate_lineage(), record.train_loss);
+    CommitEvents(epoch);
+
     if (obs::Telemetry::enabled()) {
       // Simulated-time spans go on the pid-2 tracks so a trace shows what
       // the simulation modelled next to what the host actually spent.
@@ -1029,8 +1010,8 @@ RunResult Trainer::Run() {
       train_loss->Set(record.train_loss);
       test_accuracy->Set(record.test_accuracy);
       PublishGrowth(kFaultSeries, faults_before, faults_.counters());
-      PublishGrowth(kRobustSeries, robust_before, robust_counters_);
-      PublishGrowth(kChaosSeries, chaos_before, chaos_counters_);
+      PublishGrowth(kRobustSeries, robust_before, counts_.robust);
+      PublishGrowth(kChaosSeries, chaos_before, counts_.chaos);
       PublishGrowth(kTrafficSeries, traffic_before, Totals(traffic_));
       if (config_.fault.chaos.enabled()) {
         static obs::Gauge* partitions_active =
@@ -1092,38 +1073,19 @@ RunResult Trainer::Run() {
       progress_.done = true;
     }
 
-    // Flush the epoch's events as one frame BEFORE the hook: a snapshot
-    // taken there resumes at epoch + 1, and Attach(epoch) keeps exactly the
-    // chunks committed so far — kill-anywhere resume replays to a
-    // byte-equal journal.
-    if (journal_ != nullptr) {
-      int participated = 0;
-      for (int i : active_clients()) {
-        if (participating_[static_cast<size_t>(i)]) ++participated;
-      }
-      journal_->RoundCommitted(epoch, participated,
-                               store_.aggregate_lineage() != lineage_before,
-                               store_.aggregate_lineage(), record.train_loss);
-      const util::Status committed = journal_->CommitEpoch(epoch);
-      FEDMIGR_CHECK(committed.ok())
-          << "journal commit failed: " << committed.message();
-    }
-
     if (epoch_hook_ && !epoch_hook_(*this, epoch) && !progress_.done) {
       result_.interrupted = true;
       break;
     }
   }
 
-  if (journal_ != nullptr) {
-    // Clean completion seals the journal with the summary chunk; an
-    // interrupted run only syncs — the resumed run appends the rest.
-    const util::Status sealed =
-        progress_.done && !result_.interrupted ? journal_->EndRun()
-                                               : journal_->Finish();
-    FEDMIGR_CHECK(sealed.ok())
-        << "journal finalize failed: " << sealed.message();
-  }
+  // Clean completion seals the journal with the summary chunk; an
+  // interrupted run only syncs — the resumed run appends the rest.
+  const util::Status sealed = progress_.done && !result_.interrupted
+                                  ? journal_->EndRun()
+                                  : journal_->Finish();
+  FEDMIGR_CHECK(sealed.ok()) << "journal finalize failed: "
+                             << sealed.message();
 
   result_.final_accuracy = progress_.last_accuracy;
   result_.time_s = budget_.time_used();
@@ -1135,8 +1097,8 @@ RunResult Trainer::Run() {
   result_.c2s_down_gb = traffic_.c2s_down_gb();
   result_.traffic = traffic_;
   result_.faults = faults_.counters();
-  result_.robust = robust_counters_;
-  result_.chaos = chaos_counters_;
+  result_.robust = counts_.robust;
+  result_.chaos = counts_.chaos;
   if (reputation_.enabled()) {
     result_.first_quarantine_round.assign(static_cast<size_t>(num_clients()),
                                           -1);
@@ -1210,9 +1172,8 @@ struct Trainer::Staged {
   std::vector<std::vector<double>> model_distributions_;
   std::vector<double> model_samples_;
   nn::Sequential global_;
-  RobustCounters robust_counters_;
+  obs::EventCounts counts_;
   ReputationTracker reputation_;
-  ChaosCounters chaos_counters_;
   std::vector<int> cohort_;
   int64_t cohort_round_ = -1;
   std::vector<int> carryover_;
@@ -1356,14 +1317,14 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
 
   // v2: robustness layer (counters + reputation). `eligible_` is derived
   // state, recomputed from availability and reputation on load.
-  ar.Io(s.robust_counters_);
+  ar.Io(s.counts_.robust);
   ar.Io(s.reputation_);
 
   // v4: chaos layer. The effective cohort must be stored (not recomputed):
   // under churn and quorum carryover it is no longer a pure function of
   // (seed, round), and a kill inside a round must resume with exactly the
   // members that were active when the round began.
-  ar.Io(s.chaos_counters_);
+  ar.Io(s.counts_.chaos);
   ar.Io(s.cohort_);
   ar.Io(s.cohort_round_);
   ar.Io(s.carryover_);
@@ -1426,7 +1387,7 @@ void Trainer::Commit(Staged&& s) {
   model_distributions_ = std::move(s.model_distributions_);
   model_samples_ = std::move(s.model_samples_);
   server_->global_model() = std::move(s.global_);
-  robust_counters_ = s.robust_counters_;
+  counts_ = s.counts_;
   reputation_ = std::move(s.reputation_);
   for (size_t i = 0; i < eligible_.size(); ++i) {
     eligible_[i] =
@@ -1434,7 +1395,6 @@ void Trainer::Commit(Staged&& s) {
   }
   // The effective cohort is restored, not recomputed: under churn and
   // quorum carryover only the snapshot knows who was active mid-round.
-  chaos_counters_ = s.chaos_counters_;
   cohort_ = std::move(s.cohort_);
   cohort_round_ = s.cohort_round_;
   carryover_ = std::move(s.carryover_);

@@ -25,7 +25,6 @@
 #include "data/dataset.h"
 #include "data/partition.h"
 #include "dp/gaussian.h"
-#include "fl/chaos.h"
 #include "fl/client.h"
 #include "fl/cohort.h"
 #include "fl/model_store.h"
@@ -37,6 +36,7 @@
 #include "net/fault.h"
 #include "net/topology.h"
 #include "net/traffic.h"
+#include "obs/events.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "util/serial.h"
@@ -84,9 +84,9 @@ struct TrainerConfig {
   // exactly the fault-free code path and produces bit-identical results.
   net::FaultConfig fault;
   // Byzantine-robust aggregation, update screening and client quarantine
-  // (see fl/robust.h). The default config is inert in the same sense: Mean
-  // aggregation through the legacy kernel, no screening beyond the
-  // always-on non-finite gate, no reputation — bit-identical results.
+  // (see fl/robust.h). The default config is inert: Mean aggregation
+  // (weighted FedAvg), no screening beyond the always-on non-finite gate,
+  // no reputation.
   RobustConfig robust;
   // Round-progress watchdog: an aggregation round commits (aggregate +
   // publish) only when at least ceil(quorum_fraction * expected) uploads
@@ -104,6 +104,10 @@ struct TrainerConfig {
   // Client-parallel local updating. Worth raising only on multi-core hosts.
   int num_threads = 1;
 };
+
+// The chaos ledger: migration routes, the quorum watchdog and fleet churn,
+// each the fold of the events that record them (obs/events.h).
+using ChaosCounters = obs::ChaosCounters;
 
 struct EpochRecord {
   int epoch = 0;
@@ -168,10 +172,7 @@ struct RunResult {
   // quarantine events; see fl/robust.h).
   RobustCounters robust;
   // Chaos-recovery counters (migration capture/rollback ledger, quorum
-  // commits/misses, churn membership; see fl/chaos.h). The ledger counts
-  // every migration, so a fault-free run has planned == completed; the
-  // watchdog and churn fields stay zero without a quorum or churn, and
-  // fallbacks and rollbacks while the fault model is off.
+  // commits/misses, churn membership), folded from the run's events.
   ChaosCounters chaos;
   // Aggregation round (1-based) in which each client first entered
   // quarantine; -1 = never. Empty when reputation is disabled.
@@ -236,14 +237,12 @@ class Trainer {
   using EpochHook = std::function<bool(const Trainer&, int epoch)>;
   void SetEpochHook(EpochHook hook) { epoch_hook_ = std::move(hook); }
 
-  // Attaches the flight recorder (obs/journal.h). Non-owning; the journal
-  // must be Attach()ed and outlive Run(). Events are emitted only from the
-  // serial sections of the loop and committed once per epoch, so the
-  // journal is byte-identical across thread counts and kill/resume. May be
-  // installed or detached from the epoch hook (epochs recorded while
-  // detached simply have no chunk) — the bench_telemetry overhead harness
-  // toggles it per epoch.
-  void SetJournal(obs::Journal* journal) { journal_ = journal; }
+  // Attaches the flight recorder (obs/journal.h); nullptr detaches it.
+  // Non-owning; the journal must be Attach()ed and outlive Run(). It
+  // persists the event stream the trainer always records, one chunk per
+  // epoch, and changes no counter. May be toggled from the epoch hook
+  // (epochs run while detached have no chunk), as bench_telemetry does.
+  void SetJournal(obs::Journal* journal);
 
   // Per-client lineage id (the publish the client's model descends from;
   // 0 = pre-publish). Exposed for the lineage tests.
@@ -381,13 +380,20 @@ class Trainer {
   void ResampleParticipants();
   void RollAvailability();
 
-  // Robustness state: the aggregation rule installed into the server (null
-  // = legacy FedAvg), per-client reputation, and the run's counters.
+  // Robustness state: the aggregation rule installed into the server and
+  // per-client reputation.
   // SNAPSHOT-SKIP(rebuilt from config_.robust at construction)
   std::unique_ptr<Aggregator> aggregator_;
   ReputationTracker reputation_;
-  RobustCounters robust_counters_;
-  ChaosCounters chaos_counters_;
+
+  // This epoch's events, and the run counters folded from every committed
+  // epoch (plus the screen's in-place counts). The snapshot keeps
+  // counts_.robust and counts_.chaos; nothing reads the other two here.
+  // SNAPSHOT-SKIP(cleared at every epoch commit, so empty at snapshots)
+  obs::EventBuffer events_;
+  obs::EventCounts counts_;
+  // Folds the epoch's events into counts_ and persists them.
+  void CommitEvents(int epoch);
 
   // Run-loop state promoted to members so a run can be snapshotted between
   // epochs and continued bit-identically.
@@ -402,9 +408,10 @@ class Trainer {
   RunResult result_;
   EpochHook epoch_hook_;  // SNAPSHOT-SKIP(caller-installed callback)
   // The journal's durability is its own frame-per-epoch append plus the
-  // resume-time truncation — nothing of it rides in the snapshot.
+  // resume-time truncation — nothing of it rides in the snapshot. Never
+  // null: detached, it is a never-attached journal that persists nothing.
   // SNAPSHOT-SKIP(caller-attached recorder with its own durability)
-  obs::Journal* journal_ = nullptr;
+  obs::Journal* journal_;
 };
 
 }  // namespace fedmigr::fl

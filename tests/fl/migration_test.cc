@@ -1,9 +1,30 @@
 #include "fl/migration.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include <gtest/gtest.h>
 
 namespace fedmigr::fl {
 namespace {
+
+// Executes `plan` over global ids (the identity id map).
+MigrationExecution Execute(const MigrationPlan& plan,
+                           const net::Topology& topology, int64_t model_bytes,
+                           net::TrafficAccountant* traffic,
+                           net::FaultInjector* faults) {
+  std::vector<int> ids(plan.incoming.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  return ExecuteWithFaults(plan, topology, model_bytes, traffic, faults, ids);
+}
+
+// The cost of `plan` under a default (disabled) injector.
+MigrationCost FaultFreeCost(const MigrationPlan& plan,
+                            const net::Topology& topology, int64_t model_bytes,
+                            net::TrafficAccountant* traffic) {
+  net::FaultInjector faults;
+  return Execute(plan, topology, model_bytes, traffic, &faults).cost;
+}
 
 TEST(MigrationPlanTest, IdentityProperties) {
   const MigrationPlan plan = MigrationPlan::Identity(5);
@@ -52,7 +73,7 @@ TEST(PlanFromDestinationsTest, NonPermutationSingleMove) {
 TEST(CostTest, IdentityCostsNothing) {
   const net::Topology topology = net::MakeC10SimTopology();
   net::TrafficAccountant traffic;
-  const MigrationCost cost = CostAndRecord(MigrationPlan::Identity(10),
+  const MigrationCost cost = FaultFreeCost(MigrationPlan::Identity(10),
                                            topology, 1 << 20, &traffic);
   EXPECT_EQ(cost.bytes, 0);
   EXPECT_EQ(cost.seconds, 0.0);
@@ -65,7 +86,7 @@ TEST(CostTest, C2cMoveChargesOneTransfer) {
   MigrationPlan plan = MigrationPlan::Identity(10);
   plan.incoming[1] = 0;  // 0 -> 1, intra-LAN
   const MigrationCost cost =
-      CostAndRecord(plan, topology, 1000, &traffic);
+      FaultFreeCost(plan, topology, 1000, &traffic);
   EXPECT_EQ(cost.bytes, 1000);
   EXPECT_EQ(cost.num_moves, 1);
   EXPECT_EQ(traffic.c2c_bytes(), 1000);
@@ -79,7 +100,7 @@ TEST(CostTest, ViaServerChargesTwoWanHops) {
   MigrationPlan plan = MigrationPlan::Identity(10);
   plan.incoming[1] = 0;
   plan.via_server = true;
-  const MigrationCost cost = CostAndRecord(plan, topology, 1000, &traffic);
+  const MigrationCost cost = FaultFreeCost(plan, topology, 1000, &traffic);
   EXPECT_EQ(cost.bytes, 2000);
   EXPECT_EQ(traffic.c2s_bytes(), 2000);
   EXPECT_EQ(traffic.c2c_bytes(), 0);
@@ -92,7 +113,7 @@ TEST(CostTest, ParallelMovesTakeMaxTime) {
   plan.incoming[1] = 0;  // intra-LAN (fast)
   plan.incoming[5] = 4;  // intra-LAN
   plan.incoming[8] = 2;  // cross-LAN (slower)
-  const MigrationCost cost = CostAndRecord(plan, topology, 1 << 20, nullptr);
+  const MigrationCost cost = FaultFreeCost(plan, topology, 1 << 20, nullptr);
   EXPECT_EQ(cost.num_moves, 3);
   EXPECT_NEAR(cost.seconds, topology.TransferSeconds(2, 8, 1 << 20), 1e-12);
 }
@@ -101,7 +122,7 @@ TEST(CostTest, NullTrafficAccountantAllowed) {
   const net::Topology topology = net::MakeC10SimTopology();
   MigrationPlan plan = MigrationPlan::Identity(10);
   plan.incoming[3] = 7;
-  const MigrationCost cost = CostAndRecord(plan, topology, 500, nullptr);
+  const MigrationCost cost = FaultFreeCost(plan, topology, 500, nullptr);
   EXPECT_EQ(cost.bytes, 500);
 }
 
@@ -120,21 +141,21 @@ TEST(MigrationPlanTest, OutOfRangeSourceIsNotPermutation) {
   EXPECT_FALSE(plan.IsPermutation());
 }
 
-TEST(ExecuteWithFaultsTest, NullInjectorMatchesCostAndRecord) {
+TEST(ExecuteWithFaultsTest, DisabledInjectorChargesTheDirectTransfers) {
   const net::Topology topology = net::MakeC10SimTopology();
   MigrationPlan plan = MigrationPlan::Identity(10);
   plan.incoming[1] = 0;
   plan.incoming[8] = 2;
-  net::TrafficAccountant direct_traffic;
-  const MigrationCost direct =
-      CostAndRecord(plan, topology, 1 << 20, &direct_traffic);
-  net::TrafficAccountant faulty_traffic;
+  net::FaultInjector faults;  // disabled
+  net::TrafficAccountant traffic;
   const MigrationExecution exec =
-      ExecuteWithFaults(plan, topology, 1 << 20, &faulty_traffic, nullptr);
-  EXPECT_EQ(exec.cost.seconds, direct.seconds);
-  EXPECT_EQ(exec.cost.bytes, direct.bytes);
-  EXPECT_EQ(exec.cost.num_moves, direct.num_moves);
-  EXPECT_EQ(faulty_traffic.c2c_bytes(), direct_traffic.c2c_bytes());
+      Execute(plan, topology, 1 << 20, &traffic, &faults);
+  EXPECT_EQ(exec.cost.seconds,
+            std::max(topology.TransferSeconds(0, 1, 1 << 20),
+                     topology.TransferSeconds(2, 8, 1 << 20)));
+  EXPECT_EQ(exec.cost.bytes, 2 << 20);
+  EXPECT_EQ(exec.cost.num_moves, 2);
+  EXPECT_EQ(traffic.c2c_bytes(), 2 << 20);
   EXPECT_EQ(exec.failed_moves, 0);
   EXPECT_EQ(exec.fallback_moves, 0);
   ASSERT_EQ(exec.delivered.size(), 10u);
@@ -149,7 +170,7 @@ TEST(ExecuteWithFaultsTest, DisabledInjectorDeliversEverything) {
   plan.incoming[3] = 7;
   net::FaultInjector faults;  // disabled
   const MigrationExecution exec =
-      ExecuteWithFaults(plan, topology, 1000, nullptr, &faults);
+      Execute(plan, topology, 1000, nullptr, &faults);
   EXPECT_TRUE(exec.delivered[3]);
   EXPECT_EQ(exec.failed_moves, 0);
   EXPECT_EQ(exec.cost.bytes, 1000);
@@ -165,7 +186,7 @@ TEST(ExecuteWithFaultsTest, FailedDirectMoveFallsBackViaServer) {
   net::FaultInjector faults(config);
   net::TrafficAccountant traffic;
   const MigrationExecution exec =
-      ExecuteWithFaults(plan, topology, 1000, &traffic, &faults);
+      Execute(plan, topology, 1000, &traffic, &faults);
   // The direct C2C attempt failed; the fallback re-route would have been
   // attempted via the server (two C2S hops), but with a near-certain
   // failure probability those hops fail too. Either way the direct bytes
@@ -193,7 +214,7 @@ TEST(ExecuteWithFaultsTest, FallbackDeliversWhenOnlyOneLinkIsBad) {
   net::FaultInjector faults(config);
   net::TrafficAccountant traffic;
   const MigrationExecution exec =
-      ExecuteWithFaults(plan, topology, 1000, &traffic, &faults);
+      Execute(plan, topology, 1000, &traffic, &faults);
   // With 9 attempts per hop at p=0.4, delivery (direct or via fallback) is
   // effectively certain and deterministic for the fixed seed.
   EXPECT_TRUE(exec.delivered[1]);
@@ -209,7 +230,7 @@ TEST(ExecuteWithFaultsTest, CorruptionIsFlaggedPerDestination) {
   config.corruption_prob = 1.0;
   net::FaultInjector faults(config);
   const MigrationExecution exec =
-      ExecuteWithFaults(plan, topology, 1000, nullptr, &faults);
+      Execute(plan, topology, 1000, nullptr, &faults);
   EXPECT_TRUE(exec.delivered[1]);
   EXPECT_TRUE(exec.corrupted[1]);
   EXPECT_TRUE(exec.corrupted[5]);
@@ -227,7 +248,7 @@ TEST(ExecuteWithFaultsTest, ViaServerPlansHaveNoFurtherFallback) {
   net::FaultInjector faults(config);
   net::TrafficAccountant traffic;
   const MigrationExecution exec =
-      ExecuteWithFaults(plan, topology, 1000, &traffic, &faults);
+      Execute(plan, topology, 1000, &traffic, &faults);
   EXPECT_FALSE(exec.delivered[1]);
   EXPECT_EQ(exec.failed_moves, 1);
   EXPECT_EQ(exec.fallback_moves, 0);

@@ -20,6 +20,7 @@
 #include "nn/layers.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"
+#include "obs/events.h"
 #include "util/rng.h"
 
 namespace fedmigr::fl {
@@ -276,6 +277,23 @@ TEST(ScreeningTest, NormOutlierRejectedAndClipApplied) {
 // Reputation state machine
 // ---------------------------------------------------------------------------
 
+// Drains the tracker's transition log into events and folds them into
+// `counters`, as the trainer does every aggregation round.
+void FoldTransitions(ReputationTracker* tracker, RobustCounters* counters) {
+  obs::EventBuffer events;
+  for (const ReputationTracker::Transition& t : tracker->DrainTransitions()) {
+    events.QuarantineTransition(/*epoch=*/0, t.client,
+                                static_cast<int>(t.from),
+                                static_cast<int>(t.to));
+  }
+  obs::EventCounts counts;
+  counts.robust = *counters;
+  for (const obs::JournalEvent& event : events.events()) {
+    obs::FoldEvent(event, &counts);
+  }
+  *counters = counts.robust;
+}
+
 TEST(ReputationTest, AlwaysFlaggedClientQuarantinedAtPatience) {
   ReputationConfig config;
   config.enabled = true;
@@ -286,15 +304,16 @@ TEST(ReputationTest, AlwaysFlaggedClientQuarantinedAtPatience) {
 
   for (int round = 1; round <= config.patience; ++round) {
     EXPECT_TRUE(tracker.Eligible(0)) << "round " << round;
-    tracker.ReportFlagged(0, &counters);
+    tracker.ReportFlagged(0);
     tracker.ReportClean(1);
-    tracker.AdvanceRound(&counters);
+    tracker.AdvanceRound();
   }
   // Quarantined at exactly round `patience` — well before 2x patience.
   EXPECT_FALSE(tracker.Eligible(0));
   EXPECT_EQ(tracker.state(0), ReputationState::kQuarantined);
   EXPECT_EQ(tracker.first_quarantine_round(0), config.patience);
   EXPECT_LT(tracker.first_quarantine_round(0), 2 * config.patience);
+  FoldTransitions(&tracker, &counters);
   EXPECT_EQ(counters.quarantines, 1);
   // The clean bystander never left healthy.
   EXPECT_EQ(tracker.state(1), ReputationState::kHealthy);
@@ -314,7 +333,6 @@ TEST(ReputationTest, NoClientStaysInSuspectForever) {
   util::Rng rng(99);
   for (int trial = 0; trial < 50; ++trial) {
     ReputationTracker tracker(config, 1);
-    RobustCounters counters;
     int consecutive_suspect = 0;
     for (int round = 0; round < 200; ++round) {
       if (tracker.state(0) == ReputationState::kSuspect) {
@@ -325,12 +343,12 @@ TEST(ReputationTest, NoClientStaysInSuspectForever) {
       }
       if (tracker.Eligible(0)) {
         if (rng.Bernoulli(0.5)) {
-          tracker.ReportFlagged(0, &counters);
+          tracker.ReportFlagged(0);
         } else {
           tracker.ReportClean(0);
         }
       }
-      tracker.AdvanceRound(&counters);
+      tracker.AdvanceRound();
     }
   }
 }
@@ -345,36 +363,38 @@ TEST(ReputationTest, RehabilitationRestoresEligibilityAndRelapsesOnFlag) {
 
   // Straight to quarantine.
   for (int i = 0; i < config.patience; ++i) {
-    tracker.ReportFlagged(0, &counters);
-    tracker.AdvanceRound(&counters);
+    tracker.ReportFlagged(0);
+    tracker.AdvanceRound();
   }
   ASSERT_EQ(tracker.state(0), ReputationState::kQuarantined);
 
   // Serve the full quarantine; eligibility comes back as rehabilitating.
   for (int i = 0; i < config.quarantine_rounds; ++i) {
     EXPECT_FALSE(tracker.Eligible(0));
-    tracker.AdvanceRound(&counters);
+    tracker.AdvanceRound();
   }
   EXPECT_EQ(tracker.state(0), ReputationState::kRehabilitating);
   EXPECT_TRUE(tracker.Eligible(0));
 
   // One flag during rehabilitation relapses immediately.
-  tracker.ReportFlagged(0, &counters);
+  tracker.ReportFlagged(0);
   EXPECT_EQ(tracker.state(0), ReputationState::kQuarantined);
+  FoldTransitions(&tracker, &counters);
   EXPECT_EQ(counters.quarantines, 2);
-  tracker.AdvanceRound(&counters);  // the round that triggered the relapse
+  tracker.AdvanceRound();  // the round that triggered the relapse
 
   // Serve again, then a clean streak of `patience` promotes to healthy.
   for (int i = 0; i < config.quarantine_rounds; ++i) {
-    tracker.AdvanceRound(&counters);
+    tracker.AdvanceRound();
   }
   ASSERT_EQ(tracker.state(0), ReputationState::kRehabilitating);
   for (int i = 0; i < config.patience; ++i) {
     tracker.ReportClean(0);
-    tracker.AdvanceRound(&counters);
+    tracker.AdvanceRound();
   }
   EXPECT_EQ(tracker.state(0), ReputationState::kHealthy);
   EXPECT_TRUE(tracker.Eligible(0));
+  FoldTransitions(&tracker, &counters);
   EXPECT_EQ(counters.rehabilitations, 1);
 }
 
@@ -384,14 +404,13 @@ TEST(ReputationTest, StateRoundTripsByteEqual) {
   config.patience = 2;
   config.quarantine_rounds = 3;
   ReputationTracker tracker(config, 4);
-  RobustCounters counters;
   // Mixed states: quarantined, suspect, healthy, rehabilitating-ish.
-  tracker.ReportFlagged(0, &counters);
-  tracker.ReportFlagged(1, &counters);
-  tracker.AdvanceRound(&counters);
-  tracker.ReportFlagged(0, &counters);
+  tracker.ReportFlagged(0);
+  tracker.ReportFlagged(1);
+  tracker.AdvanceRound();
+  tracker.ReportFlagged(0);
   tracker.ReportClean(2);
-  tracker.AdvanceRound(&counters);
+  tracker.AdvanceRound();
 
   util::ByteWriter first;
   util::Save(tracker, &first);

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fl/chaos.h"
 #include "fl/robust.h"
 #include "golden_fleets.h"
 #include "net/budget.h"

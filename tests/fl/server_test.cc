@@ -45,6 +45,8 @@ TEST(ServerTest, AggregateOfIdenticalModelsIsIdentity) {
   const data::TrainTest data = data::GenerateSynthetic(data::C10Spec());
   nn::Sequential model = nn::MakeC10Net(&rng);
   Server server(model, &data.test);
+  const std::unique_ptr<Aggregator> mean = MakeAggregator(AggregatorKind::kMean);
+  server.SetAggregator(mean.get());
   server.Aggregate({&model, &model, &model}, {1.0, 2.0, 3.0});
   EXPECT_NEAR(nn::Sequential::ParamDistance(server.global_model(), model),
               0.0, 1e-5);

@@ -3,8 +3,9 @@
 // kill-anywhere resume replays to a byte-equal journal (including over a
 // torn tail), the recorded lineage forms an acyclic DAG whose hops only
 // reference minted blocks, a quarantined client's lineage terminates (no
-// accepted uploads while quarantined), and client-level detail stays
-// bounded by the cohort — not the fleet — at 100k clients.
+// accepted uploads while quarantined), client-level detail stays bounded by
+// the cohort — not the fleet — at 100k clients, and the run counters come
+// out the same whether a journal is attached, detached or toggled.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "fl/robust.h"
 #include "fl/schemes.h"
 #include "fl/trainer.h"
+#include "golden_fleets.h"
 #include "net/topology.h"
 #include "nn/gemm.h"
 #include "nn/zoo.h"
@@ -384,6 +386,83 @@ TEST(TrainerJournalScaleTest, RecordCountIsBoundedByTheCohortNotTheFleet) {
   EXPECT_EQ(thin.migrations_planned, full.migrations_planned);
   EXPECT_EQ(thin.migrations_completed, full.migrations_completed);
   EXPECT_EQ(thin.model_publishes, full.model_publishes);
+}
+
+// Field-for-field equality through the snapshot encoding.
+template <class T>
+std::vector<uint8_t> Bytes(const T& value) {
+  util::ByteWriter writer;
+  util::Save(value, &writer);
+  return writer.TakeBytes();
+}
+
+// The summary chunk a journal sealed equals the fold of its own events.
+void ExpectSummaryIsItsOwnFold(const obs::Journal& journal) {
+  const util::Result<obs::JournalContents> contents =
+      obs::ParseJournal(journal.memory_image());
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_TRUE(contents->has_summary);
+  EXPECT_EQ(Bytes(contents->summary),
+            Bytes(obs::SummarizeJournalEvents(contents->events)));
+}
+
+TEST(TrainerJournalTest, RunCountersDoNotDependOnTheJournal) {
+  // The trainer records and folds its events whether or not a journal is
+  // attached. The chaos cohort with link failures (server fallbacks and
+  // rollbacks) and a Gaussian attack the screen flags into quarantine and
+  // back out runs three ways: no journal, a journal throughout, and one
+  // toggled per epoch from the hook as bench_telemetry's overhead harness
+  // does. The counters must not tell them apart.
+  const ChaosFleet fleet;
+  TrainerConfig config = ChaosFleet::CohortOfEightConfig();
+  config.max_epochs = 16;
+  config.cohort_size = 30;
+  config.fault.link_failure_prob = 0.3;
+  config.fault.max_retries = 1;
+  config.fault.attack_mode = net::AttackMode::kGaussianNoise;
+  config.fault.attack_fraction = 0.2;
+  config.fault.attack_scale = 0.5;
+  config.robust.screening.norm_reject_factor = 1.5;
+  config.robust.screening.cosine_reject_below = 0.5;
+  config.robust.reputation.enabled = true;
+  config.robust.reputation.patience = 1;
+  config.robust.reputation.quarantine_rounds = 1;
+
+  const RunResult bare = fleet.Run(config);
+  EXPECT_GT(bare.chaos.migration_fallbacks, 0);
+  EXPECT_GT(bare.chaos.migrations_rolled_back, 0);
+  EXPECT_GT(bare.robust.quarantines, 0);
+  EXPECT_GT(bare.robust.rehabilitations, 0);
+  EXPECT_GT(bare.robust.quarantine_excluded, 0);
+
+  obs::Journal throughout(obs::Journal::Options{});
+  ASSERT_TRUE(throughout.Attach(0).ok());
+  Trainer journaled = fleet.MakeTrainer(config);
+  journaled.SetJournal(&throughout);
+  const RunResult with_journal = journaled.Run();
+
+  // Epochs 3, 6, ... run detached; the final epoch (16) is journaled, so
+  // the journal is sealed with a summary of the epochs it persisted.
+  obs::Journal toggled(obs::Journal::Options{});
+  ASSERT_TRUE(toggled.Attach(0).ok());
+  Trainer toggling = fleet.MakeTrainer(config);
+  toggling.SetJournal(&toggled);
+  toggling.SetEpochHook([&](const Trainer&, int epoch) {
+    toggling.SetJournal((epoch + 1) % 3 != 0 ? &toggled : nullptr);
+    return true;
+  });
+  const RunResult with_toggled = toggling.Run();
+
+  for (const RunResult* run : {&with_journal, &with_toggled}) {
+    EXPECT_EQ(Bytes(run->chaos), Bytes(bare.chaos));
+    EXPECT_EQ(Bytes(run->robust), Bytes(bare.robust));
+    EXPECT_EQ(run->history.size(), bare.history.size());
+  }
+  ExpectSummaryIsItsOwnFold(throughout);
+  ExpectSummaryIsItsOwnFold(toggled);
+  EXPECT_EQ(throughout.running_summary().epochs_run, config.max_epochs);
+  EXPECT_EQ(toggled.running_summary().epochs_run, config.max_epochs - 5);
+  EXPECT_LT(toggled.events_committed(), throughout.events_committed());
 }
 
 }  // namespace

@@ -214,7 +214,7 @@ def parse_journal_file(path):
 
 def summarize(events):
     """Re-derives the summary totals from the event stream — the same
-    accumulation as AccumulateSummaryEvent in src/obs/journal.cc."""
+    accumulation as FoldEvent in src/obs/events.cc."""
     s = dict.fromkeys(SUMMARY_FIELDS, 0)
     for e in events:
         if e.kind == KINDS["round_commit"]:

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/events.h"
 #include "util/file.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -84,6 +85,18 @@ util::Status HandledStatuses(const std::string& path,
     return written;
   }
   return util::RemoveFile(path + "/a.bin");
+}
+
+// The journal-emit boundary: events recorded through the EventBuffer
+// emitters and read back by reference (folded, persisted) are the
+// sanctioned path — only building a record by value is a finding.
+int64_t RecordsThroughTheEmitters(obs::EventBuffer* events,
+                                  obs::EventCounts* counts) {
+  events->QuorumMiss(/*epoch=*/3, /*arrivals=*/1, /*required=*/2);
+  for (const obs::JournalEvent& event : events->events()) {
+    obs::FoldEvent(event, counts);
+  }
+  return counts->chaos.quorum_misses;
 }
 
 }  // namespace fedmigr::lint_fixture
