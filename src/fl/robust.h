@@ -284,13 +284,6 @@ struct RobustConfig {
   AggregatorOptions aggregator_options;
   ScreeningConfig screening;
   ReputationConfig reputation;
-
-  // True when any defense beyond the always-on non-finite gate is active.
-  // Inactive == plain FedAvg.
-  bool active() const {
-    return aggregator != AggregatorKind::kMean || screening.active() ||
-           reputation.enabled;
-  }
 };
 
 // Preset defense profiles for benches and CLI flags:

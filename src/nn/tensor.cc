@@ -54,28 +54,6 @@ int Tensor::dim(int i) const {
   return shape_[static_cast<size_t>(i)];
 }
 
-float& Tensor::At(int i, int j) {
-  return data_[static_cast<size_t>(i) * shape_[1] + j];
-}
-
-float Tensor::At(int i, int j) const {
-  return data_[static_cast<size_t>(i) * shape_[1] + j];
-}
-
-float& Tensor::At(int i, int j, int k, int l) {
-  const size_t idx =
-      ((static_cast<size_t>(i) * shape_[1] + j) * shape_[2] + k) * shape_[3] +
-      l;
-  return data_[idx];
-}
-
-float Tensor::At(int i, int j, int k, int l) const {
-  const size_t idx =
-      ((static_cast<size_t>(i) * shape_[1] + j) * shape_[2] + k) * shape_[3] +
-      l;
-  return data_[idx];
-}
-
 void Tensor::Reshape(Shape shape) {
   FEDMIGR_CHECK_EQ(NumElements(shape), size());
   shape_ = std::move(shape);

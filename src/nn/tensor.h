@@ -56,12 +56,15 @@ class Tensor {
   float& operator[](int64_t i) { return data_[static_cast<size_t>(i)]; }
   float operator[](int64_t i) const { return data_[static_cast<size_t>(i)]; }
 
-  // Multi-dimensional accessors (bounds unchecked in release; the layers are
-  // the only callers and validate shapes at construction).
-  float& At(int i, int j);
-  float At(int i, int j) const;
-  float& At(int i, int j, int k, int l);
-  float At(int i, int j, int k, int l) const;
+  // Multi-dimensional accessors (bounds unchecked; the layers are the only
+  // callers and validate shapes at construction). Inline: per-element loops
+  // call them millions of times.
+  float& At(int i, int j) { return data_[Index(i, j)]; }
+  float At(int i, int j) const { return data_[Index(i, j)]; }
+  float& At(int i, int j, int k, int l) { return data_[Index(i, j, k, l)]; }
+  float At(int i, int j, int k, int l) const {
+    return data_[Index(i, j, k, l)];
+  }
 
   // Reinterprets the buffer with a new shape of identical element count.
   void Reshape(Shape shape);
@@ -94,6 +97,15 @@ class Tensor {
   }
 
  private:
+  size_t Index(int i, int j) const {
+    return static_cast<size_t>(i) * shape_[1] + j;
+  }
+  size_t Index(int i, int j, int k, int l) const {
+    return ((static_cast<size_t>(i) * shape_[1] + j) * shape_[2] + k) *
+               shape_[3] +
+           l;
+  }
+
   Shape shape_;
   std::vector<float> data_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
 #include "opt/hungarian.h"
 #include "util/logging.h"
 
@@ -42,6 +43,7 @@ Matrix BuildMigrationScore(const std::vector<std::vector<double>>& divergence,
 FlmmPlan SolveFlmm(const std::vector<std::vector<double>>& divergence,
                    const net::Topology& topology, int64_t model_bytes,
                    const FlmmOptions& options) {
+  FEDMIGR_TRACE_SCOPE("opt/flmm");
   const Matrix score = BuildMigrationScore(divergence, topology, model_bytes,
                                            options.comm_weight);
   const QpResult qp = SolveRowStochasticQp(score, options.qp);

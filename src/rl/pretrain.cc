@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/trace.h"
 #include "opt/flmm.h"
 #include "util/logging.h"
 
@@ -10,6 +11,7 @@ namespace fedmigr::rl {
 
 PretrainReport Pretrain(DdpgAgent* agent, const SurrogateConfig& env_config,
                         const PretrainOptions& options) {
+  FEDMIGR_TRACE_SCOPE("rl/pretrain");
   FEDMIGR_CHECK(agent != nullptr);
   PretrainReport report;
   util::Rng rng(options.seed);

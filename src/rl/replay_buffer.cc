@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace fedmigr::rl {
@@ -75,6 +76,7 @@ void PrioritizedReplayBuffer::Add(Transition transition) {
 
 std::vector<SampledTransition> PrioritizedReplayBuffer::Sample(
     size_t batch_size, util::Rng* rng) {
+  FEDMIGR_TRACE_SCOPE("rl/replay_sample");
   FEDMIGR_CHECK(!empty());
   std::vector<SampledTransition> batch;
   batch.reserve(batch_size);

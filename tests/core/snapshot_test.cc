@@ -170,6 +170,25 @@ TEST(SnapshotManagerTest, SavesOnCadenceAndRotates) {
   EXPECT_NE(snapshots[1].find("snap-000004.fsnp"), std::string::npos);
 }
 
+TEST(SnapshotManagerTest, SavedFileIsTheFramedTrainerState) {
+  // Save frames the state in the buffer it serializes into; the file must
+  // hold exactly the bytes FrameSnapshot gives for that state.
+  const Workload w = MakeWorkload(SmallWorkloadConfig());
+  fl::SchemeSetup setup = SmallFedMigr(w);
+  setup.config.max_epochs = 2;
+  fl::Trainer trainer = BuildTrainer(w, std::move(setup));
+  trainer.Run();
+
+  SnapshotOptions options;
+  options.directory = FreshDir("framed_state");
+  SnapshotManager manager(options);
+  ASSERT_TRUE(manager.Save(trainer, 2).ok());
+  const util::Result<std::vector<uint8_t>> file =
+      util::ReadFileBytes(manager.ListSnapshots().front());
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(*file, FrameSnapshot(StateBytes(trainer)));
+}
+
 TEST(SnapshotManagerTest, CadenceSkipsOffEpochs) {
   const Workload w = MakeWorkload(SmallWorkloadConfig());
   fl::SchemeSetup setup = fl::MakeRandMigr(2);
