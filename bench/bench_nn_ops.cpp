@@ -4,9 +4,7 @@
 // that frames it, which bound how fast migrations and snapshots can be
 // simulated.
 //
-// Each optimized kernel is benchmarked beside its retained *Naive reference
-// so speedups are measured inside one binary under identical compiler
-// flags. items_per_second reports FLOP/s (2 flops per multiply-accumulate).
+// items_per_second reports FLOP/s (2 flops per multiply-accumulate).
 // The *Threads variants exercise the intra-op ParallelForRange splitting
 // and report wall-clock time.
 // scripts/bench_nn_ops.sh runs this binary and records BENCH_nn_ops.json at
@@ -65,18 +63,6 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-void BM_MatMulNaive(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const nn::Tensor a = RandomTensor({n, n}, 1);
-  const nn::Tensor b = RandomTensor({n, n}, 2);
-  for (auto _ : state) {
-    nn::Tensor c = nn::MatMulNaive(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
-}
-BENCHMARK(BM_MatMulNaive)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
 void BM_MatMulTransB(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   IntraOpGuard guard(1);
@@ -89,18 +75,6 @@ void BM_MatMulTransB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
 }
 BENCHMARK(BM_MatMulTransB)->Arg(128)->Arg(512);
-
-void BM_MatMulTransBNaive(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const nn::Tensor a = RandomTensor({n, n}, 1);
-  const nn::Tensor b = RandomTensor({n, n}, 2);
-  for (auto _ : state) {
-    nn::Tensor c = nn::MatMulTransBNaive(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
-}
-BENCHMARK(BM_MatMulTransBNaive)->Arg(128)->Arg(512);
 
 // The nine GEMMs of one C10 training step at batch 16, in the layouts and
 // accumulation modes the layers issue them: conv l0 (3->8 on 8x8) and l3
@@ -176,7 +150,7 @@ int64_t ConvForwardFlops(int batch, const ConvShape& s) {
   return 2 * int64_t{batch} * s.cout * s.hw * s.hw * s.cin * 5 * 5;
 }
 
-void RunConvForward(benchmark::State& state, bool naive) {
+void BM_Conv2dForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const ConvShape shape = kZooConv[static_cast<size_t>(state.range(1))];
   IntraOpGuard guard(1);
@@ -185,28 +159,17 @@ void RunConvForward(benchmark::State& state, bool naive) {
   const nn::Tensor kernel = RandomTensor({shape.cout, shape.cin, 5, 5}, 4);
   const nn::Tensor bias = RandomTensor({shape.cout}, 5);
   for (auto _ : state) {
-    nn::Tensor out = naive ? nn::Conv2dForwardNaive(input, kernel, bias, 2)
-                           : nn::Conv2dForward(input, kernel, bias, 2);
+    nn::Tensor out = nn::Conv2dForward(input, kernel, bias, 2);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * ConvForwardFlops(batch, shape));
 }
 
-void BM_Conv2dForward(benchmark::State& state) {
-  RunConvForward(state, /*naive=*/false);
-}
 BENCHMARK(BM_Conv2dForward)
     ->ArgsProduct({{1, 16, 64}, {0, 1}})
     ->ArgNames({"batch", "layer"});
 
-void BM_Conv2dForwardNaive(benchmark::State& state) {
-  RunConvForward(state, /*naive=*/true);
-}
-BENCHMARK(BM_Conv2dForwardNaive)
-    ->ArgsProduct({{1, 16, 64}, {0, 1}})
-    ->ArgNames({"batch", "layer"});
-
-void RunConvBackward(benchmark::State& state, bool naive) {
+void BM_Conv2dBackward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const ConvShape shape = kZooConv[static_cast<size_t>(state.range(1))];
   IntraOpGuard guard(1);
@@ -217,13 +180,8 @@ void RunConvBackward(benchmark::State& state, bool naive) {
   const nn::Tensor grad = nn::Conv2dForward(input, kernel, bias, 2);
   for (auto _ : state) {
     nn::Tensor grad_input, grad_kernel, grad_bias;
-    if (naive) {
-      nn::Conv2dBackwardNaive(input, kernel, 2, grad, &grad_input,
-                              &grad_kernel, &grad_bias);
-    } else {
-      nn::Conv2dBackward(input, kernel, 2, grad, &grad_input, &grad_kernel,
-                         &grad_bias);
-    }
+    nn::Conv2dBackward(input, kernel, 2, grad, &grad_input, &grad_kernel,
+                       &grad_bias);
     benchmark::DoNotOptimize(grad_input.data());
   }
   // Two GEMMs (input grad + kernel grad), each the forward's volume.
@@ -231,17 +189,7 @@ void RunConvBackward(benchmark::State& state, bool naive) {
                           ConvForwardFlops(batch, shape));
 }
 
-void BM_Conv2dBackward(benchmark::State& state) {
-  RunConvBackward(state, /*naive=*/false);
-}
 BENCHMARK(BM_Conv2dBackward)
-    ->ArgsProduct({{1, 16, 64}, {0, 1}})
-    ->ArgNames({"batch", "layer"});
-
-void BM_Conv2dBackwardNaive(benchmark::State& state) {
-  RunConvBackward(state, /*naive=*/true);
-}
-BENCHMARK(BM_Conv2dBackwardNaive)
     ->ArgsProduct({{1, 16, 64}, {0, 1}})
     ->ArgNames({"batch", "layer"});
 

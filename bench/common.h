@@ -155,7 +155,9 @@ TelemetryFlags ParseTelemetryFlags(int argc, char** argv);
 //   --attack-frac=F      fraction of clients Byzantine (persistent set)
 //   --attack-scale=S     noise stddev / scale multiplier (default 8)
 //   --aggregator=A       mean | trimmed-mean | median | krum | multi-krum
-//   --robust-profile=P   off | screen | defense
+//   --robust-profile=P   off | screen | defense: sets screening and
+//                        reputation only; the aggregator comes from
+//                        --aggregator (default mean) in either flag order
 // With none of these present `any` stays false and ApplyTo is a no-op, so
 // existing bench tables remain byte-identical.
 struct RobustFlags {

@@ -286,8 +286,11 @@ struct RobustConfig {
   ReputationConfig reputation;
 };
 
-// Preset defense profiles for benches and CLI flags:
-//   "off"     — inert config (Mean, no screening, no quarantine)
+// Preset defense profiles for benches and CLI flags. A profile sets only
+// `screening` and `reputation`; `aggregator` and `aggregator_options` are
+// left as they are (benches take them from --aggregator, in either flag
+// order):
+//   "off"     — no screening, no quarantine
 //   "screen"  — screening only (clip + norm outlier + cosine gate)
 //   "defense" — screening + reputation/quarantine
 bool ParseRobustProfile(const std::string& name, RobustConfig* config);

@@ -179,7 +179,7 @@ struct RunResult {
   std::vector<int> first_quarantine_round;
   // Registry snapshot taken as Run() returned. The registry accumulates
   // process-wide, so diff two snapshots to isolate a single run. Empty when
-  // telemetry is disabled or compiled out.
+  // telemetry is disabled.
   obs::MetricsSnapshot metrics;
 };
 

@@ -17,7 +17,7 @@ namespace fedmigr::obs {
 int64_t PeakRssBytes();
 
 // Refreshes the `proc/peak_rss_bytes` registry gauge. No-op when telemetry
-// is disabled or compiled out.
+// is disabled.
 void UpdateResourceGauges();
 
 }  // namespace fedmigr::obs

@@ -2,8 +2,6 @@
 
 namespace fedmigr::obs {
 
-#if FEDMIGR_TELEMETRY
 std::atomic<bool> Telemetry::enabled_{true};
-#endif
 
 }  // namespace fedmigr::obs

@@ -1,63 +1,35 @@
 // Global telemetry switch for the observability layer (DESIGN.md §11).
 //
-// Two gates stack:
-//   compile time — the FEDMIGR_TELEMETRY macro (CMake option, default ON).
-//     With it off, Telemetry::enabled() is a compile-time `false`, so every
-//     instrumentation block guarded by it is dead-code-eliminated and the
-//     binary carries no telemetry work at all.
-//   run time — Telemetry::Disable() clears a relaxed atomic flag, reducing
-//     every FEDMIGR_TRACE_SCOPE and guarded metric update to a single
-//     predictable branch (no clock reads, no atomic RMWs).
+// Telemetry is always compiled in. Telemetry::Disable() clears a relaxed
+// atomic flag, reducing every FEDMIGR_TRACE_SCOPE and guarded metric update
+// to a single predictable branch (no clock reads, no atomic RMWs).
 //
 // Determinism rule: nothing in src/obs may feed back into simulation state.
 // Wall-clock reads live only behind obs interfaces (enforced by the
 // fedmigr_lint `wallclock` rule); metrics and traces are observation-only,
-// so runs are bit-identical with telemetry on, off, or compiled out.
+// so runs are bit-identical with telemetry on or off.
 
 #ifndef FEDMIGR_OBS_TELEMETRY_H_
 #define FEDMIGR_OBS_TELEMETRY_H_
 
 #include <atomic>
 
-// Default ON so plain `#include`s (IDE parses, ad-hoc compiles) see the
-// instrumented configuration; the CMake option defines it to 0 to compile
-// telemetry out.
-#ifndef FEDMIGR_TELEMETRY
-#define FEDMIGR_TELEMETRY 1
-#endif
-
 namespace fedmigr::obs {
 
 class Telemetry {
  public:
-  // True when telemetry is compiled in and not runtime-disabled. Constant
-  // false when compiled out, so `if (Telemetry::enabled()) { ... }` blocks
-  // vanish entirely.
-  static bool enabled() {
-#if FEDMIGR_TELEMETRY
-    return enabled_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  // True unless runtime-disabled.
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   static void Enable() { SetEnabled(true); }
   static void Disable() { SetEnabled(false); }
 
-  static constexpr bool compiled_in() { return FEDMIGR_TELEMETRY != 0; }
-
  private:
   static void SetEnabled(bool on) {
-#if FEDMIGR_TELEMETRY
     enabled_.store(on, std::memory_order_relaxed);
-#else
-    (void)on;
-#endif
   }
 
-#if FEDMIGR_TELEMETRY
   static std::atomic<bool> enabled_;
-#endif
 };
 
 }  // namespace fedmigr::obs

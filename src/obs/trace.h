@@ -159,22 +159,15 @@ Histogram* ScopeHistogram(const char* name);
 
 }  // namespace fedmigr::obs
 
-#if FEDMIGR_TELEMETRY
 #define FEDMIGR_TRACE_CONCAT_INNER(a, b) a##b
 #define FEDMIGR_TRACE_CONCAT(a, b) FEDMIGR_TRACE_CONCAT_INNER(a, b)
 // Times the enclosing scope under `name` (static histogram lookup happens
-// once per site). Expands to a no-op statement when telemetry is compiled
-// out.
+// once per site).
 #define FEDMIGR_TRACE_SCOPE(name)                                         \
   static ::fedmigr::obs::Histogram* FEDMIGR_TRACE_CONCAT(                 \
       fedmigr_trace_hist_, __LINE__) = ::fedmigr::obs::ScopeHistogram(name); \
   ::fedmigr::obs::ScopedTrace FEDMIGR_TRACE_CONCAT(fedmigr_trace_scope_,  \
                                                    __LINE__)(             \
       name, FEDMIGR_TRACE_CONCAT(fedmigr_trace_hist_, __LINE__))
-#else
-#define FEDMIGR_TRACE_SCOPE(name) \
-  do {                            \
-  } while (false)
-#endif
 
 #endif  // FEDMIGR_OBS_TRACE_H_

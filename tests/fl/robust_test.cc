@@ -173,15 +173,38 @@ TEST(RobustAggregatorTest, ParseRoundTrips) {
   EXPECT_EQ(mode, net::AttackMode::kSignFlip);
   EXPECT_FALSE(net::ParseAttackMode("bogus", &mode));
 
-  RobustConfig config;
+  // A profile sets screening and reputation only: the aggregator and its
+  // options chosen before it survive every profile.
+  const auto krum_config = [] {
+    RobustConfig config;
+    config.aggregator = AggregatorKind::kKrum;
+    config.aggregator_options.trim_fraction = 0.3;
+    config.aggregator_options.assumed_attackers = 2;
+    config.aggregator_options.multi_krum_m = 5;
+    return config;
+  };
+  const auto expect_krum_kept = [](const RobustConfig& config) {
+    EXPECT_EQ(config.aggregator, AggregatorKind::kKrum);
+    EXPECT_EQ(config.aggregator_options.trim_fraction, 0.3);
+    EXPECT_EQ(config.aggregator_options.assumed_attackers, 2);
+    EXPECT_EQ(config.aggregator_options.multi_krum_m, 5);
+  };
+  RobustConfig config = krum_config();
+  config.screening.norm_reject_factor = 4.0;
+  config.reputation.enabled = true;
   EXPECT_TRUE(ParseRobustProfile("off", &config));
-  EXPECT_EQ(config.aggregator, AggregatorKind::kMean);
+  expect_krum_kept(config);
   EXPECT_FALSE(config.screening.active());
   EXPECT_FALSE(config.reputation.enabled);
+  config = krum_config();
   EXPECT_TRUE(ParseRobustProfile("screen", &config));
+  expect_krum_kept(config);
   EXPECT_TRUE(config.screening.active());
   EXPECT_FALSE(config.reputation.enabled);
+  config = krum_config();
   EXPECT_TRUE(ParseRobustProfile("defense", &config));
+  expect_krum_kept(config);
+  EXPECT_TRUE(config.screening.active());
   EXPECT_TRUE(config.reputation.enabled);
   EXPECT_FALSE(ParseRobustProfile("bogus", &config));
 }

@@ -56,9 +56,6 @@ struct TinyWorkload {
 };
 
 TEST(TrainerTelemetryTest, RunPopulatesPhaseHistogramsAndCounters) {
-  if (!obs::Telemetry::compiled_in()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   TinyWorkload w;
   const obs::MetricsSnapshot before = obs::Registry::Default().Snapshot();
   const RunResult result = w.Run("randmigr", 4);
@@ -172,9 +169,6 @@ std::vector<std::pair<std::string, int64_t>> RunCounterFacts(
 }
 
 TEST(TrainerTelemetryTest, RegistryCountersGrowByTheRunStructs) {
-  if (!obs::Telemetry::compiled_in()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   const ChaosFleet fleet;
   const obs::MetricsSnapshot before = obs::Registry::Default().Snapshot();
   const RunResult result = fleet.Run(EveryCounterConfig());
@@ -222,9 +216,6 @@ TEST(TrainerTelemetryTest, DisabledTelemetryLeavesResultsIdentical) {
 }
 
 TEST(TrainerTelemetryTest, SimSpansLandOnSimulatedTimeTracks) {
-  if (!obs::Telemetry::compiled_in()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   TinyWorkload w;
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
   recorder.Start();

@@ -1,11 +1,12 @@
 // Kernel-equivalence and determinism contract for the GEMM layer.
 //
-// Equivalence: the packed/blocked/vectorized paths (and the im2col conv
-// lowering on top of them) must agree with the retained naive reference
-// kernels over adversarial shapes — dimensions straddling the micro-tile
-// (4) / row-panel (64) / column-panel (16) boundaries, pads 0–2, channel
-// counts 1–9. Tolerances are loose enough for the AVX2+FMA path's fused
-// multiply-adds, tight enough to catch any indexing mistake.
+// Equivalence: over adversarial shapes — dimensions straddling the
+// micro-tile (4) / row-panel (64) / column-panel (16) boundaries, pads 0–2,
+// channel counts 1–9 — the MatMul wrappers must reproduce, byte for byte,
+// the scalar in-order k-chain below, and the im2col conv lowering must agree
+// with the direct loops of conv_reference.h within a tolerance loose enough
+// for a different summation order, tight enough to catch any indexing
+// mistake. (The case names' "Naive" is these test-local references.)
 //
 // Bit identity: the conv kernels must reproduce, byte for byte, a frozen
 // copy of the per-image im2col lowering they replaced (same GEMM calls,
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conv_reference.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -55,47 +57,6 @@ float RelativeDiff(const Tensor& a, const Tensor& b) {
 }
 
 constexpr float kTol = 2e-5f;
-
-// ------------------------------------------------------- MatMul vs naive --
-
-class GemmShapeTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(GemmShapeTest, MatMulMatchesNaive) {
-  const auto [m, n, k] = GetParam();
-  const Tensor a = RandomTensor({m, k}, 1000 + static_cast<uint64_t>(m));
-  const Tensor b = RandomTensor({k, n}, 2000 + static_cast<uint64_t>(n));
-  EXPECT_LT(RelativeDiff(MatMul(a, b), MatMulNaive(a, b)), kTol);
-}
-
-TEST_P(GemmShapeTest, MatMulTransAMatchesNaive) {
-  const auto [m, n, k] = GetParam();
-  const Tensor a = RandomTensor({k, m}, 3000 + static_cast<uint64_t>(m));
-  const Tensor b = RandomTensor({k, n}, 4000 + static_cast<uint64_t>(n));
-  EXPECT_LT(RelativeDiff(MatMulTransA(a, b), MatMulTransANaive(a, b)), kTol);
-}
-
-TEST_P(GemmShapeTest, MatMulTransBMatchesNaive) {
-  const auto [m, n, k] = GetParam();
-  const Tensor a = RandomTensor({m, k}, 5000 + static_cast<uint64_t>(m));
-  const Tensor b = RandomTensor({n, k}, 6000 + static_cast<uint64_t>(n));
-  EXPECT_LT(RelativeDiff(MatMulTransB(a, b), MatMulTransBNaive(a, b)), kTol);
-}
-
-// Shapes chosen to straddle every blocking boundary: micro-tile rows (4),
-// panel columns (16), parallel row-blocks (64), plus degenerate 1s.
-INSTANTIATE_TEST_SUITE_P(
-    OddShapes, GemmShapeTest,
-    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 7),
-                      std::make_tuple(4, 16, 8), std::make_tuple(5, 17, 9),
-                      std::make_tuple(63, 31, 33), std::make_tuple(64, 16, 64),
-                      std::make_tuple(65, 15, 130), std::make_tuple(1, 129, 2),
-                      std::make_tuple(129, 1, 65), std::make_tuple(70, 70, 70)),
-    [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "n" +
-             std::to_string(std::get<1>(info.param)) + "k" +
-             std::to_string(std::get<2>(info.param));
-    });
 
 // ------------------------------------------------------ GEMM, bit for bit --
 // The determinism contract in gemm.h, stated as a reference: every element
@@ -133,6 +94,67 @@ void ReferenceSgemm(bool trans_a, bool trans_b, int m, int n, int k,
   }
 }
 
+// ---------------------------------------------------- MatMul, bit for bit --
+// The wrappers' transposition flags and leading dimensions, pinned against
+// the same in-order k-chain as Sgemm itself.
+
+bool FusedKernel() { return std::string(GemmKernelName()) == "avx2+fma"; }
+
+void ExpectSameBytes(const Tensor& got, const Tensor& want) {
+  ASSERT_TRUE(got.SameShape(want));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(got.size()) * sizeof(float)),
+            0);
+}
+
+class GemmShapeTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(GemmShapeTest, MatMulMatchesNaive) {
+  const auto [m, n, k] = GetParam();
+  const Tensor a = RandomTensor({m, k}, 1000 + static_cast<uint64_t>(m));
+  const Tensor b = RandomTensor({k, n}, 2000 + static_cast<uint64_t>(n));
+  Tensor want({m, n});
+  ReferenceSgemm(false, false, m, n, k, a.data(), k, b.data(), n, want.data(),
+                 n, GemmAcc::kOverwrite, FusedKernel());
+  ExpectSameBytes(MatMul(a, b), want);
+}
+
+TEST_P(GemmShapeTest, MatMulTransAMatchesNaive) {
+  const auto [m, n, k] = GetParam();
+  const Tensor a = RandomTensor({k, m}, 3000 + static_cast<uint64_t>(m));
+  const Tensor b = RandomTensor({k, n}, 4000 + static_cast<uint64_t>(n));
+  Tensor want({m, n});
+  ReferenceSgemm(true, false, m, n, k, a.data(), m, b.data(), n, want.data(),
+                 n, GemmAcc::kOverwrite, FusedKernel());
+  ExpectSameBytes(MatMulTransA(a, b), want);
+}
+
+TEST_P(GemmShapeTest, MatMulTransBMatchesNaive) {
+  const auto [m, n, k] = GetParam();
+  const Tensor a = RandomTensor({m, k}, 5000 + static_cast<uint64_t>(m));
+  const Tensor b = RandomTensor({n, k}, 6000 + static_cast<uint64_t>(n));
+  Tensor want({m, n});
+  ReferenceSgemm(false, true, m, n, k, a.data(), k, b.data(), k, want.data(),
+                 n, GemmAcc::kOverwrite, FusedKernel());
+  ExpectSameBytes(MatMulTransB(a, b), want);
+}
+
+// Shapes chosen to straddle every blocking boundary: micro-tile rows (4),
+// panel columns (16), parallel row-blocks (64), plus degenerate 1s.
+INSTANTIATE_TEST_SUITE_P(
+    OddShapes, GemmShapeTest,
+    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 7),
+                      std::make_tuple(4, 16, 8), std::make_tuple(5, 17, 9),
+                      std::make_tuple(63, 31, 33), std::make_tuple(64, 16, 64),
+                      std::make_tuple(65, 15, 130), std::make_tuple(1, 129, 2),
+                      std::make_tuple(129, 1, 65), std::make_tuple(70, 70, 70)),
+    [](const auto& info) {
+      return "m" + std::to_string(std::get<0>(info.param)) + "n" +
+             std::to_string(std::get<1>(info.param)) + "k" +
+             std::to_string(std::get<2>(info.param));
+    });
+
 std::vector<float> RandomFloats(int64_t count, uint64_t seed) {
   util::Rng rng(seed);
   std::vector<float> v(static_cast<size_t>(count));
@@ -151,7 +173,7 @@ class GemmBitExactTest : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmBitExactTest, MatchesInOrderKChain) {
   const GemmCase c = GetParam();
-  const bool fused = std::string(GemmKernelName()) == "avx2+fma";
+  const bool fused = FusedKernel();
   const int original = GetIntraOpThreads();
   uint64_t seed = static_cast<uint64_t>(c.m * 10007 + c.n * 101 + c.k);
   for (bool trans_a : {false, true}) {
@@ -216,7 +238,7 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{"m131n90k130", 131, 90, 130}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// --------------------------------------------------------- Conv vs naive --
+// --------------------------------------------------- Conv vs direct loops --
 
 class ConvLoweringTest
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
@@ -230,15 +252,15 @@ TEST_P(ConvLoweringTest, ForwardAndBackwardMatchNaive) {
   const Tensor bias = RandomTensor({cout}, seed + 2);
 
   const Tensor out = Conv2dForward(input, kernel, bias, pad);
-  const Tensor ref = Conv2dForwardNaive(input, kernel, bias, pad);
+  const Tensor ref = testing::ReferenceConv(input, kernel, bias, pad);
   ASSERT_TRUE(out.SameShape(ref));
   EXPECT_LT(RelativeDiff(out, ref), kTol);
 
   const Tensor grad_out = RandomTensor(out.shape(), seed + 3);
   Tensor gin, gker, gbias, gin_ref, gker_ref, gbias_ref;
   Conv2dBackward(input, kernel, pad, grad_out, &gin, &gker, &gbias);
-  Conv2dBackwardNaive(input, kernel, pad, grad_out, &gin_ref, &gker_ref,
-                      &gbias_ref);
+  testing::ReferenceConvBackward(input, kernel, pad, grad_out, &gin_ref,
+                                 &gker_ref, &gbias_ref);
   EXPECT_LT(RelativeDiff(gin, gin_ref), kTol);
   EXPECT_LT(RelativeDiff(gker, gker_ref), kTol);
   EXPECT_LT(RelativeDiff(gbias, gbias_ref), kTol);

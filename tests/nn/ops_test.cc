@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conv_reference.h"
 #include "util/rng.h"
 
 namespace fedmigr::nn {
@@ -56,37 +57,6 @@ TEST(MatMulTest, TransBMatchesExplicitTranspose) {
   EXPECT_LT(MaxAbsDiff(MatMulTransB(a, b), MatMul(a, bt)), 1e-5f);
 }
 
-// Reference convolution: the obvious quadruple loop, kept separate from the
-// optimized production kernel.
-Tensor ReferenceConv(const Tensor& input, const Tensor& kernel,
-                     const Tensor& bias, int pad) {
-  const int batch = input.dim(0), cin = input.dim(1);
-  const int h = input.dim(2), w = input.dim(3);
-  const int cout = kernel.dim(0), kh = kernel.dim(2), kw = kernel.dim(3);
-  const int oh = h + 2 * pad - kh + 1, ow = w + 2 * pad - kw + 1;
-  Tensor out({batch, cout, oh, ow});
-  for (int n = 0; n < batch; ++n) {
-    for (int oc = 0; oc < cout; ++oc) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          float sum = bias[oc];
-          for (int ic = 0; ic < cin; ++ic) {
-            for (int ky = 0; ky < kh; ++ky) {
-              for (int kx = 0; kx < kw; ++kx) {
-                const int iy = oy + ky - pad, ix = ox + kx - pad;
-                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-                sum += input.At(n, ic, iy, ix) * kernel.At(oc, ic, ky, kx);
-              }
-            }
-          }
-          out.At(n, oc, oy, ox) = sum;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 class ConvParamTest
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
 
@@ -106,7 +76,7 @@ TEST_P(ConvParamTest, MatchesReferenceImplementation) {
     bias[i] = static_cast<float>(rng.Normal());
   }
   const Tensor fast = Conv2dForward(input, kernel, bias, pad);
-  const Tensor ref = ReferenceConv(input, kernel, bias, pad);
+  const Tensor ref = testing::ReferenceConv(input, kernel, bias, pad);
   EXPECT_LT(MaxAbsDiff(fast, ref), 1e-4f);
 }
 

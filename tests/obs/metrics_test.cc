@@ -200,13 +200,6 @@ TEST(MetricsSnapshotTest, JsonAndCsvContainAllSeries) {
 }
 
 TEST(TelemetryTest, RuntimeToggleRoundTrips) {
-  if (!Telemetry::compiled_in()) {
-    // Compiled out: enabled() must be a constant false the toggles cannot
-    // resurrect.
-    Telemetry::Enable();
-    EXPECT_FALSE(Telemetry::enabled());
-    return;
-  }
   EXPECT_TRUE(Telemetry::enabled());
   Telemetry::Disable();
   EXPECT_FALSE(Telemetry::enabled());

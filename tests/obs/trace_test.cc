@@ -163,9 +163,6 @@ TEST(TraceRecorderTest, WallSpansGetOneTidPerThread) {
 }
 
 TEST(ScopedTraceTest, ObservesElapsedIntoHistogram) {
-  if (!Telemetry::compiled_in()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   Histogram histogram(HistogramOptions{});
   {
     ScopedTrace scope("scoped_trace_test", &histogram);
@@ -185,9 +182,6 @@ TEST(ScopedTraceTest, DisabledTelemetrySkipsAllWork) {
 }
 
 TEST(ScopedTraceTest, RecordsSpanWhileDefaultRecorderRuns) {
-  if (!Telemetry::compiled_in()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   TraceRecorder& recorder = TraceRecorder::Default();
   recorder.Start();
   {
