@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <span>
 #include <utility>
 
+#include "obs/trace.h"
 #include "util/crc32.h"
 #include "util/file.h"
 #include "util/logging.h"
@@ -28,11 +30,15 @@ constexpr char kSnapshotPrefix[] = "snap-";
 constexpr char kSnapshotSuffix[] = ".fsnp";
 
 // Starts a frame in `writer`: the header, with a zero payload size that
-// SealFrame patches once the payload follows it.
+// SealFrame patches once the payload follows it. The header goes in as one
+// fixed-size append, so the writer's first growth has a known size.
 void BeginFrame(util::ByteWriter* writer) {
-  writer->Io(kSnapshotMagic);
-  writer->Io(kSnapshotVersion);
-  writer->Io(uint64_t{0});
+  std::array<uint8_t, kHeaderSize> header{};
+  std::memcpy(header.data(), &kSnapshotMagic, sizeof(kSnapshotMagic));
+  std::memcpy(header.data() + sizeof(kSnapshotMagic), &kSnapshotVersion,
+              sizeof(kSnapshotVersion));
+  writer->Reserve(kHeaderSize);
+  writer->Io(std::span<const uint8_t>(header));
 }
 
 // Ends a frame BeginFrame started: patches the payload size, then appends
@@ -158,13 +164,18 @@ std::vector<std::string> SnapshotManager::ListSnapshots() const {
 util::Status SnapshotManager::Save(const fl::Trainer& trainer, int epoch) {
   if (!enabled()) return util::Status::Ok();
   FEDMIGR_RETURN_IF_ERROR(util::MakeDirectories(options_.directory));
-  // The state is written straight after the frame header, so the payload
-  // is never copied into a second buffer to be framed.
-  util::ByteWriter writer;
-  BeginFrame(&writer);
-  trainer.SaveState(&writer);
-  FEDMIGR_RETURN_IF_ERROR(
-      util::AtomicWriteFile(PathForEpoch(epoch), SealFrame(&writer)));
+  std::vector<uint8_t> framed;
+  {
+    FEDMIGR_TRACE_SCOPE("core/snapshot_build");
+    // The state is written straight after the frame header, so the payload
+    // is never copied into a second buffer to be framed.
+    util::ByteWriter writer;
+    BeginFrame(&writer);
+    trainer.SaveState(&writer);
+    framed = SealFrame(&writer);
+  }
+  FEDMIGR_TRACE_SCOPE("core/snapshot_publish");
+  FEDMIGR_RETURN_IF_ERROR(util::AtomicWriteFile(PathForEpoch(epoch), framed));
   // Rotation runs only after a successful publish, so a failed save never
   // costs an older good snapshot.
   const std::vector<std::string> snapshots = ListSnapshots();

@@ -50,6 +50,10 @@ void Client::ReclaimModel() {
   if (model_ != nullptr && model_.use_count() == 1) owns_model_ = true;
 }
 
+void Client::ReleaseBuffers() {
+  if (owns_model_ && model_.use_count() == 1) model_->ReleaseBuffers();
+}
+
 void Client::SetProximalReference(FlatRef reference) {
   proximal_reference_ = std::move(reference);
 }

@@ -86,6 +86,12 @@ class Client {
   // ownership state is then exactly what it was before the capture.
   void ReclaimModel();
 
+  // Frees the replica's gradient buffers and forward caches
+  // (nn::Layer::ReleaseBuffers) if this client is the sole holder of its
+  // block; a shared block (the published aggregate, a migration capture) is
+  // left as it is. What a snapshot records stays: parameters, momentum, RNG.
+  void ReleaseBuffers();
+
   // Records the reference point for FedProx's proximal term. Call at every
   // Model Distribution. The shared overload aliases the store's flattened
   // aggregate; the legacy overload flattens privately.

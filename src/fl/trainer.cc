@@ -300,6 +300,10 @@ void Trainer::BeginRound(int64_t round) {
       model_samples_[static_cast<size_t>(i)] = 0.0;
       model_lineage_[static_cast<size_t>(i)] = 0;
       events_.ClientDeparted(epoch, i);
+    } else if (Client* retired = clients_.Get(i)) {
+      // A retired member stays materialized but keeps only its snapshot
+      // state; the next LocalUpdate re-creates what it frees.
+      retired->ReleaseBuffers();
     }
   }
   // Effective roster: the (seed, round)-pure sample minus churned-out

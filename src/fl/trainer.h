@@ -225,6 +225,8 @@ class Trainer {
 
   // Sharded-simulator introspection (gauges, scalability tests).
   int num_materialized_clients() const { return clients_.num_materialized(); }
+  // Client `i`, or nullptr while it is lazy.
+  const Client* materialized_client(int i) const { return clients_.Get(i); }
   long aggregate_aliases() const { return store_.aggregate_use_count(); }
   // Sampled cohort of the current round. Empty under full participation,
   // whose identity cohort [0, K) is implicit and never stored.

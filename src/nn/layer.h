@@ -44,6 +44,16 @@ class Layer {
   virtual std::vector<Tensor*> Params() { return {}; }
   virtual std::vector<Tensor*> Grads() { return {}; }
 
+  // Frees the forward caches and the gradient buffers; the parameters stay.
+  // For a model that will not train again soon (a client that left its
+  // cohort, a target network between train steps). Afterwards Grads() holds
+  // empty tensors until the next Backward re-creates them zeroed, so
+  // ZeroGrads -> Forward -> Backward -> optimizer Step gives the same bytes
+  // as without the release. A Backward needs a Forward after the release.
+  // Releasing twice is a no-op; layers without caches or gradients keep
+  // this default.
+  virtual void ReleaseBuffers() {}
+
   // Human-readable layer tag for debugging and serialization checks.
   virtual std::string name() const = 0;
 

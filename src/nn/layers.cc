@@ -68,6 +68,10 @@ Tensor Dense::Backward(const Tensor& grad_output) {
 void Dense::BackwardParams(const Tensor& grad_output) {
   FEDMIGR_CHECK_EQ(grad_output.ndim(), 2);
   FEDMIGR_CHECK_EQ(grad_output.dim(1), out_features_);
+  if (grad_weights_.empty()) {  // released: re-create zeroed
+    grad_weights_ = Tensor(weights_.shape());
+    grad_bias_ = Tensor(bias_.shape());
+  }
   // dW = dY^T X  ([out, N] * [N, in]).
   grad_weights_.Add(MatMulTransA(grad_output, cached_input_));
   const int batch = grad_output.dim(0);
@@ -78,14 +82,20 @@ void Dense::BackwardParams(const Tensor& grad_output) {
   }
 }
 
+void Dense::ReleaseBuffers() {
+  grad_weights_ = Tensor();
+  grad_bias_ = Tensor();
+  cached_input_ = Tensor();
+}
+
 std::unique_ptr<Layer> Dense::Clone() const {
   auto copy = std::unique_ptr<Dense>(new Dense());
   copy->in_features_ = in_features_;
   copy->out_features_ = out_features_;
   copy->weights_ = weights_;
   copy->bias_ = bias_;
-  copy->grad_weights_ = Tensor(grad_weights_.shape());
-  copy->grad_bias_ = Tensor(grad_bias_.shape());
+  copy->grad_weights_ = Tensor(weights_.shape());
+  copy->grad_bias_ = Tensor(bias_.shape());
   return copy;
 }
 
@@ -135,8 +145,19 @@ void Conv2D::AccumulateBackward(const Tensor& grad_output,
   Conv2dBackward(cached_input_, kernel_, pad_, grad_output, grad_input,
                  &grad_kernel, &grad_bias, workspace.Find(columns_));
   workspace.Release(&columns_);
+  if (grad_kernel_.empty()) {  // released: re-create zeroed
+    grad_kernel_ = Tensor(kernel_.shape());
+    grad_bias_ = Tensor(bias_.shape());
+  }
   grad_kernel_.Add(grad_kernel);
   grad_bias_.Add(grad_bias);
+}
+
+void Conv2D::ReleaseBuffers() {
+  grad_kernel_ = Tensor();
+  grad_bias_ = Tensor();
+  cached_input_ = Tensor();
+  ColumnWorkspace::ThreadLocal().Release(&columns_);
 }
 
 std::unique_ptr<Layer> Conv2D::Clone() const {
@@ -147,8 +168,8 @@ std::unique_ptr<Layer> Conv2D::Clone() const {
   copy->pad_ = pad_;
   copy->kernel_ = kernel_;
   copy->bias_ = bias_;
-  copy->grad_kernel_ = Tensor(grad_kernel_.shape());
-  copy->grad_bias_ = Tensor(grad_bias_.shape());
+  copy->grad_kernel_ = Tensor(kernel_.shape());
+  copy->grad_bias_ = Tensor(bias_.shape());
   return copy;
 }
 
@@ -311,6 +332,13 @@ std::vector<Tensor*> ResidualDense::Grads() {
   std::vector<Tensor*> grads = fc1_->Grads();
   for (Tensor* g : fc2_->Grads()) grads.push_back(g);
   return grads;
+}
+
+void ResidualDense::ReleaseBuffers() {
+  fc1_->ReleaseBuffers();
+  relu1_->ReleaseBuffers();
+  fc2_->ReleaseBuffers();
+  cached_sum_ = Tensor();
 }
 
 std::unique_ptr<Layer> ResidualDense::Clone() const {

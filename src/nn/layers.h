@@ -34,6 +34,7 @@ class Dense : public Layer {
   std::vector<Tensor*> Grads() override {
     return {&grad_weights_, &grad_bias_};
   }
+  void ReleaseBuffers() override;
   std::string name() const override { return "Dense"; }
   std::unique_ptr<Layer> Clone() const override;
 
@@ -70,6 +71,7 @@ class Conv2D : public Layer {
   void BackwardParams(const Tensor& grad_output) override;
   std::vector<Tensor*> Params() override { return {&kernel_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&grad_kernel_, &grad_bias_}; }
+  void ReleaseBuffers() override;
   std::string name() const override { return "Conv2D"; }
   std::unique_ptr<Layer> Clone() const override;
 
@@ -98,6 +100,7 @@ class MaxPool2x2 : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void ReleaseBuffers() override { argmax_ = Tensor(); }
   std::string name() const override { return "MaxPool2x2"; }
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<MaxPool2x2>();
@@ -130,6 +133,7 @@ class ReLU : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void ReleaseBuffers() override { cached_input_ = Tensor(); }
   std::string name() const override { return "ReLU"; }
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<ReLU>();
@@ -145,6 +149,7 @@ class Tanh : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void ReleaseBuffers() override { cached_output_ = Tensor(); }
   std::string name() const override { return "Tanh"; }
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Tanh>();
@@ -160,6 +165,7 @@ class Sigmoid : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void ReleaseBuffers() override { cached_output_ = Tensor(); }
   std::string name() const override { return "Sigmoid"; }
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Sigmoid>();
@@ -177,6 +183,7 @@ class Softmax : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void ReleaseBuffers() override { cached_output_ = Tensor(); }
   std::string name() const override { return "Softmax"; }
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Softmax>();
@@ -197,6 +204,7 @@ class ResidualDense : public Layer {
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Tensor*> Params() override;
   std::vector<Tensor*> Grads() override;
+  void ReleaseBuffers() override;
   std::string name() const override { return "ResidualDense"; }
   std::unique_ptr<Layer> Clone() const override;
 

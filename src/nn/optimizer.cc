@@ -40,6 +40,7 @@ void Sgd::Step(Sequential* model) {
   for (size_t i = 0; i < params.size(); ++i) {
     Tensor& p = *params[i];
     const Tensor& g = *grads[i];
+    FEDMIGR_CHECK(!g.empty()) << "Step without a Backward since ReleaseBuffers";
     FEDMIGR_CHECK(p.SameShape(g));
     if (momentum_ != 0.0) {
       Tensor& v = velocity_[i];
@@ -93,6 +94,7 @@ void Adam::Step(Sequential* model) {
   for (size_t i = 0; i < params.size(); ++i) {
     Tensor& p = *params[i];
     const Tensor& g = *grads[i];
+    FEDMIGR_CHECK(!g.empty()) << "Step without a Backward since ReleaseBuffers";
     Tensor& m = m_[i];
     Tensor& v = v_[i];
     for (int64_t j = 0; j < p.size(); ++j) {

@@ -71,8 +71,20 @@ std::vector<Tensor*> Sequential::Grads() {
   return grads;
 }
 
+std::vector<const Tensor*> Sequential::Grads() const {
+  std::vector<const Tensor*> grads;
+  for (const auto& layer : layers_) {
+    for (Tensor* g : const_cast<Layer&>(*layer).Grads()) grads.push_back(g);
+  }
+  return grads;
+}
+
 void Sequential::ZeroGrads() {
   for (Tensor* g : Grads()) g->Zero();
+}
+
+void Sequential::ReleaseBuffers() {
+  for (auto& layer : layers_) layer->ReleaseBuffers();
 }
 
 int64_t Sequential::NumParams() const {

@@ -41,8 +41,11 @@ class Sequential {
   std::vector<Tensor*> Params();
   std::vector<Tensor*> Grads();
   std::vector<const Tensor*> Params() const;
+  std::vector<const Tensor*> Grads() const;
 
   void ZeroGrads();
+  // Layer::ReleaseBuffers on every layer.
+  void ReleaseBuffers();
 
   // Total number of scalar parameters.
   int64_t NumParams() const;

@@ -215,6 +215,10 @@ TrainStats DdpgAgent::Train(PrioritizedReplayBuffer* buffer, util::Rng* rng) {
   // backwards stay per sample: a batched backward would re-associate the
   // gradient sums.
   const std::vector<double> targets = TargetValues(batch);
+  // The target networks never run a backward: their stacked caches (and
+  // unused gradient buffers) need not outlive the passes above.
+  target_actor_.ReleaseBuffers();
+  target_critic_.ReleaseBuffers();
   const std::vector<double> mean_qs = MeanCandidateQ(batch);
 
   critic_.ZeroGrads();

@@ -126,6 +126,7 @@ class ByteWriter : public Unfailing {
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  void Reserve(size_t n) { bytes_.reserve(n); }
   size_t size() const { return bytes_.size(); }
 
  private:

@@ -3,6 +3,7 @@
 // mode (the kill-anywhere contract of PR 3 extended to the sharded
 // simulator).
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -106,6 +107,42 @@ TEST(TrainerCohortTest, OnlyCohortMembersMaterialize) {
   EXPECT_GT(trainer.num_materialized_clients(), 0);
   EXPECT_LE(trainer.num_materialized_clients(), 24);
   EXPECT_LT(trainer.num_materialized_clients(), CohortWorkload::kClients);
+}
+
+TEST(TrainerCohortTest, RetiredMembersHoldNoGradients) {
+  // A member that left its cohort keeps its parameters, momentum and RNG;
+  // its gradient buffers and forward caches are released when it retires,
+  // unless its block is shared (the aggregate, a migration capture).
+  CohortWorkload w;
+  TrainerConfig config = w.MakeConfig(8);
+  config.max_epochs = 8;  // four rounds
+  Trainer trainer = w.MakeTrainer(std::move(config));
+  trainer.Run();
+
+  const std::vector<int>& cohort = trainer.cohort();
+  int retired_owners = 0;
+  int trained_members = 0;
+  for (int i = 0; i < CohortWorkload::kClients; ++i) {
+    const Client* client = trainer.materialized_client(i);
+    if (client == nullptr || !client->has_model()) continue;
+    const std::vector<const nn::Tensor*> grads = client->model().Grads();
+    if (std::binary_search(cohort.begin(), cohort.end(), i)) {
+      // The current round trained it on a private block it still holds.
+      if (client->owns_model()) {
+        ++trained_members;
+        for (const nn::Tensor* g : grads) EXPECT_FALSE(g->empty()) << i;
+      }
+      continue;
+    }
+    // model_ref() adds one holder of its own.
+    if (!client->owns_model() || client->model_ref().use_count() != 2) {
+      continue;
+    }
+    ++retired_owners;
+    for (const nn::Tensor* g : grads) EXPECT_TRUE(g->empty()) << i;
+  }
+  EXPECT_GT(retired_owners, 0);
+  EXPECT_GT(trained_members, 0);
 }
 
 TEST(TrainerCohortTest, CohortMembersAreTheActiveSet) {
