@@ -1,7 +1,6 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +11,7 @@
 #include "obs/trace.h"
 #include "util/crc32.h"
 #include "util/file.h"
+#include "util/frame.h"
 #include "util/logging.h"
 #include "util/serial.h"
 
@@ -22,50 +22,22 @@ namespace {
 // "FSNP" read as a little-endian u32.
 constexpr uint32_t kSnapshotMagic = 0x504E5346u;
 constexpr uint32_t kSnapshotVersion = 1;
-// magic + version + payload_size before the payload, crc32 after it.
-constexpr size_t kHeaderSize = 4 + 4 + 8;
-constexpr size_t kFrameOverhead = kHeaderSize + 4;
 
 constexpr char kSnapshotPrefix[] = "snap-";
 constexpr char kSnapshotSuffix[] = ".fsnp";
-
-// Starts a frame in `writer`: the header, with a zero payload size that
-// SealFrame patches once the payload follows it. The header goes in as one
-// fixed-size append, so the writer's first growth has a known size.
-void BeginFrame(util::ByteWriter* writer) {
-  std::array<uint8_t, kHeaderSize> header{};
-  std::memcpy(header.data(), &kSnapshotMagic, sizeof(kSnapshotMagic));
-  std::memcpy(header.data() + sizeof(kSnapshotMagic), &kSnapshotVersion,
-              sizeof(kSnapshotVersion));
-  writer->Reserve(kHeaderSize);
-  writer->Io(std::span<const uint8_t>(header));
-}
-
-// Ends a frame BeginFrame started: patches the payload size, then appends
-// the CRC of header and payload.
-std::vector<uint8_t> SealFrame(util::ByteWriter* writer) {
-  std::vector<uint8_t> framed = writer->TakeBytes();
-  const uint64_t payload_size = framed.size() - kHeaderSize;
-  std::memcpy(framed.data() + kHeaderSize - sizeof(payload_size),
-              &payload_size, sizeof(payload_size));
-  const uint32_t crc = util::Crc32(framed.data(), framed.size());
-  const auto* p = reinterpret_cast<const uint8_t*>(&crc);
-  framed.insert(framed.end(), p, p + sizeof(crc));
-  return framed;
-}
 
 }  // namespace
 
 std::vector<uint8_t> FrameSnapshot(const std::vector<uint8_t>& payload) {
   util::ByteWriter writer;
-  BeginFrame(&writer);
+  util::BeginFrame(kSnapshotMagic, kSnapshotVersion, payload.size(), &writer);
   writer.Io(std::span<const uint8_t>(payload));
-  return SealFrame(&writer);
+  return util::SealFrame(&writer);
 }
 
 util::Result<std::vector<uint8_t>> UnframeSnapshot(
     const std::vector<uint8_t>& framed) {
-  if (framed.size() < kFrameOverhead) {
+  if (framed.size() < util::kFrameOverhead) {
     return util::Status::DataLoss("snapshot truncated below frame size");
   }
   util::ByteReader reader(framed);
@@ -82,17 +54,18 @@ util::Result<std::vector<uint8_t>> UnframeSnapshot(
   if (version != kSnapshotVersion) {
     return util::Status::InvalidArgument("unsupported snapshot version");
   }
-  if (payload_size != framed.size() - kFrameOverhead) {
+  if (payload_size != framed.size() - util::kFrameOverhead) {
     return util::Status::DataLoss("snapshot payload length mismatch");
   }
-  const size_t checked = kHeaderSize + static_cast<size_t>(payload_size);
+  const size_t checked =
+      util::kFrameHeaderSize + static_cast<size_t>(payload_size);
   const uint32_t expected = util::Crc32(framed.data(), checked);
   uint32_t stored = 0;
   std::memcpy(&stored, framed.data() + checked, sizeof(stored));
   if (stored != expected) {
     return util::Status::DataLoss("snapshot checksum mismatch");
   }
-  return std::vector<uint8_t>(framed.begin() + kHeaderSize,
+  return std::vector<uint8_t>(framed.begin() + util::kFrameHeaderSize,
                               framed.begin() + checked);
 }
 
@@ -144,8 +117,8 @@ int EpochFromName(const std::string& name) {
 
 }  // namespace
 
-std::vector<std::string> SnapshotManager::ListSnapshots() const {
-  std::vector<std::pair<int, std::string>> found;
+SnapshotManager::Listing SnapshotManager::ListEpochs() const {
+  Listing found;
   util::Result<std::vector<std::string>> names =
       util::ListDirectory(options_.directory);
   if (!names.ok()) return {};
@@ -155,9 +128,12 @@ std::vector<std::string> SnapshotManager::ListSnapshots() const {
   }
   std::sort(found.begin(), found.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
+  return found;
+}
+
+std::vector<std::string> SnapshotManager::ListSnapshots() const {
   std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [epoch, path] : found) paths.push_back(std::move(path));
+  for (auto& [epoch, path] : ListEpochs()) paths.push_back(std::move(path));
   return paths;
 }
 
@@ -170,22 +146,35 @@ util::Status SnapshotManager::Save(const fl::Trainer& trainer, int epoch) {
     // The state is written straight after the frame header, so the payload
     // is never copied into a second buffer to be framed.
     util::ByteWriter writer;
-    BeginFrame(&writer);
+    util::BeginFrame(kSnapshotMagic, kSnapshotVersion, 0, &writer);
     trainer.SaveState(&writer);
-    framed = SealFrame(&writer);
+    framed = util::SealFrame(&writer);
   }
   FEDMIGR_TRACE_SCOPE("core/snapshot_publish");
   FEDMIGR_RETURN_IF_ERROR(util::AtomicWriteFile(PathForEpoch(epoch), framed));
   // Rotation runs only after a successful publish, so a failed save never
-  // costs an older good snapshot.
-  const std::vector<std::string> snapshots = ListSnapshots();
-  for (size_t i = static_cast<size_t>(options_.keep); i < snapshots.size();
-       ++i) {
-    const util::Status removed = util::RemoveFile(snapshots[i]);
+  // costs an older good snapshot. The directory is listed once; after that
+  // the manager knows what it published, and a re-save of an epoch is
+  // still one file.
+  if (!listed_) {
+    published_ = ListEpochs();
+    listed_ = true;
+  } else {
+    const auto at = std::find_if(
+        published_.begin(), published_.end(),
+        [epoch](const auto& entry) { return entry.first <= epoch; });
+    if (at == published_.end() || at->first != epoch) {
+      published_.emplace(at, epoch, PathForEpoch(epoch));
+    }
+  }
+  const size_t keep = static_cast<size_t>(options_.keep);
+  for (size_t i = keep; i < published_.size(); ++i) {
+    const util::Status removed = util::RemoveFile(published_[i].second);
     if (!removed.ok()) {
       FEDMIGR_LOG(kWarning) << "snapshot rotation: " << removed.ToString();
     }
   }
+  if (published_.size() > keep) published_.resize(keep);
   return util::Status::Ok();
 }
 

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -72,7 +73,9 @@ class SnapshotManager {
   const SnapshotOptions& options() const { return options_; }
 
   // Serializes the trainer and atomically publishes snap-NNNNNN.fsnp for
-  // `epoch`, then rotates old snapshots down to `keep`.
+  // `epoch`, then rotates old snapshots down to `keep`. Rotation works from
+  // the epochs this manager has published, seeded by one directory listing
+  // on the first save so an earlier process's snapshots rotate too.
   util::Status Save(const fl::Trainer& trainer, int epoch);
 
   // Cadence wrapper for the trainer's epoch hook.
@@ -88,8 +91,16 @@ class SnapshotManager {
   util::Result<int> Resume(fl::Trainer* trainer) const;
 
  private:
+  // (epoch, path) of every snapshot file in the directory, newest first.
+  using Listing = std::vector<std::pair<int, std::string>>;
+  Listing ListEpochs() const;
   std::string PathForEpoch(int epoch) const;
+
   SnapshotOptions options_;
+  // The directory's snapshots as this manager last left them, newest
+  // first; valid once the first save has listed the directory.
+  Listing published_;
+  bool listed_ = false;
 };
 
 // --- Interrupt handling ---------------------------------------------------

@@ -371,26 +371,16 @@ std::vector<ScreeningVerdict> ScreenUpdates(
 // Reputation
 // ---------------------------------------------------------------------------
 
-const char* ReputationStateName(ReputationState state) {
-  switch (state) {
-    case ReputationState::kHealthy: return "healthy";
-    case ReputationState::kSuspect: return "suspect";
-    case ReputationState::kQuarantined: return "quarantined";
-    case ReputationState::kRehabilitating: return "rehabilitating";
-  }
-  return "healthy";
-}
-
 ReputationTracker::ReputationTracker(const ReputationConfig& config,
                                      int num_clients)
-    : config_(config), states_(static_cast<size_t>(num_clients)) {
+    : config_(config), num_clients_(num_clients) {
   FEDMIGR_CHECK_GE(config_.patience, 1);
   FEDMIGR_CHECK_GE(config_.quarantine_rounds, 1);
 }
 
 ReputationState ReputationTracker::state(int client) const {
-  if (client < 0 || client >= num_clients()) return ReputationState::kHealthy;
-  return states_[static_cast<size_t>(client)].state;
+  const auto it = records_.find(client);
+  return it == records_.end() ? ReputationState::kHealthy : it->second.state;
 }
 
 bool ReputationTracker::Eligible(int client) const {
@@ -398,8 +388,8 @@ bool ReputationTracker::Eligible(int client) const {
 }
 
 int ReputationTracker::first_quarantine_round(int client) const {
-  if (client < 0 || client >= num_clients()) return -1;
-  return states_[static_cast<size_t>(client)].first_quarantine_round;
+  const auto it = records_.find(client);
+  return it == records_.end() ? -1 : it->second.first_quarantine_round;
 }
 
 void ReputationTracker::RecordTransition(int client, ReputationState from,
@@ -414,9 +404,8 @@ ReputationTracker::DrainTransitions() {
   return drained;
 }
 
-void ReputationTracker::Quarantine(ClientRecord* record) {
-  RecordTransition(static_cast<int>(record - states_.data()), record->state,
-                   ReputationState::kQuarantined);
+void ReputationTracker::Quarantine(int client, ClientRecord* record) {
+  RecordTransition(client, record->state, ReputationState::kQuarantined);
   record->state = ReputationState::kQuarantined;
   // +1 because AdvanceRound still ticks the triggering round: the client
   // stays masked for `quarantine_rounds` *full* rounds after this one.
@@ -430,7 +419,7 @@ void ReputationTracker::Quarantine(ClientRecord* record) {
 
 void ReputationTracker::ReportFlagged(int client) {
   if (!enabled() || client < 0 || client >= num_clients()) return;
-  ClientRecord& record = states_[static_cast<size_t>(client)];
+  ClientRecord& record = records_[client];
   switch (record.state) {
     case ReputationState::kHealthy:
       RecordTransition(client, ReputationState::kHealthy,
@@ -438,18 +427,18 @@ void ReputationTracker::ReportFlagged(int client) {
       record.state = ReputationState::kSuspect;
       record.strikes = 1;
       record.clean_streak = 0;
-      if (record.strikes >= config_.patience) Quarantine(&record);
+      if (record.strikes >= config_.patience) Quarantine(client, &record);
       break;
     case ReputationState::kSuspect:
       // Strikes accumulate and never reset inside suspect: an attacker
       // cannot oscillate clean/flagged to stay under the radar forever.
       ++record.strikes;
       record.clean_streak = 0;
-      if (record.strikes >= config_.patience) Quarantine(&record);
+      if (record.strikes >= config_.patience) Quarantine(client, &record);
       break;
     case ReputationState::kRehabilitating:
       // Zero tolerance during rehabilitation.
-      Quarantine(&record);
+      Quarantine(client, &record);
       break;
     case ReputationState::kQuarantined:
       break;  // quarantined clients do not upload; defensive no-op
@@ -457,8 +446,10 @@ void ReputationTracker::ReportFlagged(int client) {
 }
 
 void ReputationTracker::ReportClean(int client) {
-  if (!enabled() || client < 0 || client >= num_clients()) return;
-  ClientRecord& record = states_[static_cast<size_t>(client)];
+  // A client without a record is healthy: a clean report changes nothing.
+  const auto it = records_.find(client);
+  if (!enabled() || it == records_.end()) return;
+  ClientRecord& record = it->second;
   switch (record.state) {
     case ReputationState::kSuspect:
       ++record.clean_streak;
@@ -482,8 +473,7 @@ void ReputationTracker::ReportClean(int client) {
 void ReputationTracker::AdvanceRound() {
   if (!enabled()) return;
   ++round_;
-  for (ClientRecord& record : states_) {
-    const int client = static_cast<int>(&record - states_.data());
+  for (auto& [client, record] : records_) {
     if (record.state == ReputationState::kQuarantined) {
       if (--record.quarantine_left <= 0) {
         RecordTransition(client, ReputationState::kQuarantined,

@@ -35,6 +35,7 @@
 #define FEDMIGR_FL_ROBUST_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -176,8 +177,6 @@ enum class ReputationState {
   kRehabilitating,
 };
 
-const char* ReputationStateName(ReputationState state);
-
 struct ReputationConfig {
   bool enabled = false;
   // Flagged rounds (accumulated while suspect/rehabilitating) before
@@ -199,7 +198,9 @@ class ReputationTracker {
   ReputationTracker(const ReputationConfig& config, int num_clients);
 
   bool enabled() const { return config_.enabled; }
-  int num_clients() const { return static_cast<int>(states_.size()); }
+  int num_clients() const { return num_clients_; }
+  // Clients holding a record: those ever flagged (or restored non-healthy).
+  size_t num_records() const { return records_.size(); }
   ReputationState state(int client) const;
   // False only while quarantined: such clients neither upload nor appear
   // in the DRL/FLMM action space nor serve as migration endpoints.
@@ -215,15 +216,13 @@ class ReputationTracker {
   // quarantine; -1 if never. The bench's quarantine-latency column.
   int first_quarantine_round(int client) const;
 
-  // Snapshot layout: the round counter and one record per client; the
-  // client count must match this tracker's.
+  // Snapshot layout: the round counter and one record per client (the
+  // default one for a client without); the client count must match.
   template <class Ar>
   util::Status Visit(Ar& ar) {
-    const size_t clients = states_.size();
     ar.Io(round_);
-    ar.Io(states_);
-    ar.Check(states_.size() == clients,
-             "reputation state client count mismatch");
+    ar.Io(util::SparseSeq(records_, static_cast<size_t>(num_clients_),
+                          "reputation state client count mismatch"));
     return ar.status();
   }
 
@@ -260,14 +259,18 @@ class ReputationTracker {
       ar.Io(first_quarantine_round);
       return ar.status();
     }
+    bool operator==(const ClientRecord&) const = default;
   };
 
-  void Quarantine(ClientRecord* record);
+  void Quarantine(int client, ClientRecord* record);
   void RecordTransition(int client, ReputationState from, ReputationState to);
 
   // SNAPSHOT-SKIP(configuration, supplied identically on resume)
   ReputationConfig config_;
-  std::vector<ClientRecord> states_;
+  int num_clients_ = 0;  // the stream's sequence length
+  // Records of the clients that have one, in id order: AdvanceRound walks
+  // them, so transitions come out in id order (never a hash map).
+  std::map<int, ClientRecord> records_;
   int round_ = 0;  // completed aggregation rounds
   // Drained into the event stream every aggregation round, so always empty
   // at the epoch boundaries where snapshots are taken.

@@ -166,7 +166,6 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
   model_params_ = global.NumParams();
   server_ = std::make_unique<Server>(global, test_);
   store_.Publish(global);
-  model_lineage_.assign(static_cast<size_t>(k), 0);
 
   FEDMIGR_CHECK_GT(config_.client_fraction, 0.0);
   FEDMIGR_CHECK_LE(config_.client_fraction, 1.0);
@@ -185,25 +184,19 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
   }
 
   if (config_.cohort_size > 0) {
-    // Sharded mode: clients stay lazy until their first cohort; provenance
-    // slots hold empty vectors until then. Cohorts are the participation
-    // sample, so the α-knob must stay at its default.
+    // Sharded mode: clients stay lazy until their first cohort. Cohorts are
+    // the participation sample, so the α-knob must stay at its default.
     FEDMIGR_CHECK_EQ(config_.client_fraction, 1.0);
     cohort_sampler_ = std::make_unique<CohortSampler>(config_.seed, k,
                                                       config_.cohort_size);
-    model_distributions_.assign(static_cast<size_t>(k),
-                                std::vector<double>());
   } else {
     identity_.resize(static_cast<size_t>(k));
     std::iota(identity_.begin(), identity_.end(), 0);
-    model_distributions_.assign(
-        static_cast<size_t>(k),
-        std::vector<double>(static_cast<size_t>(train_->num_classes()), 0.0));
     for (int i = 0; i < k; ++i) {
       Client& client = ClientAt(i);
       client.SetModel(store_.aggregate());
       client.SetProximalReference(store_.aggregate_flat());
-      model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
+      provenance_.at(i).lineage = store_.aggregate_lineage();
     }
   }
   // The identity cohort participates from the start; sampled members join
@@ -211,7 +204,6 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
   participating_.assign(static_cast<size_t>(k), !cohort_mode());
   available_ = participating_;
   eligible_ = participating_;
-  model_samples_.assign(static_cast<size_t>(k), 0.0);
 
   // Robustness layer. A disabled ReputationTracker is a no-op whose
   // Eligible() is always true.
@@ -237,7 +229,7 @@ Client& Trainer::ClientAt(int i) {
              config_.momentum,
              config_.seed * 1000003ULL + static_cast<uint64_t>(i)));
   slice = std::vector<int>();  // moved-from slot, leave it truly empty
-  auto& dist = model_distributions_[static_cast<size_t>(i)];
+  std::vector<double>& dist = provenance_[i].dist;
   if (dist.empty()) {
     dist.assign(static_cast<size_t>(train_->num_classes()), 0.0);
   }
@@ -253,6 +245,12 @@ Client& Trainer::MaterializedClient(int i) const {
   Client* client = clients_.Get(i);
   FEDMIGR_CHECK(client != nullptr) << "client " << i << " is not materialized";
   return *client;
+}
+
+void Trainer::Provenance::Reset(int64_t from) {
+  std::fill(dist.begin(), dist.end(), 0.0);
+  samples = 0.0;
+  lineage = from;
 }
 
 void Trainer::ResampleParticipants() {
@@ -295,10 +293,7 @@ void Trainer::BeginRound(int64_t round) {
         partition_[static_cast<size_t>(i)] = materialized->indices();
         clients_.Evict(i);
       }
-      auto& dist = model_distributions_[static_cast<size_t>(i)];
-      std::fill(dist.begin(), dist.end(), 0.0);
-      model_samples_[static_cast<size_t>(i)] = 0.0;
-      model_lineage_[static_cast<size_t>(i)] = 0;
+      provenance_.at(i).Reset(0);  // kept, zero-filled, for a re-join
       events_.ClientDeparted(epoch, i);
     } else if (Client* retired = clients_.Get(i)) {
       // A retired member stays materialized but keeps only its snapshot
@@ -387,10 +382,7 @@ double Trainer::DistributeAggregate(int epoch,
     }
     client.SetModel(store_.aggregate());
     client.SetProximalReference(store_.aggregate_flat());
-    auto& dist = model_distributions_[static_cast<size_t>(i)];
-    std::fill(dist.begin(), dist.end(), 0.0);
-    model_samples_[static_cast<size_t>(i)] = 0.0;
-    model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
+    provenance_.at(i).Reset(store_.aggregate_lineage());
     events_.ModelDistributed(epoch, i, store_.aggregate_lineage());
   }
   return download_seconds;
@@ -448,9 +440,9 @@ double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
     total_samples += samples;
     // Recorded from this serial reduction (never the ParallelFor above),
     // so the event order is independent of the pool width.
+    Provenance& provenance = provenance_.at(i);
     events_.ClientParticipated(epoch, i, topology_.lan_of(i),
-                               model_lineage_[static_cast<size_t>(i)],
-                               res.mean_loss);
+                               provenance.lineage, res.mean_loss);
     budget_.ConsumeCompute(static_cast<double>(res.samples_processed));
     slowest = std::max(
         slowest, net::ComputeSeconds(devices_[static_cast<size_t>(i)],
@@ -459,10 +451,10 @@ double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
     // The resident model absorbs this client's distribution. Clients with
     // no local data (possible under extreme partitions) change nothing.
     if (samples > 0.0) {
-      auto& dist = model_distributions_[static_cast<size_t>(i)];
-      dist = data::MixDistributions(dist, model_samples_[static_cast<size_t>(i)],
-                                    client.label_distribution(), samples);
-      model_samples_[static_cast<size_t>(i)] += samples;
+      provenance.dist =
+          data::MixDistributions(provenance.dist, provenance.samples,
+                                 client.label_distribution(), samples);
+      provenance.samples += samples;
     }
   }
   // Byzantine tampering happens after the honest local update, in place, so
@@ -513,7 +505,7 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
       // Quarantined: the server refuses the upload outright — no transfer,
       // no traffic, no seat in the aggregate.
       events_.ClientUploaded(epoch, i, obs::UploadStatus::kExcludedQuarantined,
-                             model_lineage_[static_cast<size_t>(i)]);
+                             model_lineage(i));
       continue;
     }
     Client& client = MaterializedClient(i);
@@ -532,18 +524,18 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
       // The server stopped waiting; the bytes are spent anyway.
       faults_.CountDroppedStraggler();
       events_.ClientUploaded(epoch, i, obs::UploadStatus::kDroppedStraggler,
-                             model_lineage_[static_cast<size_t>(i)]);
+                             model_lineage(i));
       continue;
     }
     if (res.corrupted && CorruptedPayloadRejected(client.model())) {
       faults_.CountCorruptRejected();
       events_.ClientUploaded(epoch, i, obs::UploadStatus::kDroppedCorrupt,
-                             model_lineage_[static_cast<size_t>(i)]);
+                             model_lineage(i));
       continue;
     }
     arrived[static_cast<size_t>(i)] = true;
     events_.ClientUploaded(epoch, i, obs::UploadStatus::kArrived,
-                           model_lineage_[static_cast<size_t>(i)]);
+                           model_lineage(i));
   }
   if (faulty && upload_seconds > upload_deadline) {
     upload_seconds = upload_deadline;
@@ -679,9 +671,7 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
     bool delivered = false;
     bool fallback = false;
     ModelRef model;
-    std::vector<double> dist;
-    double samples = 0.0;
-    int64_t lineage = 0;  // captured pre-move, like the payload itself
+    Provenance provenance;  // captured pre-move, like the payload itself
   };
   std::vector<Move> moves;
   const int n = static_cast<int>(plan.incoming.size());
@@ -699,24 +689,20 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
                     static_cast<size_t>(j) < exec.via_fallback.size() &&
                     exec.via_fallback[static_cast<size_t>(j)];
     move.model = source.share_model();
-    move.dist = model_distributions_[static_cast<size_t>(src)];
-    move.samples = model_samples_[static_cast<size_t>(src)];
-    move.lineage = model_lineage_[static_cast<size_t>(src)];
+    move.provenance = provenance_.at(src);
     moves.push_back(std::move(move));
   }
   int installed = 0;
   for (Move& move : moves) {
+    const int64_t lineage = move.provenance.lineage;
     if (move.delivered) {
       MaterializedClient(move.dst).SetModel(std::move(move.model));
-      model_distributions_[static_cast<size_t>(move.dst)] =
-          std::move(move.dist);
-      model_samples_[static_cast<size_t>(move.dst)] = move.samples;
-      model_lineage_[static_cast<size_t>(move.dst)] = move.lineage;
+      provenance_.at(move.dst) = std::move(move.provenance);
       ++installed;
       events_.MigrationHop(epoch, move.src, move.dst,
                            move.fallback ? obs::MigrationRoute::kServerFallback
                                          : obs::MigrationRoute::kC2C,
-                           move.lineage);
+                           lineage);
     } else {
       // Roll back: drop the captured ref, then re-promote the source (a
       // no-op if its block is still aliased elsewhere — exactly the
@@ -724,7 +710,7 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
       move.model = nullptr;
       MaterializedClient(move.src).ReclaimModel();
       events_.MigrationHop(epoch, move.src, move.dst,
-                           obs::MigrationRoute::kRolledBack, move.lineage);
+                           obs::MigrationRoute::kRolledBack, lineage);
     }
   }
   // The atomicity invariant: every planned source either shipped its block
@@ -756,7 +742,7 @@ int Trainer::MigrationPhase(int epoch, double loss) {
   for (int t = 0; t < n; ++t) {
     const int i = ids[static_cast<size_t>(t)];
     client_dists.push_back(MaterializedClient(i).label_distribution());
-    model_dists.push_back(model_distributions_[static_cast<size_t>(i)]);
+    model_dists.push_back(provenance_.at(i).dist);
     local_eligible[static_cast<size_t>(t)] =
         eligible_[static_cast<size_t>(i)];
   }
@@ -1173,15 +1159,13 @@ struct Trainer::Staged {
   net::FaultInjector faults_;
   std::vector<bool> participating_;
   std::vector<bool> available_;
-  std::vector<std::vector<double>> model_distributions_;
-  std::vector<double> model_samples_;
+  std::map<int, Provenance> provenance_;
   nn::Sequential global_;
   obs::EventCounts counts_;
   ReputationTracker reputation_;
   std::vector<int> cohort_;
   int64_t cohort_round_ = -1;
   std::vector<int> carryover_;
-  std::vector<int64_t> model_lineage_;
   int64_t next_lineage_id_ = 0;
   int64_t aggregate_lineage_ = 0;
   int64_t parent_lineage_ = 0;
@@ -1253,11 +1237,13 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
   ar.Io(s.available_);
   ar.Check(s.participating_.size() == k && s.available_.size() == k,
            "snapshot participation vectors sized wrong");
-  ar.Io(s.model_distributions_);
-  ar.Check(s.model_distributions_.size() == k,
-           "snapshot distribution count mismatch");
-  ar.Io(s.model_samples_);
-  ar.Check(s.model_samples_.size() == k, "snapshot sample count mismatch");
+  // Provenance streams as K-long sequences; a client without a record
+  // reads and writes the default values.
+  ar.Io(util::SparseSeq(s.provenance_, k,
+                        "snapshot distribution count mismatch",
+                        &Provenance::dist));
+  ar.Io(util::SparseSeq(s.provenance_, k, "snapshot sample count mismatch",
+                        &Provenance::samples));
 
   // Models: server, then every client slot. Lazy clients write one byte;
   // materialized clients whose replica still aliases the current aggregate
@@ -1346,8 +1332,8 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
            "participation");
 
   // v5: lineage state for the flight recorder.
-  ar.Io(s.model_lineage_);
-  ar.Check(s.model_lineage_.size() == k, "snapshot lineage count mismatch");
+  ar.Io(util::SparseSeq(s.provenance_, k, "snapshot lineage count mismatch",
+                        &Provenance::lineage));
   int64_t next_lineage_id = store_.next_lineage_id();
   int64_t aggregate_lineage = store_.aggregate_lineage();
   int64_t parent_lineage = store_.parent_lineage();
@@ -1388,8 +1374,7 @@ void Trainer::Commit(Staged&& s) {
   faults_ = std::move(s.faults_);
   participating_ = std::move(s.participating_);
   available_ = std::move(s.available_);
-  model_distributions_ = std::move(s.model_distributions_);
-  model_samples_ = std::move(s.model_samples_);
+  provenance_ = std::move(s.provenance_);
   server_->global_model() = std::move(s.global_);
   counts_ = s.counts_;
   reputation_ = std::move(s.reputation_);
@@ -1405,7 +1390,6 @@ void Trainer::Commit(Staged&& s) {
   // The re-publish in VisitState minted a throwaway id; restore the mint
   // counter and the aggregate/parent heads the snapshot recorded so the
   // next publish continues the same id sequence.
-  model_lineage_ = std::move(s.model_lineage_);
   store_.RestoreLineage(s.next_lineage_id_, s.aggregate_lineage_,
                         s.parent_lineage_);
 }
@@ -1415,7 +1399,19 @@ void Trainer::SaveState(util::ByteWriter* writer) const {
 }
 
 util::Status Trainer::LoadState(util::ByteReader* reader) {
-  return util::Load(reader, this);
+  FEDMIGR_RETURN_IF_ERROR(util::Load(reader, this));
+  // Client::Visit restored every private block with gradient buffers; the
+  // members outside the restored cohort free them again, as they had when
+  // they retired.
+  const std::vector<int>& active = active_clients();
+  for (const auto& [i, provenance] : provenance_) {
+    Client* client = clients_.Get(i);
+    if (client != nullptr &&
+        !std::binary_search(active.begin(), active.end(), i)) {
+      client->ReleaseBuffers();
+    }
+  }
+  return util::Status::Ok();
 }
 
 }  // namespace fedmigr::fl

@@ -18,6 +18,7 @@
 #define FEDMIGR_FL_TRAINER_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -247,10 +248,13 @@ class Trainer {
   void SetJournal(obs::Journal* journal);
 
   // Per-client lineage id (the publish the client's model descends from;
-  // 0 = pre-publish). Exposed for the lineage tests.
+  // 0 = pre-publish or never materialized). Exposed for the lineage tests.
   int64_t model_lineage(int client) const {
-    return model_lineage_[static_cast<size_t>(client)];
+    const auto it = provenance_.find(client);
+    return it == provenance_.end() ? 0 : it->second.lineage;
   }
+  // Clients holding a provenance record: every client ever materialized.
+  size_t num_provenance_records() const { return provenance_.size(); }
 
   // First epoch the next Run() call would execute (1-based; max_epochs + 1
   // once the run is complete).
@@ -360,15 +364,21 @@ class Trainer {
   int64_t model_bytes_ = 0;
   int64_t model_params_ = 0;
 
-  // Per-slot model provenance: the label distribution the resident model
-  // has accumulated since the last aggregation, and its sample weight.
-  std::vector<std::vector<double>> model_distributions_;
-  std::vector<double> model_samples_;
-  // Per-slot lineage: the ModelStore publish id client i's resident model
-  // descends from (0 until the first distribution). Minted only in serial
-  // code (ModelStore::Publish), inherited by CoW clones, moved by
-  // migrations — the causal edge stream the flight recorder emits.
-  std::vector<int64_t> model_lineage_;
+  // Model provenance: the label distribution the resident model has
+  // accumulated since the last aggregation, its sample weight, and the
+  // ModelStore publish id it descends from (0 until the first distribution;
+  // minted only in serial code, inherited by CoW clones, moved by
+  // migrations — the causal edge stream the flight recorder emits).
+  struct Provenance {
+    std::vector<double> dist;
+    double samples = 0.0;
+    int64_t lineage = 0;
+    void Reset(int64_t from);  // holds publish `from`, nothing absorbed
+  };
+  // One record per client ever materialized, in id order (never a hash
+  // map). ClientAt creates it, churn eviction zero-fills it; only serial
+  // code touches it.
+  std::map<int, Provenance> provenance_;
 
   // Participation state: the α-sample for the current global iteration and
   // this epoch's availability (participation minus dropouts). `eligible_`

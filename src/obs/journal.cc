@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "util/crc32.h"
+#include "util/frame.h"
 #include "util/logging.h"
 
 namespace fedmigr::obs {
@@ -13,9 +15,6 @@ namespace {
 
 // "FJRN" read as a little-endian u32.
 constexpr uint32_t kJournalMagic = 0x4E524A46u;
-// magic + version + payload_size before the payload, crc32 after it.
-constexpr size_t kChunkHeaderSize = 4 + 4 + 8;
-constexpr size_t kChunkOverhead = kChunkHeaderSize + 4;
 
 // Chunk kinds (first payload byte).
 constexpr uint8_t kChunkHeader = 0;
@@ -56,6 +55,15 @@ JournalSummary SummarizeCounts(const EventCounts& counts) {
   return summary;
 }
 
+// A chunk of `kind` being written straight after its frame header;
+// Journal::AppendChunk seals it.
+util::ByteWriter BeginChunk(uint8_t kind) {
+  util::ByteWriter chunk;
+  util::BeginFrame(kJournalMagic, kJournalVersion, 0, &chunk);
+  chunk.Io(kind);
+  return chunk;
+}
+
 }  // namespace
 
 // --- Wire serializers -----------------------------------------------------
@@ -90,22 +98,16 @@ util::Status ReadJournalSummary(util::ByteReader* reader,
 
 std::vector<uint8_t> FrameJournalChunk(const std::vector<uint8_t>& payload) {
   util::ByteWriter writer;
-  writer.Io(kJournalMagic);
-  writer.Io(kJournalVersion);
-  writer.Io(static_cast<uint64_t>(payload.size()));
-  std::vector<uint8_t> framed = writer.TakeBytes();
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  const uint32_t crc = util::Crc32(framed.data(), framed.size());
-  const auto* p = reinterpret_cast<const uint8_t*>(&crc);
-  framed.insert(framed.end(), p, p + sizeof(crc));
-  return framed;
+  util::BeginFrame(kJournalMagic, kJournalVersion, payload.size(), &writer);
+  writer.Io(std::span<const uint8_t>(payload));
+  return util::SealFrame(&writer);
 }
 
 util::Result<std::vector<uint8_t>> UnframeJournalChunk(const uint8_t* data,
                                                        size_t size,
                                                        size_t* consumed) {
   *consumed = 0;
-  if (size < kChunkOverhead) {
+  if (size < util::kFrameOverhead) {
     return util::Status::DataLoss("journal chunk truncated below frame size");
   }
   util::ByteReader reader(data, size);
@@ -122,10 +124,11 @@ util::Result<std::vector<uint8_t>> UnframeJournalChunk(const uint8_t* data,
   if (version != kJournalVersion) {
     return util::Status::InvalidArgument("unsupported journal version");
   }
-  if (payload_size > size - kChunkOverhead) {
+  if (payload_size > size - util::kFrameOverhead) {
     return util::Status::DataLoss("journal chunk payload truncated");
   }
-  const size_t checked = kChunkHeaderSize + static_cast<size_t>(payload_size);
+  const size_t checked =
+      util::kFrameHeaderSize + static_cast<size_t>(payload_size);
   const uint32_t expected = util::Crc32(data, checked);
   uint32_t stored = 0;
   std::memcpy(&stored, data + checked, sizeof(stored));
@@ -133,7 +136,7 @@ util::Result<std::vector<uint8_t>> UnframeJournalChunk(const uint8_t* data,
     return util::Status::DataLoss("journal chunk checksum mismatch");
   }
   *consumed = checked + sizeof(stored);
-  return std::vector<uint8_t>(data + kChunkHeaderSize, data + checked);
+  return std::vector<uint8_t>(data + util::kFrameHeaderSize, data + checked);
 }
 
 // --- Recorder -------------------------------------------------------------
@@ -245,16 +248,14 @@ void Journal::BeginRun(const JournalHeader& header) {
   if (!attached_ || header_written_) return;
   JournalHeader stamped = header;
   stamped.sample_rate = options_.sample_rate;
-  util::ByteWriter payload;
-  payload.Io(kChunkHeader);
-  WriteJournalHeader(stamped, &payload);
-  FEDMIGR_CHECK(AppendChunk(payload.TakeBytes()).ok())
-      << "journal header append failed";
+  util::ByteWriter chunk = BeginChunk(kChunkHeader);
+  WriteJournalHeader(stamped, &chunk);
+  FEDMIGR_CHECK(AppendChunk(&chunk).ok()) << "journal header append failed";
   header_written_ = true;
 }
 
-util::Status Journal::AppendChunk(const std::vector<uint8_t>& payload) {
-  const std::vector<uint8_t> framed = FrameJournalChunk(payload);
+util::Status Journal::AppendChunk(util::ByteWriter* chunk) {
+  const std::vector<uint8_t> framed = util::SealFrame(chunk);
   if (options_.path.empty()) {
     memory_.insert(memory_.end(), framed.begin(), framed.end());
     return util::Status::Ok();
@@ -270,19 +271,18 @@ util::Status Journal::CommitEpoch(int epoch,
   };
   const auto count = static_cast<uint32_t>(
       std::count_if(events.begin(), events.end(), persisted));
-  util::ByteWriter payload;
-  payload.Io(kChunkEpoch);
-  payload.Io(epoch);
-  payload.Io(count);
+  util::ByteWriter chunk = BeginChunk(kChunkEpoch);
+  chunk.Io(epoch);
+  chunk.Io(count);
   for (const JournalEvent& event : events) {
     FEDMIGR_CHECK_EQ(event.epoch, epoch)
         << "journal event from another epoch";
     if (!persisted(event)) continue;
     FoldEvent(event, &folded_);
-    WriteJournalEvent(event, &payload);
+    WriteJournalEvent(event, &chunk);
   }
   events_committed_ += count;
-  return AppendChunk(payload.TakeBytes());
+  return AppendChunk(&chunk);
 }
 
 JournalSummary Journal::running_summary() const {
@@ -291,10 +291,9 @@ JournalSummary Journal::running_summary() const {
 
 util::Status Journal::EndRun() {
   if (!attached_) return util::Status::Ok();
-  util::ByteWriter payload;
-  payload.Io(kChunkSummary);
-  WriteJournalSummary(SummarizeCounts(folded_), &payload);
-  FEDMIGR_RETURN_IF_ERROR(AppendChunk(payload.TakeBytes()));
+  util::ByteWriter chunk = BeginChunk(kChunkSummary);
+  WriteJournalSummary(SummarizeCounts(folded_), &chunk);
+  FEDMIGR_RETURN_IF_ERROR(AppendChunk(&chunk));
   return Finish();
 }
 

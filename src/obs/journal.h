@@ -192,7 +192,8 @@ class Journal {
   const std::vector<uint8_t>& memory_image() const { return memory_; }
 
  private:
-  util::Status AppendChunk(const std::vector<uint8_t>& payload);
+  // Seals a chunk begun with its frame header and appends it.
+  util::Status AppendChunk(util::ByteWriter* chunk);
 
   Options options_;
   bool attached_ = false;

@@ -11,6 +11,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,47 @@ TEST(SnapshotManagerTest, SavesOnCadenceAndRotates) {
   ASSERT_EQ(snapshots.size(), 2u);
   EXPECT_NE(snapshots[0].find("snap-000005.fsnp"), std::string::npos);
   EXPECT_NE(snapshots[1].find("snap-000004.fsnp"), std::string::npos);
+}
+
+TEST(SnapshotManagerTest, RotatesSnapshotsAnEarlierProcessLeft) {
+  // A manager lists its directory once, on its first save: the snapshots an
+  // earlier process published rotate out with its own, and a re-save of an
+  // epoch is one file, not two.
+  const Workload w = MakeWorkload(SmallWorkloadConfig());
+  fl::SchemeSetup setup = fl::MakeRandMigr(2);
+  setup.config.max_epochs = 6;
+  setup.config.seed = 9;
+  fl::Trainer trainer = BuildTrainer(w, std::move(setup));
+
+  SnapshotOptions options;
+  options.directory = FreshDir("inherit");
+  options.keep = 4;
+  {
+    SnapshotManager earlier(options);
+    for (int epoch = 1; epoch <= 4; ++epoch) {
+      ASSERT_TRUE(earlier.Save(trainer, epoch).ok());
+    }
+  }
+  ASSERT_EQ(SnapshotManager(options).ListSnapshots().size(), 4u);
+
+  options.keep = 2;
+  SnapshotManager manager(options);
+  const auto expect_newest = [&manager](int newest) {
+    const std::vector<std::string> snapshots = manager.ListSnapshots();
+    ASSERT_EQ(snapshots.size(), 2u);
+    char name[32];
+    std::snprintf(name, sizeof(name), "snap-%06d.fsnp", newest);
+    EXPECT_NE(snapshots[0].find(name), std::string::npos) << snapshots[0];
+    std::snprintf(name, sizeof(name), "snap-%06d.fsnp", newest - 1);
+    EXPECT_NE(snapshots[1].find(name), std::string::npos) << snapshots[1];
+  };
+  ASSERT_TRUE(manager.Save(trainer, 5).ok());
+  expect_newest(5);
+  ASSERT_TRUE(manager.Save(trainer, 6).ok());
+  ASSERT_TRUE(manager.Save(trainer, 6).ok());
+  expect_newest(6);
+  ASSERT_TRUE(manager.Save(trainer, 7).ok());
+  expect_newest(7);
 }
 
 TEST(SnapshotManagerTest, SavedFileIsTheFramedTrainerState) {

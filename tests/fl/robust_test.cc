@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -319,6 +320,184 @@ void FoldTransitions(ReputationTracker* tracker, RobustCounters* counters) {
   *counters = counts.robust;
 }
 
+// The tracker as it was before its records went sparse: one record per
+// client, and a round tick that walks all of them. A frozen reference for
+// the sparse tracker's transitions and bytes.
+class DenseReputation {
+ public:
+  DenseReputation(const ReputationConfig& config, int num_clients)
+      : config_(config), records_(static_cast<size_t>(num_clients)) {}
+
+  ReputationState state(int client) const {
+    return records_[static_cast<size_t>(client)].state;
+  }
+  int first_quarantine_round(int client) const {
+    return records_[static_cast<size_t>(client)].first_quarantine_round;
+  }
+
+  void ReportFlagged(int client) {
+    Record& record = records_[static_cast<size_t>(client)];
+    switch (record.state) {
+      case ReputationState::kHealthy:
+        Transition(client, ReputationState::kSuspect);
+        record.state = ReputationState::kSuspect;
+        record.strikes = 1;
+        record.clean_streak = 0;
+        if (record.strikes >= config_.patience) Quarantine(client);
+        break;
+      case ReputationState::kSuspect:
+        ++record.strikes;
+        record.clean_streak = 0;
+        if (record.strikes >= config_.patience) Quarantine(client);
+        break;
+      case ReputationState::kRehabilitating:
+        Quarantine(client);
+        break;
+      case ReputationState::kQuarantined:
+        break;
+    }
+  }
+
+  void ReportClean(int client) {
+    Record& record = records_[static_cast<size_t>(client)];
+    if (record.state == ReputationState::kSuspect) {
+      if (++record.clean_streak >= config_.patience) {
+        Transition(client, ReputationState::kHealthy);
+        record.state = ReputationState::kHealthy;
+        record.strikes = 0;
+        record.clean_streak = 0;
+      }
+    } else if (record.state == ReputationState::kRehabilitating) {
+      ++record.clean_streak;
+    }
+  }
+
+  void AdvanceRound() {
+    ++round_;
+    for (size_t i = 0; i < records_.size(); ++i) {
+      Record& record = records_[i];
+      const int client = static_cast<int>(i);
+      if (record.state == ReputationState::kQuarantined) {
+        if (--record.quarantine_left <= 0) {
+          Transition(client, ReputationState::kRehabilitating);
+          record.state = ReputationState::kRehabilitating;
+          record.strikes = 0;
+          record.clean_streak = 0;
+        }
+      } else if (record.state == ReputationState::kRehabilitating &&
+                 record.clean_streak >= config_.patience) {
+        Transition(client, ReputationState::kHealthy);
+        record.state = ReputationState::kHealthy;
+        record.strikes = 0;
+        record.clean_streak = 0;
+      }
+    }
+  }
+
+  std::vector<uint8_t> Bytes() {
+    util::ByteWriter writer;
+    writer.Io(round_);
+    writer.Io(records_);
+    return writer.TakeBytes();
+  }
+
+  std::vector<ReputationTracker::Transition> transitions;
+
+ private:
+  struct Record {
+    ReputationState state = ReputationState::kHealthy;
+    int strikes = 0;
+    int clean_streak = 0;
+    int quarantine_left = 0;
+    int first_quarantine_round = -1;
+
+    template <class Ar>
+    util::Status Visit(Ar& ar) {
+      ar.Io(state);
+      ar.Io(strikes);
+      ar.Io(clean_streak);
+      ar.Io(quarantine_left);
+      ar.Io(first_quarantine_round);
+      return ar.status();
+    }
+  };
+
+  void Transition(int client, ReputationState to) {
+    transitions.push_back(
+        {client, records_[static_cast<size_t>(client)].state, to});
+  }
+  void Quarantine(int client) {
+    Record& record = records_[static_cast<size_t>(client)];
+    Transition(client, ReputationState::kQuarantined);
+    record.state = ReputationState::kQuarantined;
+    record.quarantine_left = config_.quarantine_rounds + 1;
+    record.strikes = 0;
+    record.clean_streak = 0;
+    if (record.first_quarantine_round < 0) {
+      record.first_quarantine_round = round_ + 1;
+    }
+  }
+
+  ReputationConfig config_;
+  std::vector<Record> records_;
+  int round_ = 0;
+};
+
+TEST(ReputationTest, SparseTrackerMatchesTheDenseReferenceOverAMillionClients) {
+  constexpr int kClients = 1'000'000;
+  ReputationConfig config;
+  config.enabled = true;
+  config.patience = 2;
+  config.quarantine_rounds = 2;
+  ReputationTracker tracker(config, kClients);
+  DenseReputation dense(config, kClients);
+  EXPECT_EQ(tracker.num_records(), 0u);
+
+  // Ids across the whole fleet, both ends included, reported flagged or
+  // clean at random; some rounds skip an id.
+  util::Rng rng(17);
+  std::vector<int> pool = {0, 1, 4'242, 500'000, 999'998, 999'999};
+  for (int i = 0; i < 10; ++i) pool.push_back(rng.UniformInt(kClients));
+  std::set<int> reported;
+  for (int round = 0; round < 40; ++round) {
+    for (int id : pool) {
+      const double u = rng.Uniform();
+      if (u < 0.3) {
+        tracker.ReportFlagged(id);
+        dense.ReportFlagged(id);
+      } else if (u < 0.85) {
+        tracker.ReportClean(id);
+        dense.ReportClean(id);
+      } else {
+        continue;
+      }
+      reported.insert(id);
+    }
+    tracker.AdvanceRound();
+    dense.AdvanceRound();
+    const std::vector<ReputationTracker::Transition> got =
+        tracker.DrainTransitions();
+    ASSERT_EQ(got.size(), dense.transitions.size()) << "round " << round;
+    for (size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t].client, dense.transitions[t].client);
+      EXPECT_EQ(got[t].from, dense.transitions[t].from);
+      EXPECT_EQ(got[t].to, dense.transitions[t].to);
+    }
+    dense.transitions.clear();
+  }
+  EXPECT_GT(tracker.num_records(), 0u);
+  EXPECT_LE(tracker.num_records(), reported.size());
+  for (int id : pool) {
+    EXPECT_EQ(tracker.state(id), dense.state(id)) << id;
+    EXPECT_EQ(tracker.first_quarantine_round(id),
+              dense.first_quarantine_round(id))
+        << id;
+  }
+  util::ByteWriter bytes;
+  util::Save(tracker, &bytes);
+  EXPECT_EQ(bytes.bytes(), dense.Bytes());
+}
+
 TEST(ReputationTest, AlwaysFlaggedClientQuarantinedAtPatience) {
   ReputationConfig config;
   config.enabled = true;
@@ -456,6 +635,27 @@ TEST(ReputationTest, StateRoundTripsByteEqual) {
   ReputationTracker wrong(config, 5);
   util::ByteReader bad(first.bytes());
   EXPECT_FALSE(util::Load(&bad, &wrong).ok());
+
+  // A million-client fleet with one quarantined client at its last id: the
+  // restored tracker holds that one record and re-saves the same bytes.
+  constexpr int kFleet = 1'000'000;
+  ReputationTracker fleet(config, kFleet);
+  fleet.ReportFlagged(kFleet - 1);
+  fleet.ReportFlagged(kFleet - 1);
+  ASSERT_EQ(fleet.state(kFleet - 1), ReputationState::kQuarantined);
+  fleet.AdvanceRound();
+  util::ByteWriter fleet_first;
+  util::Save(fleet, &fleet_first);
+  ReputationTracker fleet_restored(config, kFleet);
+  util::ByteReader fleet_reader(fleet_first.bytes());
+  ASSERT_TRUE(util::Load(&fleet_reader, &fleet_restored).ok());
+  EXPECT_EQ(fleet_restored.num_records(), 1u);
+  EXPECT_EQ(fleet_restored.state(kFleet - 1), ReputationState::kQuarantined);
+  EXPECT_EQ(fleet_restored.first_quarantine_round(kFleet - 1), 1);
+  EXPECT_EQ(fleet_restored.state(kFleet - 2), ReputationState::kHealthy);
+  util::ByteWriter fleet_second;
+  util::Save(fleet_restored, &fleet_second);
+  EXPECT_EQ(fleet_first.bytes(), fleet_second.bytes());
 }
 
 TEST(RobustCountersTest, RoundTripsByteEqual) {

@@ -109,16 +109,9 @@ TEST(TrainerCohortTest, OnlyCohortMembersMaterialize) {
   EXPECT_LT(trainer.num_materialized_clients(), CohortWorkload::kClients);
 }
 
-TEST(TrainerCohortTest, RetiredMembersHoldNoGradients) {
-  // A member that left its cohort keeps its parameters, momentum and RNG;
-  // its gradient buffers and forward caches are released when it retires,
-  // unless its block is shared (the aggregate, a migration capture).
-  CohortWorkload w;
-  TrainerConfig config = w.MakeConfig(8);
-  config.max_epochs = 8;  // four rounds
-  Trainer trainer = w.MakeTrainer(std::move(config));
-  trainer.Run();
-
+// Every retired member that holds its block alone has no gradients; every
+// current member that trained on a private block keeps them.
+void ExpectRetiredOwnersReleased(const Trainer& trainer) {
   const std::vector<int>& cohort = trainer.cohort();
   int retired_owners = 0;
   int trained_members = 0;
@@ -143,6 +136,81 @@ TEST(TrainerCohortTest, RetiredMembersHoldNoGradients) {
   }
   EXPECT_GT(retired_owners, 0);
   EXPECT_GT(trained_members, 0);
+}
+
+TEST(TrainerCohortTest, RetiredMembersHoldNoGradients) {
+  // A member that left its cohort keeps its parameters, momentum and RNG;
+  // its gradient buffers and forward caches are released when it retires,
+  // unless its block is shared (the aggregate, a migration capture).
+  CohortWorkload w;
+  TrainerConfig config = w.MakeConfig(8);
+  config.max_epochs = 8;  // four rounds
+  Trainer trainer = w.MakeTrainer(config);
+  trainer.Run();
+  ExpectRetiredOwnersReleased(trainer);
+
+  // A resumed trainer restores every private block with gradients; the
+  // retired members release them again on load, and the state is the same.
+  Trainer resumed = w.MakeTrainer(config);
+  const std::vector<uint8_t> saved = StateBytes(trainer);
+  util::ByteReader reader(saved);
+  ASSERT_TRUE(resumed.LoadState(&reader).ok());
+  ExpectRetiredOwnersReleased(resumed);
+  EXPECT_EQ(StateBytes(resumed), saved);
+}
+
+TEST(TrainerCohortTest, ProvenanceRecordsOnlyForMaterializedClients) {
+  // A million-client fleet: construction keeps no per-client provenance,
+  // and a run with churn holds one record per client it ever materialized
+  // (a departed client keeps its zero-filled record), as does a trainer
+  // resumed from its snapshot.
+  constexpr int kFleet = 1'000'000;
+  data::SyntheticSpec spec = data::C10Spec();
+  spec.train_per_class = 10;
+  spec.test_per_class = 5;
+  const data::TrainTest data = data::GenerateSynthetic(spec);
+  const auto make_trainer = [&data](const TrainerConfig& config) {
+    data::Partition partition(static_cast<size_t>(kFleet));
+    for (int i = 0; i < kFleet; ++i) {
+      partition[static_cast<size_t>(i)] = {i % data.train.size()};
+    }
+    net::TopologyConfig tc;
+    tc.lan_of = net::EvenLanAssignment(kFleet, kFleet / 1000);
+    return Trainer(config, &data.train, std::move(partition), &data.test,
+                   net::Topology(std::move(tc)),
+                   net::MakeUniformFleet(kFleet),
+                   [](util::Rng* rng) { return nn::MakeC10Net(rng); },
+                   std::make_unique<RandomMigrationPolicy>());
+  };
+  TrainerConfig config;
+  config.scheme_name = "cohort-provenance";
+  config.max_epochs = 8;
+  config.agg_period = 2;
+  config.cohort_size = 8;
+  config.eval_every = 8;
+  config.batch_size = 1;
+  config.seed = 5;
+  config.fault.chaos.churn_rate = 0.3;
+
+  Trainer trainer = make_trainer(config);
+  EXPECT_EQ(trainer.num_provenance_records(), 0u);
+  std::set<int> materialized;
+  trainer.SetEpochHook([&materialized](const Trainer& t, int) {
+    materialized.insert(t.cohort().begin(), t.cohort().end());
+    return true;
+  });
+  const RunResult result = trainer.Run();
+  EXPECT_GT(result.chaos.churn_departures, 0);
+  EXPECT_EQ(trainer.num_provenance_records(), materialized.size());
+  EXPECT_LT(trainer.num_materialized_clients(),
+            static_cast<int>(materialized.size()));
+
+  Trainer resumed = make_trainer(config);
+  const std::vector<uint8_t> saved = StateBytes(trainer);
+  util::ByteReader reader(saved);
+  ASSERT_TRUE(resumed.LoadState(&reader).ok());
+  EXPECT_EQ(resumed.num_provenance_records(), materialized.size());
+  EXPECT_EQ(StateBytes(resumed), saved);
 }
 
 TEST(TrainerCohortTest, CohortMembersAreTheActiveSet) {
