@@ -96,7 +96,7 @@ constexpr ZooGemm kZooGemms[] = {
     {"l3_dx", 200, 16, 16, true, false, nn::GemmAcc::kOverwrite},
     {"l3_dk", 16, 200, 16, false, true, nn::GemmAcc::kAddAfter},
     {"dense_fwd", 16, 64, 64, false, true, nn::GemmAcc::kOverwrite},
-    {"dense_dw", 64, 64, 16, true, false, nn::GemmAcc::kOverwrite},
+    {"dense_dw", 64, 64, 16, true, false, nn::GemmAcc::kAddAfter},
     {"dense_dx", 16, 64, 64, false, false, nn::GemmAcc::kOverwrite},
 };
 
@@ -117,6 +117,65 @@ void BM_SgemmZooShapes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * int64_t{g.m} * g.n * g.k);
 }
 BENCHMARK(BM_SgemmZooShapes)->DenseRange(0, 8);
+
+// The DDPG actor's weight gradients in one train step: 32 samples of 10
+// candidate rows, each sample's dYᵀ·X summed from zero and added to dW in
+// sample order, for its 8->32 (arg 0) and 32->32 (arg 1) Dense layers.
+// BM_SgemmSegments issues one segmented call; BM_SgemmSegmentLoop the
+// kAddAfter Sgemm per segment whose bytes it reproduces.
+constexpr int kActorSegments = 32;
+constexpr int kActorSegmentRows = 10;
+
+struct SegmentedDw {
+  int in, out;
+  nn::Tensor grad_output, input, grad_weights;
+  std::vector<int> ends;
+
+  explicit SegmentedDw(int64_t arg)
+      : in(arg == 0 ? 8 : 32),
+        out(32),
+        grad_output(RandomTensor({kActorSegments * kActorSegmentRows, out}, 6)),
+        input(RandomTensor({kActorSegments * kActorSegmentRows, in}, 7)),
+        grad_weights(RandomTensor({out, in}, 8)) {
+    for (int s = 1; s <= kActorSegments; ++s) {
+      ends.push_back(s * kActorSegmentRows);
+    }
+  }
+  int64_t Flops() const {
+    return 2 * int64_t{out} * in * kActorSegments * kActorSegmentRows;
+  }
+};
+
+void BM_SgemmSegments(benchmark::State& state) {
+  SegmentedDw g(state.range(0));
+  IntraOpGuard guard(1);
+  for (auto _ : state) {
+    nn::SgemmSegments(true, false, g.out, g.in, g.ends, g.grad_output.data(),
+                      g.out, g.input.data(), g.in, g.grad_weights.data(),
+                      g.in);
+    benchmark::DoNotOptimize(g.grad_weights.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.Flops());
+}
+BENCHMARK(BM_SgemmSegments)->DenseRange(0, 1);
+
+void BM_SgemmSegmentLoop(benchmark::State& state) {
+  SegmentedDw g(state.range(0));
+  IntraOpGuard guard(1);
+  for (auto _ : state) {
+    int k0 = 0;
+    for (int k1 : g.ends) {
+      nn::Sgemm(true, false, g.out, g.in, k1 - k0,
+                g.grad_output.data() + int64_t{k0} * g.out, g.out,
+                g.input.data() + int64_t{k0} * g.in, g.in,
+                g.grad_weights.data(), g.in, nn::GemmAcc::kAddAfter);
+      k0 = k1;
+    }
+    benchmark::DoNotOptimize(g.grad_weights.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.Flops());
+}
+BENCHMARK(BM_SgemmSegmentLoop)->DenseRange(0, 1);
 
 // Intra-op scaling: row-panels of the 512x512 product split across the
 // pool (grain 64 -> 8 chunks).

@@ -11,7 +11,9 @@
 // panels and transposed B are copied into packed panels (transposed B via
 // an 8x8 register transpose on AVX2). Larger GEMMs pack every panel. The
 // micro-kernel is portable C or AVX2+FMA intrinsics, chosen once at
-// startup by runtime CPU dispatch.
+// startup by runtime CPU dispatch. SgemmSegments runs the same body with
+// the k range cut into segments: each tile runs one chain per segment,
+// in order, over panels packed once for the whole range.
 //
 // Determinism contract: each element of C is one in-order chain over
 // k = 0..K-1, seeded from 0 (kOverwrite, kAddAfter) or from C (kSeedFromC),
@@ -25,12 +27,14 @@
 // reproduces the legacy scalar kernels' mul-then-add sequence (the build
 // sets -ffp-contract=off so that no compiler fuses it); the AVX2 path
 // fuses, so the two match only to within 1 ulp per multiply-add.
+// SgemmSegments keeps the contract per segment (see its declaration).
 
 #ifndef FEDMIGR_NN_GEMM_H_
 #define FEDMIGR_NN_GEMM_H_
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 namespace fedmigr::nn {
 
@@ -58,6 +62,24 @@ enum class GemmAcc {
 void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
            int lda, const float* b, int ldb, float* c, int ldc,
            GemmAcc acc = GemmAcc::kOverwrite);
+
+// Segmented-K accumulate: the weight gradient of a batch cut into row
+// segments, reduced one segment at a time. k_ends cuts the k range
+// [0, k_ends.back()) into segments (non-decreasing; segment s spans
+// [k_ends[s-1], k_ends[s]), k_ends[-1] being 0), and
+//   C = (((C + P_0) + P_1) + ...),   P_s = op(A)·op(B) over segment s,
+// where each element of P_s is one in-order k-chain over its segment seeded
+// from 0, exactly as kAddAfter computes it, and C takes the P_s in segment
+// order. Contract: byte-equal, under either micro-kernel and at every
+// intra-op thread count, to one Sgemm(trans_a, trans_b, m, n, k_s, A_s, lda,
+// B_s, ldb, c, ldc, GemmAcc::kAddAfter) per segment, run in order, where
+// A_s and B_s are the operands' slices for the segment's k range
+// (GemmSegmentsTest pins it). One segment is that single kAddAfter call, so
+// a plain batch's gradient keeps its bytes; a segment per sample gives the
+// bytes of a per-sample backward loop.
+void SgemmSegments(bool trans_a, bool trans_b, int m, int n,
+                   std::span<const int> k_ends, const float* a, int lda,
+                   const float* b, int ldb, float* c, int ldc);
 
 // Intra-op thread count for the kernel layer. Defaults to the
 // FEDMIGR_INTRA_OP_THREADS environment variable, else 1 (serial). The

@@ -9,12 +9,18 @@
 #define FEDMIGR_NN_LAYER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "nn/tensor.h"
 
 namespace fedmigr::nn {
+
+// A batch cut into row segments, given by their ends: segment s holds rows
+// [ends[s-1], ends[s]) (ends[-1] being 0), and the last end is the row
+// count. A whole batch is the one segment {rows}.
+using RowSegments = std::span<const int>;
 
 class Layer {
  public:
@@ -32,12 +38,26 @@ class Layer {
   // Backward for a caller that drops the input gradient: accumulates the
   // same parameter gradients, bit for bit, and may skip computing the
   // gradient w.r.t. the input. The default runs Backward and discards its
-  // result; Conv2D and Dense override it to skip their input-gradient GEMM.
-  // A decorator that overrides only Backward (perfbench's per-layer timer)
-  // therefore still computes the input gradient here.
+  // result; Conv2D overrides it to skip its input-gradient GEMM (Dense
+  // skips it in BackwardSegments). A decorator that overrides only
+  // Backward (perfbench's per-layer timer) therefore still computes the
+  // input gradient here.
   virtual void BackwardParams(const Tensor& grad_output) {
     (void)Backward(grad_output);
   }
+
+  // Backward over a batch cut into row segments: each parameter gradient
+  // gets the bytes that one Backward per segment, over that segment's rows
+  // and run in segment order, gives; the input gradient, filled unless
+  // grad_input is null, is Backward's; a null grad_input is BackwardParams.
+  // Sequential's backwards call this on every layer. Dense overrides it
+  // (one segmented weight-gradient GEMM). The default runs Backward or
+  // BackwardParams on the whole batch, which honours any segments only for
+  // a layer without parameters (whose backward is per row); a layer with
+  // parameters FEDMIGR_CHECK-fails on more than one segment rather than
+  // merge them.
+  virtual void BackwardSegments(const Tensor& grad_output, RowSegments segments,
+                                Tensor* grad_input);
 
   // Trainable parameters / matching gradient buffers. Empty for stateless
   // layers. Order is stable and identical between the two lists.

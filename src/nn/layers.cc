@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/gemm.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "util/logging.h"
@@ -33,6 +34,20 @@ void ReluMaskInPlace(const float* input, float* grad, int64_t n) {
 
 }  // namespace
 
+// ---------------------------------------------------------------- Layer --
+
+void Layer::BackwardSegments(const Tensor& grad_output, RowSegments segments,
+                             Tensor* grad_input) {
+  FEDMIGR_CHECK(segments.size() <= 1 || Params().empty())
+      << name() << " cannot keep " << segments.size()
+      << " row segments apart in its parameter gradients";
+  if (grad_input != nullptr) {
+    *grad_input = Backward(grad_output);
+  } else {
+    BackwardParams(grad_output);
+  }
+}
+
 // ---------------------------------------------------------------- Dense --
 
 Dense::Dense(int in_features, int out_features, util::Rng* rng)
@@ -60,26 +75,38 @@ Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {
-  Dense::BackwardParams(grad_output);
-  // dX = dY W ([N, out] * [out, in]).
-  return MatMul(grad_output, weights_);
+  Tensor grad_input;
+  const int whole[] = {grad_output.dim(0)};
+  BackwardSegments(grad_output, whole, &grad_input);
+  return grad_input;
 }
 
-void Dense::BackwardParams(const Tensor& grad_output) {
+void Dense::BackwardSegments(const Tensor& grad_output, RowSegments segments,
+                             Tensor* grad_input) {
   FEDMIGR_CHECK_EQ(grad_output.ndim(), 2);
   FEDMIGR_CHECK_EQ(grad_output.dim(1), out_features_);
+  FEDMIGR_CHECK_EQ(cached_input_.ndim(), 2)
+      << "Dense backward without a forward";
+  const int batch = grad_output.dim(0);
+  FEDMIGR_CHECK_EQ(cached_input_.dim(0), batch);
+  FEDMIGR_CHECK(!segments.empty() && segments.back() == batch)
+      << "row segments must end at the batch's " << batch << " rows";
   if (grad_weights_.empty()) {  // released: re-create zeroed
     grad_weights_ = Tensor(weights_.shape());
     grad_bias_ = Tensor(bias_.shape());
   }
-  // dW = dY^T X  ([out, N] * [N, in]).
-  grad_weights_.Add(MatMulTransA(grad_output, cached_input_));
-  const int batch = grad_output.dim(0);
+  // dW += dY_s^T X_s ([out, N_s] * [N_s, in]), segment by segment.
+  SgemmSegments(/*trans_a=*/true, /*trans_b=*/false, out_features_,
+                in_features_, segments, grad_output.data(), out_features_,
+                cached_input_.data(), in_features_, grad_weights_.data(),
+                in_features_);
   for (int n = 0; n < batch; ++n) {
     for (int o = 0; o < out_features_; ++o) {
       grad_bias_[o] += grad_output.At(n, o);
     }
   }
+  // dX = dY W ([N, out] * [out, in]).
+  if (grad_input != nullptr) *grad_input = MatMul(grad_output, weights_);
 }
 
 void Dense::ReleaseBuffers() {

@@ -28,8 +28,10 @@ class Dense : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
-  // Skips dX = dY·W.
-  void BackwardParams(const Tensor& grad_output) override;
+  // dW takes dY_sᵀ·X_s one segment at a time (SgemmSegments), and a null
+  // grad_input skips dX = dY·W. Backward is its one-segment case.
+  void BackwardSegments(const Tensor& grad_output, RowSegments segments,
+                        Tensor* grad_input) override;
   std::vector<Tensor*> Params() override { return {&weights_, &bias_}; }
   std::vector<Tensor*> Grads() override {
     return {&grad_weights_, &grad_bias_};

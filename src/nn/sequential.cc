@@ -1,6 +1,7 @@
 #include "nn/sequential.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -29,20 +30,35 @@ Tensor Sequential::Forward(const Tensor& input, bool training) {
 }
 
 Tensor Sequential::Backward(const Tensor& grad_output) {
+  const int whole[] = {grad_output.dim(0)};
+  return Backward(grad_output, whole);
+}
+
+void Sequential::BackwardParams(const Tensor& grad_output) {
+  const int whole[] = {grad_output.dim(0)};
+  BackwardParams(grad_output, whole);
+}
+
+Tensor Sequential::Backward(const Tensor& grad_output, RowSegments segments) {
   Tensor grad = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
+    Tensor grad_input;
+    (*it)->BackwardSegments(grad, segments, &grad_input);
+    grad = std::move(grad_input);
   }
   return grad;
 }
 
-void Sequential::BackwardParams(const Tensor& grad_output) {
+void Sequential::BackwardParams(const Tensor& grad_output,
+                                RowSegments segments) {
   if (layers_.empty()) return;
   Tensor grad = grad_output;
   for (size_t i = layers_.size() - 1; i > 0; --i) {
-    grad = layers_[i]->Backward(grad);
+    Tensor grad_input;
+    layers_[i]->BackwardSegments(grad, segments, &grad_input);
+    grad = std::move(grad_input);
   }
-  layers_.front()->BackwardParams(grad);
+  layers_.front()->BackwardSegments(grad, segments, nullptr);
 }
 
 std::vector<Tensor*> Sequential::Params() {

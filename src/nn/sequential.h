@@ -36,6 +36,13 @@ class Sequential {
   // keeps computing that gradient, so traced runs do the same GEMMs as
   // Backward.
   void BackwardParams(const Tensor& grad_output);
+  // Backward and BackwardParams over a batch cut into row segments
+  // (layer.h): each layer runs Layer::BackwardSegments, so every parameter
+  // gradient gets the bytes of one backward per segment, run in segment
+  // order, and the input gradient is the whole batch's. The plain forms
+  // above are the one-segment case.
+  Tensor Backward(const Tensor& grad_output, RowSegments segments);
+  void BackwardParams(const Tensor& grad_output, RowSegments segments);
 
   // Flattened parameter/gradient views across layers (stable order).
   std::vector<Tensor*> Params();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "nn/serialize.h"
 #include "nn/zoo.h"
@@ -31,13 +32,6 @@ nn::Tensor RowsToTensor(const RowRefs& rows) {
   return tensor;
 }
 
-RowRefs RefsTo(const std::vector<std::vector<float>>& rows) {
-  RowRefs refs;
-  refs.reserve(rows.size());
-  for (const auto& row : rows) refs.push_back(&row);
-  return refs;
-}
-
 // Runs `model` on a [K, F] tensor assembled from rows; returns [K] column.
 // A training forward also leaves the caches a backward pass reads.
 std::vector<double> ForwardColumn(nn::Sequential* model, const RowRefs& rows,
@@ -55,7 +49,7 @@ bool Bootstraps(const Transition& z) {
   return !z.done && !z.next_candidates.empty();
 }
 
-std::vector<double> SoftmaxMasked(const std::vector<double>& scores,
+std::vector<double> SoftmaxMasked(std::span<const double> scores,
                                   const std::vector<bool>& mask) {
   FEDMIGR_CHECK_EQ(scores.size(), mask.size());
   // A non-finite score (the actor diverged — e.g. trained on Byzantine
@@ -106,8 +100,9 @@ DdpgAgent::DdpgAgent(const AgentConfig& config) : config_(config) {
 
 std::vector<double> DdpgAgent::Score(
     const std::vector<std::vector<float>>& candidates, bool use_target) {
-  return ForwardColumn(use_target ? &target_actor_ : &actor_,
-                       RefsTo(candidates));
+  RowRefs rows;
+  for (const auto& row : candidates) rows.push_back(&row);
+  return ForwardColumn(use_target ? &target_actor_ : &actor_, rows);
 }
 
 std::vector<double> DdpgAgent::Policy(
@@ -179,27 +174,6 @@ std::vector<double> DdpgAgent::TargetValues(
   return targets;
 }
 
-std::vector<double> DdpgAgent::MeanCandidateQ(
-    const std::vector<SampledTransition>& batch) {
-  FEDMIGR_TRACE_SCOPE("rl/baseline_forward");
-  RowRefs rows;
-  for (const auto& sample : batch) {
-    for (const auto& row : sample.transition->candidates) rows.push_back(&row);
-  }
-  const std::vector<double> all_q = ForwardColumn(&critic_, rows);
-  std::vector<double> means;
-  means.reserve(batch.size());
-  size_t offset = 0;
-  for (const auto& sample : batch) {
-    const size_t k = sample.transition->candidates.size();
-    double mean_q = 0.0;
-    for (size_t j = 0; j < k; ++j) mean_q += all_q[offset + j];
-    means.push_back(mean_q / static_cast<double>(k));
-    offset += k;
-  }
-  return means;
-}
-
 TrainStats DdpgAgent::Train(PrioritizedReplayBuffer* buffer, util::Rng* rng) {
   FEDMIGR_TRACE_SCOPE("rl/train_step");
   TrainStats stats;
@@ -207,102 +181,132 @@ TrainStats DdpgAgent::Train(PrioritizedReplayBuffer* buffer, util::Rng* rng) {
 
   const auto batch = buffer->Sample(
       static_cast<size_t>(config_.batch_size), rng);
+  const int n = static_cast<int>(batch.size());
 
-  // The target networks and the critic keep their weights until the
-  // optimizer steps below, so each of their passes over the batch runs as
-  // one forward over every sample's rows stacked (DESIGN §8: a row's bits
-  // do not depend on the rows stacked with it). The training forwards and
-  // backwards stay per sample: a batched backward would re-associate the
-  // gradient sums.
+  // No weight changes before the optimizer steps below, so each pass runs
+  // once over every sample's rows stacked (DESIGN §8: a row's bits do not
+  // depend on the rows stacked with it), and each backward takes one row
+  // segment per sample, adding the samples' weight gradients in turn as a
+  // backward per sample would. A network's caches and gradients go once no
+  // pass reads them (a backward re-creates the gradients zeroed).
   const std::vector<double> targets = TargetValues(batch);
-  // The target networks never run a backward: their stacked caches (and
-  // unused gradient buffers) need not outlive the passes above.
   target_actor_.ReleaseBuffers();
   target_critic_.ReleaseBuffers();
-  const std::vector<double> mean_qs = MeanCandidateQ(batch);
-
-  critic_.ZeroGrads();
-  actor_.ZeroGrads();
-  double critic_loss = 0.0;
-  double td_sum = 0.0;
-  double q_sum = 0.0;
-
-  for (size_t b = 0; b < batch.size(); ++b) {
-    const SampledTransition& sample = batch[b];
-    const Transition& z = *sample.transition;
-    const float weight = static_cast<float>(sample.weight);
-
-    // --- Critic: weighted squared TD error against the target h_t, with
-    // input gradient captured for the Eq. 25 priority. ---------------------
-    const auto& action_row = z.candidates[static_cast<size_t>(z.action_index)];
-    const nn::Tensor q_out =
-        critic_.Forward(RowsToTensor({&action_row}), /*training=*/true);
-    const double q_value = q_out[0];
-    const double td_error = targets[b] - q_value;
-    nn::Tensor grad_q({1, 1});
-    grad_q[0] = static_cast<float>(-2.0 * td_error) * weight /
-                static_cast<float>(batch.size());
-    const nn::Tensor grad_input = critic_.Backward(grad_q);
-    // |∇_a Q|: magnitude of the critic's sensitivity to the action features.
-    const double grad_action_norm = grad_input.Norm() /
-                                    std::max(1e-12, 2.0 * std::fabs(td_error) *
-                                                        weight /
-                                                        batch.size());
-
-    // --- Actor: advantage-weighted log-policy gradient. -------------------
-    // A = Q(s, a) - mean_j Q(s, j); loss = -μ A log π(a|s).
-    const double advantage = q_value - mean_qs[b];
-
-    // One training forward scores the candidates and leaves the caches the
-    // backward pass below reads; the actor has no train-only behaviour, so
-    // these are the scores an inference forward gives.
-    const std::vector<double> scores =
-        ForwardColumn(&actor_, RefsTo(z.candidates), /*training=*/true);
-    std::vector<bool> mask(scores.size(), true);
-    const std::vector<double> probs = SoftmaxMasked(scores, mask);
-    // d(-A log π(a))/d score_j = -A (1{j=a} - π_j).
-    // Policy entropy, for the regularizer below.
-    double entropy = 0.0;
-    for (double p : probs) {
-      if (p > 1e-12) entropy -= p * std::log(p);
+  RowRefs candidates;
+  std::vector<int> candidate_ends;
+  for (const auto& sample : batch) {
+    for (const auto& row : sample.transition->candidates) {
+      candidates.push_back(&row);
     }
-    nn::Tensor grad_scores({static_cast<int>(scores.size()), 1});
-    for (size_t j = 0; j < scores.size(); ++j) {
-      const double indicator = static_cast<int>(j) == z.action_index ? 1.0
-                                                                     : 0.0;
-      // Policy-gradient term plus entropy regularization
-      // (d(-H)/ds_j = π_j (log π_j + H)).
-      const double pg = -advantage * (indicator - probs[j]);
-      const double ent = config_.entropy_beta * probs[j] *
-                         (std::log(std::max(probs[j], 1e-12)) + entropy);
-      grad_scores[static_cast<int64_t>(j)] =
-          static_cast<float>(pg + ent) * weight /
-          static_cast<float>(batch.size());
-    }
-    actor_.BackwardParams(grad_scores);
-
-    // --- Priority (Eq. 25): ε |φ| + (1-ε) |∇_a Q|. -------------------------
-    const double priority = config_.priority_epsilon * std::fabs(td_error) +
-                            (1.0 - config_.priority_epsilon) *
-                                grad_action_norm;
-    buffer->UpdatePriority(sample.index, priority);
-
-    critic_loss += td_error * td_error;
-    td_sum += std::fabs(td_error);
-    q_sum += q_value;
+    candidate_ends.push_back(static_cast<int>(candidates.size()));
   }
+  // mean_j Q(s, j), the advantage baseline. The critic's training forward
+  // replaces this pass's caches, so they go at once.
+  std::vector<double> mean_qs;
+  {
+    FEDMIGR_TRACE_SCOPE("rl/baseline_forward");
+    const std::vector<double> all_q = ForwardColumn(&critic_, candidates);
+    for (int b = 0, j = 0; b < n; ++b) {
+      const int begin = j;
+      double sum = 0.0;
+      for (; j < candidate_ends[b]; ++j) sum += all_q[j];
+      mean_qs.push_back(sum / static_cast<double>(j - begin));
+    }
+  }
+  critic_.ReleaseBuffers();
+  actor_.ZeroGrads();
+
+  // Critic: weighted squared TD error against the target h_t on each
+  // sample's taken-action row; its input gradient gives |∇_a Q| (Eq. 25).
+  std::vector<double> q_values;
+  nn::Tensor q_input_grad;
+  {
+    FEDMIGR_TRACE_SCOPE("rl/critic_update");
+    RowRefs rows;
+    std::vector<int> ends;
+    for (const auto& sample : batch) {
+      const Transition& z = *sample.transition;
+      rows.push_back(&z.candidates[static_cast<size_t>(z.action_index)]);
+      ends.push_back(static_cast<int>(rows.size()));
+    }
+    q_values = ForwardColumn(&critic_, rows, /*training=*/true);
+    nn::Tensor grad_q({n, 1});
+    for (int b = 0; b < n; ++b) {
+      grad_q[b] = static_cast<float>(-2.0 * (targets[b] - q_values[b])) *
+                  static_cast<float>(batch[b].weight) / static_cast<float>(n);
+    }
+    q_input_grad = critic_.Backward(grad_q, ends);
+  }
+
+  // Actor: advantage-weighted log-policy gradient, A = Q(s, a) -
+  // mean_j Q(s, j) and loss = -μ A log π(a|s), plus the entropy
+  // regularizer, on each sample's slice of one forward over all candidates
+  // (the actor has no train-only behaviour: these are inference scores).
+  {
+    FEDMIGR_TRACE_SCOPE("rl/actor_update");
+    const std::vector<double> scores =
+        ForwardColumn(&actor_, candidates, /*training=*/true);
+    nn::Tensor grad_scores({static_cast<int>(candidates.size()), 1});
+    for (int b = 0, begin = 0; b < n; begin = candidate_ends[b++]) {
+      const int k = candidate_ends[b] - begin;
+      const std::vector<double> probs = SoftmaxMasked(
+          std::span(scores).subspan(begin, k), std::vector<bool>(k, true));
+      double entropy = 0.0;
+      for (double p : probs) {
+        if (p > 1e-12) entropy -= p * std::log(p);
+      }
+      const double advantage = q_values[b] - mean_qs[b];
+      for (int j = 0; j < k; ++j) {
+        // d(-A log π(a))/d s_j = -A (1{j=a} - π_j) and, for the entropy,
+        // d(-H)/d s_j = π_j (log π_j + H).
+        const double indicator =
+            j == batch[b].transition->action_index ? 1.0 : 0.0;
+        const double pg = -advantage * (indicator - probs[j]);
+        const double ent = config_.entropy_beta * probs[j] *
+                           (std::log(std::max(probs[j], 1e-12)) + entropy);
+        grad_scores[begin + j] = static_cast<float>(pg + ent) *
+                                 static_cast<float>(batch[b].weight) /
+                                 static_cast<float>(n);
+      }
+    }
+    actor_.BackwardParams(grad_scores, candidate_ends);
+  }
+
+  for (int b = 0; b < n; ++b) {
+    const double td_error = targets[b] - q_values[b];
+    const float weight = static_cast<float>(batch[b].weight);
+    // |∇_a Q|, the critic's sensitivity to the action features: the sum
+    // Tensor::Norm takes, over this sample's row of the input gradient.
+    double grad_sq = 0.0;
+    for (int f = 0; f < q_input_grad.dim(1); ++f) {
+      const float g = q_input_grad.At(b, f);
+      grad_sq += static_cast<double>(g) * g;
+    }
+    const double grad_action_norm =
+        std::sqrt(grad_sq) /
+        std::max(1e-12, 2.0 * std::fabs(td_error) * weight / batch.size());
+    // Priority (Eq. 25): ε |φ| + (1-ε) |∇_a Q|.
+    buffer->UpdatePriority(
+        batch[b].index,
+        config_.priority_epsilon * std::fabs(td_error) +
+            (1.0 - config_.priority_epsilon) * grad_action_norm);
+    stats.critic_loss += td_error * td_error;
+    stats.mean_td_error += std::fabs(td_error);
+    stats.mean_q += q_values[b];
+  }
+  stats.critic_loss /= n;
+  stats.mean_td_error /= n;
+  stats.mean_q /= n;
 
   critic_optimizer_->Step(&critic_);
   actor_optimizer_->Step(&actor_);
+  // Between train steps only the parameters need to stay.
+  critic_.ReleaseBuffers();
+  actor_.ReleaseBuffers();
 
   // Soft target updates: θ' ← τ θ + (1-τ) θ'.
   target_actor_.LerpParamsFrom(actor_, static_cast<float>(config_.soft_tau));
   target_critic_.LerpParamsFrom(critic_, static_cast<float>(config_.soft_tau));
-
-  const double n = static_cast<double>(batch.size());
-  stats.critic_loss = critic_loss / n;
-  stats.mean_td_error = td_sum / n;
-  stats.mean_q = q_sum / n;
 
   if (obs::Telemetry::enabled()) {
     static obs::Counter* train_steps =

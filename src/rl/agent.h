@@ -77,17 +77,11 @@ class DdpgAgent {
   template <class Ar>
   util::Status Visit(Ar& ar);
 
-  const AgentConfig& config() const { return config_; }
-
  private:
   // Per sample: the Eq. 21 target h_t, from one target-actor forward over
   // every successor's candidates and one target-critic forward over the
   // argmax rows.
   std::vector<double> TargetValues(const std::vector<SampledTransition>& batch);
-  // Per sample: mean_j Q(s, j), the advantage baseline, from one critic
-  // forward over every sample's candidates.
-  std::vector<double> MeanCandidateQ(
-      const std::vector<SampledTransition>& batch);
 
   AgentConfig config_;
   nn::Sequential actor_;

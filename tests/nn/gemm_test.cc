@@ -238,6 +238,96 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{"m131n90k130", 131, 90, 130}),
     [](const auto& info) { return std::string(info.param.name); });
 
+// ------------------------------------------- segmented K, bit for bit --
+// SgemmSegments against its contract in gemm.h: one kAddAfter Sgemm per
+// segment, run in order on the segment's slices of A and B. Ragged
+// segments (an empty one among them), both transpositions, padded leading
+// dimensions, edge tiles in m and n, a row count that splits across
+// threads, and a shape whose whole k range is past the in-place rule while
+// each segment is within it; at 1, 2 and 8 intra-op threads. CI runs it
+// under both micro-kernels.
+
+struct SegmentsCase {
+  const char* name;
+  int m, n;
+  std::vector<int> lengths;  // segment lengths, in order
+};
+
+void PrintTo(const SegmentsCase& c, std::ostream* os) { *os << c.name; }
+
+class GemmSegmentsTest : public ::testing::TestWithParam<SegmentsCase> {};
+
+TEST_P(GemmSegmentsTest, MatchesOneAddAfterSgemmPerSegment) {
+  const SegmentsCase& c = GetParam();
+  std::vector<int> ends;
+  int k = 0;
+  for (int len : c.lengths) ends.push_back(k += len);
+  const int original = GetIntraOpThreads();
+  uint64_t seed = static_cast<uint64_t>(c.m * 131 + c.n * 7 + k);
+  for (bool trans_a : {false, true}) {
+    for (bool trans_b : {false, true}) {
+      for (int ld_pad : {0, 3}) {
+        const int lda = (trans_a ? c.m : k) + ld_pad;
+        const int ldb = (trans_b ? k : c.n) + ld_pad;
+        const int ldc = c.n + ld_pad;
+        const std::vector<float> a = RandomFloats(
+            static_cast<int64_t>(trans_a ? k : c.m) * lda, ++seed);
+        const std::vector<float> b = RandomFloats(
+            static_cast<int64_t>(trans_b ? c.n : k) * ldb, ++seed);
+        const std::vector<float> c0 =
+            RandomFloats(static_cast<int64_t>(c.m) * ldc, ++seed);
+
+        SetIntraOpThreads(1);
+        std::vector<float> want = c0;
+        for (int k0 = 0; const int k1 : ends) {
+          Sgemm(trans_a, trans_b, c.m, c.n, k1 - k0,
+                trans_a ? a.data() + static_cast<int64_t>(k0) * lda
+                        : a.data() + k0,
+                lda,
+                trans_b ? b.data() + k0
+                        : b.data() + static_cast<int64_t>(k0) * ldb,
+                ldb, want.data(), ldc, GemmAcc::kAddAfter);
+          k0 = k1;
+        }
+        for (int threads : {1, 2, 8}) {
+          SetIntraOpThreads(threads);
+          std::vector<float> got = c0;
+          SgemmSegments(trans_a, trans_b, c.m, c.n, ends, a.data(), lda,
+                        b.data(), ldb, got.data(), ldc);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "trans_a " << trans_a << " trans_b " << trans_b
+              << " ld_pad " << ld_pad << " threads " << threads;
+        }
+      }
+    }
+  }
+  SetIntraOpThreads(original);
+}
+
+// The DDPG actor's and critic's weight gradients (32 -> 32 and 8 -> 32
+// over 10-row candidate sets, 32 -> 1, one-row samples), ragged lengths
+// 1, 3 and 10 on edge tiles in m and n, an empty segment, one segment,
+// rows split across threads, and a k range past the in-place rule.
+std::vector<int> Repeat(int length, int count) {
+  return std::vector<int>(static_cast<size_t>(count), length);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmSegmentsTest,
+    ::testing::Values(
+        SegmentsCase{"actor_dw_32x32", 32, 32, Repeat(10, 32)},
+        SegmentsCase{"actor_dw_32x8", 32, 8, Repeat(10, 32)},
+        SegmentsCase{"critic_dw_1x32", 1, 32, Repeat(1, 32)},
+        SegmentsCase{"ragged_m5n17", 5, 17, {1, 3, 10}},
+        SegmentsCase{"ragged_m3n33", 3, 33, {10, 1, 3, 3, 1}},
+        SegmentsCase{"empty_segment", 7, 19, {3, 0, 10, 1}},
+        SegmentsCase{"one_segment", 9, 18, {14}},
+        SegmentsCase{"rows_split", 131, 21, {1, 3, 10, 10, 3}},
+        SegmentsCase{"past_in_place", 70, 70, {10, 1, 3, 100, 90}}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // --------------------------------------------------- Conv vs direct loops --
 
 class ConvLoweringTest
