@@ -47,19 +47,6 @@ void Dataset::Gather(const std::vector<int>& indices, nn::Tensor* batch,
   }
 }
 
-Dataset Dataset::Subset(const std::vector<int>& indices) const {
-  nn::Tensor batch;
-  std::vector<int> labels;
-  Gather(indices, &batch, &labels);
-  return Dataset(std::move(batch), std::move(labels), num_classes_);
-}
-
-std::vector<int> Dataset::ClassCounts() const {
-  std::vector<int> counts(static_cast<size_t>(num_classes_), 0);
-  for (int label : labels_) ++counts[static_cast<size_t>(label)];
-  return counts;
-}
-
 BatchIterator::BatchIterator(const Dataset* dataset, std::vector<int> indices,
                              int batch_size, util::Rng* rng)
     : dataset_(dataset),
@@ -89,11 +76,6 @@ bool BatchIterator::Next(nn::Tensor* batch, std::vector<int>* labels) {
 void BatchIterator::Reset() {
   cursor_ = 0;
   if (rng_ != nullptr) rng_->Shuffle(indices_);
-}
-
-int BatchIterator::batches_per_epoch() const {
-  return static_cast<int>((indices_.size() + batch_size_ - 1) /
-                          static_cast<size_t>(batch_size_));
 }
 
 }  // namespace fedmigr::data

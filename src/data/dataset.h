@@ -35,12 +35,6 @@ class Dataset {
   void Gather(const std::vector<int>& indices, nn::Tensor* batch,
               std::vector<int>* batch_labels) const;
 
-  // Materializes a new Dataset restricted to `indices`.
-  Dataset Subset(const std::vector<int>& indices) const;
-
-  // Per-class sample counts (length num_classes).
-  std::vector<int> ClassCounts() const;
-
  private:
   nn::Tensor features_;
   std::vector<int> labels_;
@@ -63,8 +57,6 @@ class BatchIterator {
 
   int num_samples() const { return static_cast<int>(indices_.size()); }
   int batch_size() const { return batch_size_; }
-  // Batches per epoch (ceiling division).
-  int batches_per_epoch() const;
 
  private:
   const Dataset* dataset_;

@@ -35,49 +35,6 @@ double EmdDistance(const std::vector<double>& a,
   return sum;
 }
 
-std::vector<std::vector<double>> ClientDistributions(
-    const Dataset& dataset, const Partition& partition) {
-  std::vector<std::vector<double>> dists;
-  dists.reserve(partition.size());
-  for (const auto& part : partition) {
-    dists.push_back(LabelDistribution(dataset, part));
-  }
-  return dists;
-}
-
-std::vector<std::vector<double>> DivergenceMatrix(
-    const std::vector<std::vector<double>>& client_distributions) {
-  const size_t k = client_distributions.size();
-  std::vector<std::vector<double>> matrix(k, std::vector<double>(k, 0.0));
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      const double d =
-          EmdDistance(client_distributions[i], client_distributions[j]);
-      matrix[i][j] = d;
-      matrix[j][i] = d;
-    }
-  }
-  return matrix;
-}
-
-std::vector<double> MigratedDistribution(const std::vector<double>& own,
-                                         double n_own,
-                                         const std::vector<double>& population,
-                                         double n_total, int num_clients,
-                                         int num_migrations) {
-  FEDMIGR_CHECK_EQ(own.size(), population.size());
-  FEDMIGR_CHECK_GT(num_clients, 0);
-  FEDMIGR_CHECK_GE(num_migrations, 0);
-  const double k = static_cast<double>(num_clients);
-  const double m = static_cast<double>(num_migrations);
-  const double denom = k * n_own + m * n_total;
-  std::vector<double> mixed(own.size());
-  for (size_t l = 0; l < own.size(); ++l) {
-    mixed[l] = (k * n_own * own[l] + m * n_total * population[l]) / denom;
-  }
-  return mixed;
-}
-
 std::vector<double> MixDistributions(const std::vector<double>& a, double n_a,
                                      const std::vector<double>& b,
                                      double n_b) {

@@ -1,8 +1,8 @@
 // Label-distribution arithmetic from Section II-C of the paper: per-client
 // label distributions q_k, the population distribution q, the earth mover's
-// distance ||q_k - q||, the K x K client divergence matrix D_t that feeds
-// the DRL state, and the virtual-dataset mixing formula (Eq. 13) used by the
-// surrogate training environment.
+// distance ||q_k - q|| and the two-hop mixture a migration produces. The
+// tests hold Eq. 13's closed form and the K x K divergence matrix as
+// oracles (tests/data/distribution_oracles.h).
 
 #ifndef FEDMIGR_DATA_DISTRIBUTION_H_
 #define FEDMIGR_DATA_DISTRIBUTION_H_
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "data/partition.h"
 
 namespace fedmigr::data {
 
@@ -26,28 +25,9 @@ std::vector<double> PopulationDistribution(const Dataset& dataset);
 // throughout Section II-C (Eq. 11).
 double EmdDistance(const std::vector<double>& a, const std::vector<double>& b);
 
-// Per-client label distributions for a partition.
-std::vector<std::vector<double>> ClientDistributions(
-    const Dataset& dataset, const Partition& partition);
-
-// Symmetric K x K matrix of pairwise EMDs between client distributions —
-// the D_t component of the DRL state.
-std::vector<std::vector<double>> DivergenceMatrix(
-    const std::vector<std::vector<double>>& client_distributions);
-
-// Eq. 13: effective distribution of a model that trained on `own` (weight
-// n_own) and then on peers' data via M uniform migrations across clients
-// whose total distribution is `population` (total weight n_total):
-//   q' = (K * n_own * q_own + M * n_total * q) / (K * n_own + M * n_total).
-std::vector<double> MigratedDistribution(const std::vector<double>& own,
-                                         double n_own,
-                                         const std::vector<double>& population,
-                                         double n_total, int num_clients,
-                                         int num_migrations);
-
-// Mixture of two distributions with the given sample weights; the exact
-// two-hop counterpart of MigratedDistribution used when a concrete
-// destination is known: q' = (n_a q_a + n_b q_b) / (n_a + n_b).
+// Mixture of two distributions with the given sample weights, the exact
+// two-hop counterpart of Eq. 13 used when a concrete destination is known:
+// q' = (n_a q_a + n_b q_b) / (n_a + n_b).
 std::vector<double> MixDistributions(const std::vector<double>& a, double n_a,
                                      const std::vector<double>& b, double n_b);
 

@@ -184,18 +184,4 @@ Partition PartitionClassLack(const Dataset& dataset, int num_clients,
   return parts;
 }
 
-bool IsExactCover(const Partition& partition, int dataset_size) {
-  std::vector<int> seen(static_cast<size_t>(dataset_size), 0);
-  for (const auto& part : partition) {
-    for (int idx : part) {
-      if (idx < 0 || idx >= dataset_size) return false;
-      if (++seen[static_cast<size_t>(idx)] > 1) return false;
-    }
-  }
-  for (int count : seen) {
-    if (count != 1) return false;
-  }
-  return true;
-}
-
 }  // namespace fedmigr::data

@@ -51,9 +51,6 @@ Partition PartitionByLanShards(const Dataset& dataset,
 Partition PartitionClassLack(const Dataset& dataset, int num_clients,
                              int lack_classes, util::Rng* rng);
 
-// Sanity helper: true iff every sample index appears in exactly one part.
-bool IsExactCover(const Partition& partition, int dataset_size);
-
 }  // namespace fedmigr::data
 
 #endif  // FEDMIGR_DATA_PARTITION_H_

@@ -19,10 +19,6 @@ void PrivacyAccountant::Spend(double epsilon, double delta) {
   delta_spent_ += delta;
 }
 
-double PrivacyAccountant::epsilon_remaining() const {
-  return total_epsilon_ - epsilon_spent_;
-}
-
 bool PrivacyAccountant::Exhausted() const {
   return epsilon_spent_ > total_epsilon_ || delta_spent_ > total_delta_;
 }

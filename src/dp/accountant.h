@@ -18,7 +18,6 @@ class PrivacyAccountant {
 
   double epsilon_spent() const { return epsilon_spent_; }
   double delta_spent() const { return delta_spent_; }
-  double epsilon_remaining() const;
   bool Exhausted() const;
 
   // Per-release ε when the total budget is to be split over k releases.

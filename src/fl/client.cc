@@ -35,11 +35,6 @@ void Client::SetModel(ModelRef model) {
   owns_model_ = false;
 }
 
-void Client::SetModel(const nn::Sequential& model) {
-  model_ = ModelStore::Clone(model);
-  owns_model_ = true;
-}
-
 ModelRef Client::share_model() {
   if (model_ == nullptr) return nullptr;
   owns_model_ = false;
@@ -56,10 +51,6 @@ void Client::ReleaseBuffers() {
 
 void Client::SetProximalReference(FlatRef reference) {
   proximal_reference_ = std::move(reference);
-}
-
-void Client::SetProximalReference(const nn::Sequential& global) {
-  proximal_reference_ = ModelStore::Flatten(global);
 }
 
 template <class Ar>

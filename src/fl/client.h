@@ -67,10 +67,6 @@ class Client {
   // O(1); no parameters are copied until the client writes.
   void SetModel(ModelRef model);
 
-  // Deep-copy install (tests). The client owns the resulting block
-  // exclusively.
-  void SetModel(const nn::Sequential& model);
-
   // Shares the current replica and marks it immutable-in-place: the next
   // mutable_model() clones. Migration uses this to snapshot sources without
   // deep copies. Null if no model was ever installed.
@@ -93,10 +89,8 @@ class Client {
   void ReleaseBuffers();
 
   // Records the reference point for FedProx's proximal term. Call at every
-  // Model Distribution. The shared overload aliases the store's flattened
-  // aggregate; the legacy overload flattens privately.
+  // Model Distribution. It aliases the store's flattened aggregate.
   void SetProximalReference(FlatRef reference);
-  void SetProximalReference(const nn::Sequential& global);
   const FlatRef& proximal_reference() const { return proximal_reference_; }
 
   // Runs `options.epochs` passes of mini-batch SGD over the local data.

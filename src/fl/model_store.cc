@@ -17,8 +17,4 @@ std::shared_ptr<nn::Sequential> ModelStore::Clone(const nn::Sequential& model) {
   return std::make_shared<nn::Sequential>(model);
 }
 
-FlatRef ModelStore::Flatten(const nn::Sequential& model) {
-  return std::make_shared<const std::vector<float>>(nn::FlattenParams(model));
-}
-
 }  // namespace fedmigr::fl

@@ -59,10 +59,6 @@ class ModelStore {
   // path for clients, kept here so src/fl has a single construction site.
   static std::shared_ptr<nn::Sequential> Clone(const nn::Sequential& model);
 
-  // Flattens `model` into a fresh shared vector (legacy per-client proximal
-  // references and tests).
-  static FlatRef Flatten(const nn::Sequential& model);
-
   // --- Lineage (flight recorder, DESIGN.md §16) ---------------------------
   // Publish is the only mint site for lineage ids: each published block gets
   // the next id from a serial monotonic counter, so ids are deterministic

@@ -181,12 +181,6 @@ bool FaultInjector::IsAttacker(int client) const {
   return attacker_[static_cast<size_t>(client)];
 }
 
-int FaultInjector::num_attackers() const {
-  int count = 0;
-  for (bool a : attacker_) count += a ? 1 : 0;
-  return count;
-}
-
 double FaultInjector::SlowdownFactor(int client) const {
   if (client < 0 || client >= static_cast<int>(straggler_.size())) return 1.0;
   return straggler_[static_cast<size_t>(client)] ? config_.straggler_slowdown

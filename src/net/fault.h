@@ -224,7 +224,6 @@ class FaultInjector {
   // clients) from the dedicated attack stream, so enabling attacks leaves
   // the link/crash/straggler trajectory untouched.
   bool IsAttacker(int client) const;
-  int num_attackers() const;
   // Stream the fl layer draws attack noise / corruption indices from;
   // serialized with the injector so a resumed run replays the same attack.
   util::Rng* attack_rng() { return &attack_rng_; }

@@ -81,16 +81,4 @@ double Topology::LinkMultiplier(int a, int b) const {
   return multipliers_[static_cast<size_t>(LinkIndex(a, b))];
 }
 
-Topology MakeC10SimTopology() {
-  TopologyConfig config;
-  config.lan_of = {0, 0, 0, 0, 1, 1, 1, 2, 2, 2};
-  return Topology(std::move(config));
-}
-
-Topology MakeC100SimTopology() {
-  TopologyConfig config;
-  config.lan_of = EvenLanAssignment(20, 5);
-  return Topology(std::move(config));
-}
-
 }  // namespace fedmigr::net

@@ -71,12 +71,6 @@ class Topology {
   std::vector<double> multipliers_;
 };
 
-// Convenience: the paper's C10 simulation topology — 10 clients in LANs
-// {0,1,2,3}, {4,5,6}, {7,8,9}.
-Topology MakeC10SimTopology();
-// The paper's C100 simulation topology — 20 clients in 5 LANs of 4.
-Topology MakeC100SimTopology();
-
 }  // namespace fedmigr::net
 
 #endif  // FEDMIGR_NET_TOPOLOGY_H_

@@ -30,10 +30,6 @@ void TrafficAccountant::Record(int src, int dst, int64_t bytes) {
   link_bytes_[key] += bytes;
 }
 
-double TrafficAccountant::total_gb() const {
-  return static_cast<double>(total_bytes()) / 1e9;
-}
-
 double TrafficAccountant::c2s_gb() const {
   return static_cast<double>(c2s_bytes_) / 1e9;
 }
@@ -58,16 +54,6 @@ int64_t TrafficAccountant::LinkCount(int a, int b) const {
 int64_t TrafficAccountant::LinkBytes(int a, int b) const {
   const auto it = link_bytes_.find(Key(a, b));
   return it == link_bytes_.end() ? 0 : it->second;
-}
-
-void TrafficAccountant::Reset() {
-  c2s_bytes_ = 0;
-  c2c_bytes_ = 0;
-  c2s_up_bytes_ = 0;
-  c2s_down_bytes_ = 0;
-  num_transfers_ = 0;
-  link_counts_.clear();
-  link_bytes_.clear();
 }
 
 }  // namespace fedmigr::net

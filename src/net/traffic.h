@@ -31,7 +31,6 @@ class TrafficAccountant {
   int64_t c2s_down_bytes() const { return c2s_down_bytes_; }
   int64_t num_transfers() const { return num_transfers_; }
 
-  double total_gb() const;
   double c2s_gb() const;
   double c2c_gb() const;
   double c2s_up_gb() const;
@@ -40,8 +39,6 @@ class TrafficAccountant {
   // Transfer count over the undirected client pair {a, b}; 0 if never used.
   int64_t LinkCount(int a, int b) const;
   int64_t LinkBytes(int a, int b) const;
-
-  void Reset();
 
   // Snapshot layout: the full accounting state, including the per-link
   // maps behind the Fig. 8 analysis.

@@ -4,13 +4,6 @@
 
 namespace fedmigr::nn {
 
-void XavierUniform(Tensor* weights, int fan_in, int fan_out, util::Rng* rng) {
-  const double a = std::sqrt(6.0 / (fan_in + fan_out));
-  for (int64_t i = 0; i < weights->size(); ++i) {
-    (*weights)[i] = static_cast<float>(rng->Uniform(-a, a));
-  }
-}
-
 void HeNormal(Tensor* weights, int fan_in, util::Rng* rng) {
   const double stddev = std::sqrt(2.0 / fan_in);
   for (int64_t i = 0; i < weights->size(); ++i) {

@@ -1,4 +1,4 @@
-// Weight initialization schemes.
+// Weight initialization.
 
 #ifndef FEDMIGR_NN_INIT_H_
 #define FEDMIGR_NN_INIT_H_
@@ -7,10 +7,6 @@
 #include "util/rng.h"
 
 namespace fedmigr::nn {
-
-// Glorot/Xavier uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-// Suits tanh/sigmoid/linear layers.
-void XavierUniform(Tensor* weights, int fan_in, int fan_out, util::Rng* rng);
 
 // He/Kaiming normal: N(0, sqrt(2 / fan_in)). Suits ReLU layers.
 void HeNormal(Tensor* weights, int fan_in, util::Rng* rng);

@@ -1,11 +1,11 @@
-// Concrete layers: Dense, Conv2D, MaxPool2x2, activations, Flatten.
+// Concrete layers: Dense, Conv2D, MaxPool2x2, ReLU, Flatten, ResidualDense.
 //
 // All layers follow the Layer contract in layer.h. Shapes:
 //   Dense     [N, in]           -> [N, out]
 //   Conv2D    [N, Cin, H, W]    -> [N, Cout, H', W']  (stride 1, zero pad)
 //   MaxPool   [N, C, H, W]      -> [N, C, H/2, W/2]
 //   Flatten   [N, ...]          -> [N, prod(...)]
-//   ReLU/Tanh/Sigmoid: elementwise, shape-preserving.
+//   ReLU      elementwise, shape-preserving.
 
 #ifndef FEDMIGR_NN_LAYERS_H_
 #define FEDMIGR_NN_LAYERS_H_
@@ -143,56 +143,6 @@ class ReLU : public Layer {
 
  private:
   Tensor cached_input_;
-};
-
-class Tanh : public Layer {
- public:
-  Tanh() = default;
-
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ReleaseBuffers() override { cached_output_ = Tensor(); }
-  std::string name() const override { return "Tanh"; }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Tanh>();
-  }
-
- private:
-  Tensor cached_output_;
-};
-
-class Sigmoid : public Layer {
- public:
-  Sigmoid() = default;
-
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ReleaseBuffers() override { cached_output_ = Tensor(); }
-  std::string name() const override { return "Sigmoid"; }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Sigmoid>();
-  }
-
- private:
-  Tensor cached_output_;
-};
-
-// Row-wise softmax. Only used as the output nonlinearity of the DRL actor;
-// classification losses fold softmax into the loss for stability.
-class Softmax : public Layer {
- public:
-  Softmax() = default;
-
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ReleaseBuffers() override { cached_output_ = Tensor(); }
-  std::string name() const override { return "Softmax"; }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Softmax>();
-  }
-
- private:
-  Tensor cached_output_;
 };
 
 // Residual block over two Dense+ReLU sublayers: y = ReLU(x + F(x)).

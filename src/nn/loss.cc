@@ -41,21 +41,6 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
   return result;
 }
 
-LossResult MeanSquaredError(const Tensor& prediction, const Tensor& target) {
-  FEDMIGR_CHECK(prediction.SameShape(target));
-  LossResult result;
-  result.grad_logits = Tensor(prediction.shape());
-  const int64_t n = prediction.size();
-  const float scale = 2.0f / static_cast<float>(n);
-  for (int64_t i = 0; i < n; ++i) {
-    const double diff = prediction[i] - target[i];
-    result.loss += diff * diff;
-    result.grad_logits[i] = static_cast<float>(diff) * scale;
-  }
-  result.loss /= static_cast<double>(n);
-  return result;
-}
-
 double Accuracy(const Tensor& logits, const std::vector<int>& labels) {
   FEDMIGR_CHECK_EQ(logits.ndim(), 2);
   const int batch = logits.dim(0), classes = logits.dim(1);

@@ -1,5 +1,5 @@
-// Loss functions. SoftmaxCrossEntropy folds softmax into the loss for
-// numerical stability; MSE is used by the DDPG critic.
+// Classification loss and accuracy. SoftmaxCrossEntropy folds softmax into
+// the loss for numerical stability.
 
 #ifndef FEDMIGR_NN_LOSS_H_
 #define FEDMIGR_NN_LOSS_H_
@@ -18,9 +18,6 @@ struct LossResult {
 // Mean softmax cross-entropy of `logits` [N, C] against integer `labels`.
 LossResult SoftmaxCrossEntropy(const Tensor& logits,
                                const std::vector<int>& labels);
-
-// Mean squared error between `prediction` and `target` (same shape).
-LossResult MeanSquaredError(const Tensor& prediction, const Tensor& target);
 
 // Fraction of rows whose argmax matches the label.
 double Accuracy(const Tensor& logits, const std::vector<int>& labels);

@@ -19,8 +19,6 @@ namespace fedmigr::nn {
 
 // C = A(MxK) * B(KxN).
 Tensor MatMul(const Tensor& a, const Tensor& b);
-// C = A^T(KxM -> MxK view) * B(KxN): used for weight gradients.
-Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 // C = A(MxK) * B^T(NxK -> KxN view): used for input gradients.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 

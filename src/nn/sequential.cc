@@ -1,6 +1,5 @@
 #include "nn/sequential.h"
 
-#include <cmath>
 #include <utility>
 
 #include "util/logging.h"
@@ -127,30 +126,6 @@ void Sequential::LerpParamsFrom(const Sequential& other, float alpha) {
     dst[i]->Scale(1.0f - alpha);
     dst[i]->Axpy(alpha, *src[i]);
   }
-}
-
-double Sequential::ParamNorm() const {
-  double sum = 0.0;
-  for (const Tensor* p : Params()) {
-    const double norm = p->Norm();
-    sum += norm * norm;
-  }
-  return std::sqrt(sum);
-}
-
-double Sequential::ParamDistance(const Sequential& a, const Sequential& b) {
-  auto pa = a.Params();
-  auto pb = b.Params();
-  FEDMIGR_CHECK_EQ(pa.size(), pb.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < pa.size(); ++i) {
-    FEDMIGR_CHECK(pa[i]->SameShape(*pb[i]));
-    for (int64_t j = 0; j < pa[i]->size(); ++j) {
-      const double diff = (*pa[i])[j] - (*pb[i])[j];
-      sum += diff * diff;
-    }
-  }
-  return std::sqrt(sum);
 }
 
 }  // namespace fedmigr::nn

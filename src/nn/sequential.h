@@ -67,11 +67,6 @@ class Sequential {
   // this_params = this_params * (1 - alpha) + other_params * alpha.
   void LerpParamsFrom(const Sequential& other, float alpha);
 
-  // L2 norm over the whole parameter vector.
-  double ParamNorm() const;
-  // L2 distance between two models' parameter vectors.
-  static double ParamDistance(const Sequential& a, const Sequential& b);
-
   int num_layers() const { return static_cast<int>(layers_.size()); }
   Layer& layer(int i) { return *layers_[static_cast<size_t>(i)]; }
 

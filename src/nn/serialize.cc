@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
 #include "util/crc32.h"
-#include "util/file.h"
 
 namespace fedmigr::nn {
 
@@ -131,32 +129,6 @@ util::Status DeserializeParams(const std::vector<uint8_t>& bytes,
               count * sizeof(float));
   FEDMIGR_RETURN_IF_ERROR(CheckPayloadFinite(flat));
   return UnflattenParams(flat, model);
-}
-
-util::Status SaveCheckpoint(const Sequential& model,
-                            const std::string& path) {
-  return util::AtomicWriteFile(path, SerializeParams(model));
-}
-
-util::Status LoadCheckpoint(const std::string& path, Sequential* model) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return util::Status::NotFound("cannot open for reading: " + path);
-  }
-  const std::streamsize size = in.tellg();
-  if (size < 0) {
-    return util::Status::Internal("cannot determine size: " + path);
-  }
-  if (size == 0) {
-    return util::Status::InvalidArgument("empty checkpoint: " + path);
-  }
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in || in.gcount() != size) {
-    return util::Status::Internal("read failed: " + path);
-  }
-  return DeserializeParams(bytes, model);
 }
 
 }  // namespace fedmigr::nn

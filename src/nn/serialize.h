@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "nn/sequential.h"
@@ -35,20 +34,12 @@ util::Status UnflattenParams(const std::vector<float>& flat,
 // NaN/Inf coordinates (kDataLoss): a CRC only proves a NaN arrived intact,
 // and one non-finite parameter entering an aggregation poisons the global
 // model permanently. DeserializeParams also accepts the legacy v1 framing
-// ([uint64 count][payload]) so old checkpoints keep loading.
+// ([uint64 count][payload]) so old payloads keep loading.
 // Simulated transfer sizes are metered by Sequential::ByteSize (raw
 // parameter bytes), so the framing does not change traffic accounting.
 std::vector<uint8_t> SerializeParams(const Sequential& model);
 util::Status DeserializeParams(const std::vector<uint8_t>& bytes,
                                Sequential* model);
-
-// Checkpointing: writes/reads the byte encoding above to a file. Saving is
-// atomic (tmp file + fsync + rename), so a crash mid-write can never leave
-// a torn file at the published path. Loading requires a model of the same
-// architecture (same parameter count).
-util::Status SaveCheckpoint(const Sequential& model,
-                            const std::string& path);
-util::Status LoadCheckpoint(const std::string& path, Sequential* model);
 
 // Snapshot layout of a model's parameters (util/serial.h): a u64 count,
 // then every parameter's floats in FlattenParams order, one span per

@@ -79,12 +79,6 @@ void Tensor::Scale(float alpha) {
   for (auto& x : data_) x *= alpha;
 }
 
-double Tensor::Sum() const {
-  double sum = 0.0;
-  for (float x : data_) sum += x;
-  return sum;
-}
-
 double Tensor::Norm() const {
   double sum = 0.0;
   for (float x : data_) sum += static_cast<double>(x) * x;
@@ -95,36 +89,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   Tensor out = a;
   out.Add(b);
   return out;
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out.Axpy(-1.0f, b);
-  return out;
-}
-
-Tensor Scale(const Tensor& a, float alpha) {
-  Tensor out = a;
-  out.Scale(alpha);
-  return out;
-}
-
-double Dot(const Tensor& a, const Tensor& b) {
-  FEDMIGR_CHECK_EQ(a.size(), b.size());
-  double sum = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    sum += static_cast<double>(a[i]) * b[i];
-  }
-  return sum;
-}
-
-float MaxAbsDiff(const Tensor& a, const Tensor& b) {
-  FEDMIGR_CHECK_EQ(a.size(), b.size());
-  float max_diff = 0.0f;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
-  }
-  return max_diff;
 }
 
 }  // namespace fedmigr::nn

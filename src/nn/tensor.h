@@ -79,8 +79,6 @@ class Tensor {
   // this *= alpha.
   void Scale(float alpha);
 
-  // Sum of all elements.
-  double Sum() const;
   // L2 norm of the flattened tensor.
   double Norm() const;
 
@@ -112,14 +110,6 @@ class Tensor {
 
 // out = a + b (same shape).
 Tensor Add(const Tensor& a, const Tensor& b);
-// out = a - b (same shape).
-Tensor Sub(const Tensor& a, const Tensor& b);
-// out = alpha * a.
-Tensor Scale(const Tensor& a, float alpha);
-// Flat dot product (same element count).
-double Dot(const Tensor& a, const Tensor& b);
-// Max absolute difference; used heavily by tests.
-float MaxAbsDiff(const Tensor& a, const Tensor& b);
 
 }  // namespace fedmigr::nn
 

@@ -57,15 +57,13 @@ Sequential MakeResMini(util::Rng* rng, int num_classes) {
   return model;
 }
 
-Sequential MakeMlp(const std::vector<int>& dims, bool softmax_output,
-                   util::Rng* rng) {
+Sequential MakeMlp(const std::vector<int>& dims, util::Rng* rng) {
   FEDMIGR_CHECK_GE(dims.size(), 2u);
   Sequential model;
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     model.Add(std::make_unique<Dense>(dims[i], dims[i + 1], rng));
     if (i + 2 < dims.size()) model.Add(std::make_unique<ReLU>());
   }
-  if (softmax_output) model.Add(std::make_unique<Softmax>());
   return model;
 }
 

@@ -31,10 +31,10 @@ Sequential MakeC10Net(util::Rng* rng);
 Sequential MakeC100Net(util::Rng* rng);
 Sequential MakeResMini(util::Rng* rng, int num_classes = 100);
 
-// MLP with ReLU hidden layers: dims = {in, h1, ..., out}. `softmax_output`
-// appends a Softmax layer (DRL actor); otherwise the output is linear.
-Sequential MakeMlp(const std::vector<int>& dims, bool softmax_output,
-                   util::Rng* rng);
+// MLP with ReLU hidden layers and a linear output: dims = {in, h1, ..., out}.
+// The DRL actor and critic both use it; the actor's softmax over candidates
+// lives in the agent (rl/agent.h), which masks candidates first.
+Sequential MakeMlp(const std::vector<int>& dims, util::Rng* rng);
 
 // Builds a model by zoo name: "c10" | "c100" | "resmini". CHECK-fails on an
 // unknown name.

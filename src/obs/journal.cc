@@ -96,13 +96,6 @@ util::Status ReadJournalSummary(util::ByteReader* reader,
   return util::Load(reader, summary);
 }
 
-std::vector<uint8_t> FrameJournalChunk(const std::vector<uint8_t>& payload) {
-  util::ByteWriter writer;
-  util::BeginFrame(kJournalMagic, kJournalVersion, payload.size(), &writer);
-  writer.Io(std::span<const uint8_t>(payload));
-  return util::SealFrame(&writer);
-}
-
 util::Result<std::vector<uint8_t>> UnframeJournalChunk(const uint8_t* data,
                                                        size_t size,
                                                        size_t* consumed) {

@@ -126,9 +126,6 @@ void WriteJournalSummary(const JournalSummary& summary,
 util::Status ReadJournalSummary(util::ByteReader* reader,
                                 JournalSummary* summary);
 
-// Wraps a chunk payload in the FJRN frame.
-std::vector<uint8_t> FrameJournalChunk(const std::vector<uint8_t>& payload);
-
 // Validates the frame at the start of `data` and returns its payload;
 // `*consumed` receives the framed size. Truncation, bad magic/version and
 // CRC mismatch come back as Status errors (never a crash).

@@ -55,14 +55,6 @@ util::Status WriteStringFile(const std::string& path,
 
 }  // namespace
 
-void Gauge::Add(double delta) {
-  uint64_t observed = bits_.load(std::memory_order_relaxed);
-  while (!bits_.compare_exchange_weak(observed, Encode(Decode(observed) + delta),
-                                      std::memory_order_relaxed,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
 uint64_t Gauge::Encode(double value) {
   uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -151,13 +143,6 @@ int64_t MetricsSnapshot::CounterValue(const std::string& name) const {
     if (c.name == name) return c.value;
   }
   return 0;
-}
-
-double MetricsSnapshot::GaugeValue(const std::string& name) const {
-  for (const GaugeSample& g : gauges) {
-    if (g.name == name) return g.value;
-  }
-  return 0.0;
 }
 
 const MetricsSnapshot::HistogramSample* MetricsSnapshot::FindHistogram(

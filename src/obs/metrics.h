@@ -47,7 +47,6 @@ class Gauge {
   void Set(double value) {
     bits_.store(Encode(value), std::memory_order_relaxed);
   }
-  void Add(double delta);
   double value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
 
  private:
@@ -117,7 +116,6 @@ struct MetricsSnapshot {
 
   // Lookup helpers; a missing name yields 0 / nullptr.
   int64_t CounterValue(const std::string& name) const;
-  double GaugeValue(const std::string& name) const;
   const HistogramSample* FindHistogram(const std::string& name) const;
 
   std::string ToJson() const;

@@ -57,12 +57,6 @@ void TraceRecorder::Stop() {
   recording_.store(false, std::memory_order_release);
 }
 
-void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.clear();
-  dropped_ = 0;
-}
-
 void TraceRecorder::Append(StoredEvent event) {
   if (events_.size() >= capacity_) {
     ++dropped_;

@@ -78,7 +78,6 @@ class TraceRecorder {
   bool recording() const {
     return recording_.load(std::memory_order_acquire);
   }
-  void Clear();
 
   // Wall-clock span on the calling thread's track (pid 1).
   void RecordSpan(const std::string& name, int64_t start_ns, int64_t end_ns);

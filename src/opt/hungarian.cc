@@ -69,14 +69,4 @@ std::vector<int> SolveAssignment(
   return assignment;
 }
 
-double AssignmentCost(const std::vector<std::vector<double>>& cost,
-                      const std::vector<int>& assignment) {
-  FEDMIGR_CHECK_EQ(cost.size(), assignment.size());
-  double total = 0.0;
-  for (size_t i = 0; i < assignment.size(); ++i) {
-    total += cost[i][static_cast<size_t>(assignment[i])];
-  }
-  return total;
-}
-
 }  // namespace fedmigr::opt

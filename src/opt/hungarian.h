@@ -14,10 +14,6 @@ namespace fedmigr::opt {
 std::vector<int> SolveAssignment(
     const std::vector<std::vector<double>>& cost);
 
-// Total cost of an assignment under a cost matrix.
-double AssignmentCost(const std::vector<std::vector<double>>& cost,
-                      const std::vector<int>& assignment);
-
 }  // namespace fedmigr::opt
 
 #endif  // FEDMIGR_OPT_HUNGARIAN_H_

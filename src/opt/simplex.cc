@@ -27,10 +27,4 @@ void ProjectToSimplex(std::vector<double>* v, std::vector<double>* scratch) {
   for (auto& x : *v) x = std::max(0.0, x - theta);
 }
 
-std::vector<double> ProjectedToSimplex(std::vector<double> v) {
-  std::vector<double> scratch;
-  ProjectToSimplex(&v, &scratch);
-  return v;
-}
-
 }  // namespace fedmigr::opt

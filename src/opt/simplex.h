@@ -14,9 +14,6 @@ namespace fedmigr::opt {
 // (overwritten), so a caller projecting many rows allocates it once.
 void ProjectToSimplex(std::vector<double>* v, std::vector<double>* scratch);
 
-// Returns the projection without modifying the input.
-std::vector<double> ProjectedToSimplex(std::vector<double> v);
-
 }  // namespace fedmigr::opt
 
 #endif  // FEDMIGR_OPT_SIMPLEX_H_

@@ -117,16 +117,4 @@ PretrainReport Pretrain(DdpgAgent* agent, const SurrogateConfig& env_config,
   return report;
 }
 
-DdpgAgent MakePretrainedAgent(int num_clients, int num_classes, int num_lans,
-                              const AgentConfig& agent_config,
-                              const PretrainOptions& options) {
-  DdpgAgent agent(agent_config);
-  SurrogateConfig env_config;
-  env_config.num_clients = num_clients;
-  env_config.num_classes = num_classes;
-  env_config.num_lans = num_lans;
-  Pretrain(&agent, env_config, options);
-  return agent;
-}
-
 }  // namespace fedmigr::rl

@@ -34,12 +34,6 @@ struct PretrainReport {
 PretrainReport Pretrain(DdpgAgent* agent, const SurrogateConfig& env_config,
                         const PretrainOptions& options);
 
-// Convenience: builds an agent with the given config and pre-trains it on a
-// surrogate environment sized for `num_clients`.
-DdpgAgent MakePretrainedAgent(int num_clients, int num_classes, int num_lans,
-                              const AgentConfig& agent_config = {},
-                              const PretrainOptions& options = {});
-
 }  // namespace fedmigr::rl
 
 #endif  // FEDMIGR_RL_PRETRAIN_H_

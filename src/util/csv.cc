@@ -57,26 +57,4 @@ void TableWriter::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TableWriter::PrintCsv(std::ostream& os) const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char ch : cell) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) os << ",";
-      os << escape(row[c]);
-    }
-    os << "\n";
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace fedmigr::util

@@ -1,8 +1,7 @@
-// Table/CSV emission for benchmark harnesses.
+// Table emission for benchmark harnesses.
 //
 // Every bench binary prints a paper-style table to stdout; `TableWriter`
-// renders aligned plain-text and, optionally, writes the same rows as CSV so
-// results can be post-processed.
+// renders it as aligned plain text.
 
 #ifndef FEDMIGR_UTIL_CSV_H_
 #define FEDMIGR_UTIL_CSV_H_
@@ -27,8 +26,6 @@ class TableWriter {
 
   // Renders the table with padded columns.
   void Print(std::ostream& os) const;
-  // Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  void PrintCsv(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }
 

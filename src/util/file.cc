@@ -115,26 +115,6 @@ AppendFile::~AppendFile() {
   }
 }
 
-AppendFile::AppendFile(AppendFile&& other) noexcept
-    : fd_(other.fd_), size_(other.size_), path_(std::move(other.path_)) {
-  other.fd_ = -1;
-  other.size_ = 0;
-}
-
-AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-    fd_ = other.fd_;
-    size_ = other.size_;
-    path_ = std::move(other.path_);
-    other.fd_ = -1;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
 Status AppendFile::Open(const std::string& path) {
   if (fd_ >= 0) {
     return Status::Internal("AppendFile already open: " + path_);

@@ -49,8 +49,6 @@ class AppendFile {
 
   AppendFile(const AppendFile&) = delete;
   AppendFile& operator=(const AppendFile&) = delete;
-  AppendFile(AppendFile&& other) noexcept;
-  AppendFile& operator=(AppendFile&& other) noexcept;
 
   // Opens (creating if missing) and positions the write cursor at the end.
   Status Open(const std::string& path);

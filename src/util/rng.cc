@@ -27,20 +27,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(sm);
 }
 
-RngState Rng::State() const {
-  RngState state;
-  for (int i = 0; i < 4; ++i) state.words[i] = state_[i];
-  state.has_cached_normal = has_cached_normal_;
-  state.cached_normal = cached_normal_;
-  return state;
-}
-
-void Rng::Restore(const RngState& state) {
-  for (int i = 0; i < 4; ++i) state_[i] = state.words[i];
-  has_cached_normal_ = state.has_cached_normal;
-  cached_normal_ = state.cached_normal;
-}
-
 uint64_t Rng::Next() {
   const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
   const uint64_t t = state_[1] << 17;

@@ -16,24 +16,11 @@
 
 namespace fedmigr::util {
 
-// Full generator state: the four xoshiro256** words plus the Box-Muller
-// spare. Restoring it resumes the stream bit-identically — including the
-// next Normal() draw — which the run-snapshot subsystem relies on.
-struct RngState {
-  uint64_t words[4] = {0, 0, 0, 0};
-  bool has_cached_normal = false;
-  double cached_normal = 0.0;
-};
-
 // xoshiro256** engine with convenience distributions. Copyable: copying
 // forks the stream (both copies produce the same subsequent values).
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
-
-  // State export/import for durable snapshots.
-  RngState State() const;
-  void Restore(const RngState& state);
 
   // Raw 64 random bits.
   uint64_t Next();
@@ -72,6 +59,8 @@ class Rng {
   std::vector<int> SampleWithoutReplacement(int n, int k);
 
   // Snapshot layout (util/serial.h): the four words, then the spare.
+  // Loading it resumes the stream bit-identically, including the next
+  // Normal() draw, which the run-snapshot subsystem relies on.
   template <class Ar>
   Status Visit(Ar& ar) {
     ar.Io(std::span<uint64_t>(state_));

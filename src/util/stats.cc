@@ -1,41 +1,10 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 
 namespace fedmigr::util {
-
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void Ema::Add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
 
 double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;

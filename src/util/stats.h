@@ -1,4 +1,4 @@
-// Small statistics helpers used by metrics collection and tests.
+// Small statistics helpers used by metrics collection and bench reporting.
 
 #ifndef FEDMIGR_UTIL_STATS_H_
 #define FEDMIGR_UTIL_STATS_H_
@@ -7,42 +7,6 @@
 #include <vector>
 
 namespace fedmigr::util {
-
-// Numerically stable running mean/variance (Welford's algorithm).
-class RunningStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return mean_; }
-  // Population variance; 0 when fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-// Exponential moving average with smoothing factor alpha in (0, 1].
-class Ema {
- public:
-  explicit Ema(double alpha) : alpha_(alpha) {}
-
-  void Add(double x);
-  bool empty() const { return !initialized_; }
-  double value() const { return value_; }
-
- private:
-  double alpha_;
-  bool initialized_ = false;
-  double value_ = 0.0;
-};
 
 // Arithmetic mean of a vector; 0 for an empty vector.
 double Mean(const std::vector<double>& values);

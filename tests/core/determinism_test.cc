@@ -6,6 +6,7 @@
 
 #include "core/experiment.h"
 #include "nn/tensor.h"
+#include "nn/tensor_helpers.h"
 
 namespace fedmigr::core {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/distribution.h"
+#include "data/distribution_oracles.h"
 
 namespace fedmigr::core {
 namespace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/sim_topologies.h"
+
 namespace fedmigr::core {
 namespace {
 

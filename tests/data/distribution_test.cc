@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/distribution_oracles.h"
 #include "data/synthetic.h"
 #include "util/rng.h"
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/distribution.h"
+#include "data/distribution_oracles.h"
 #include "data/synthetic.h"
 #include "net/topology.h"
 #include "util/rng.h"
@@ -125,7 +126,7 @@ TEST(PartitionDominanceTest, DominantClientOwnsItsClassShare) {
   util::Rng rng(8);
   const Partition parts = PartitionDominance(d, 10, 0.8, &rng);
   // Client k dominates class k; 80% of class k's samples live on client k.
-  const auto counts = d.ClassCounts();
+  const auto counts = ClassCounts(d);
   for (int k = 0; k < 10; ++k) {
     int own = 0;
     for (int idx : parts[static_cast<size_t>(k)]) {

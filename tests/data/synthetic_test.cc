@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/distribution_oracles.h"
+#include "nn/tensor_helpers.h"
 #include "nn/zoo.h"
 
 namespace fedmigr::data {
@@ -24,7 +26,7 @@ TEST(SyntheticTest, ImageNetSpecIsFlat) {
 
 TEST(SyntheticTest, BalancedClasses) {
   const TrainTest tt = GenerateSynthetic(C10Spec());
-  const auto counts = tt.train.ClassCounts();
+  const auto counts = ClassCounts(tt.train);
   for (int c : counts) EXPECT_EQ(c, C10Spec().train_per_class);
 }
 

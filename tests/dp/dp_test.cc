@@ -7,7 +7,9 @@
 #include "dp/gaussian.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
+#include "nn/tensor_helpers.h"
 #include "util/rng.h"
+#include "util/running_stats.h"
 #include "util/stats.h"
 
 namespace fedmigr::dp {
@@ -109,7 +111,7 @@ TEST(PrivatizeModelTest, SmallerEpsilonMoreDistortion) {
     config.epsilon = epsilon;
     config.clip_norm = 100.0;  // no clipping, isolate the noise
     PrivatizeModel(config, &model, &noise);
-    return nn::Sequential::ParamDistance(model, original);
+    return nn::ParamDistance(model, original);
   };
   EXPECT_GT(distortion(10.0), distortion(1000.0));
 }
@@ -118,7 +120,6 @@ TEST(AccountantTest, TracksSpending) {
   PrivacyAccountant accountant(100.0, 1e-3);
   accountant.Spend(30.0, 1e-4);
   EXPECT_DOUBLE_EQ(accountant.epsilon_spent(), 30.0);
-  EXPECT_DOUBLE_EQ(accountant.epsilon_remaining(), 70.0);
   EXPECT_FALSE(accountant.Exhausted());
   accountant.Spend(80.0, 1e-4);
   EXPECT_TRUE(accountant.Exhausted());

@@ -1,10 +1,15 @@
 #include "fl/client.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "fl/model_store.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "nn/tensor_helpers.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -43,7 +48,7 @@ TEST(ClientTest, LocalUpdateReducesLoss) {
   Fixture f;
   Client client(0, &f.data.train, FirstN(100), 0.1, 0.0, 3);
   util::Rng rng(4);
-  client.SetModel(nn::MakeC10Net(&rng));
+  client.SetModel(ModelStore::Clone(nn::MakeC10Net(&rng)));
   LocalUpdateOptions options;
   options.batch_size = 16;
   double first = 0.0;
@@ -61,16 +66,16 @@ TEST(ClientTest, LocalUpdateMovesParameters) {
   Client client(0, &f.data.train, FirstN(32), 0.05, 0.0, 5);
   util::Rng rng(6);
   const nn::Sequential initial = nn::MakeC10Net(&rng);
-  client.SetModel(initial);
+  client.SetModel(ModelStore::Clone(initial));
   (void)client.LocalUpdate({});
-  EXPECT_GT(nn::Sequential::ParamDistance(client.model(), initial), 0.0);
+  EXPECT_GT(nn::ParamDistance(client.model(), initial), 0.0);
 }
 
 TEST(ClientTest, TauMultipliesWork) {
   Fixture f;
   Client client(0, &f.data.train, FirstN(30), 0.05, 0.0, 7);
   util::Rng rng(8);
-  client.SetModel(nn::MakeC10Net(&rng));
+  client.SetModel(ModelStore::Clone(nn::MakeC10Net(&rng)));
   LocalUpdateOptions options;
   options.epochs = 3;
   const auto result = client.LocalUpdate(options);
@@ -92,13 +97,14 @@ TEST(ClientTest, FedProxPullsTowardReference) {
 
   auto run = [&](double mu) {
     Client client(0, &f.data.train, FirstN(64), 0.05, 0.0, 11);
-    client.SetModel(reference);
-    client.SetProximalReference(reference);
+    client.SetModel(ModelStore::Clone(reference));
+    client.SetProximalReference(std::make_shared<const std::vector<float>>(
+        nn::FlattenParams(reference)));
     LocalUpdateOptions options;
     options.fedprox_mu = mu;
     options.epochs = 5;
     (void)client.LocalUpdate(options);
-    return nn::Sequential::ParamDistance(client.model(), reference);
+    return nn::ParamDistance(client.model(), reference);
   };
   // A strong proximal term keeps the iterate closer to the reference.
   EXPECT_LT(run(10.0), run(0.0));
@@ -110,9 +116,9 @@ TEST(ClientTest, SetModelReplacesParameters) {
   util::Rng rng(13);
   const nn::Sequential a = nn::MakeC10Net(&rng);
   const nn::Sequential b = nn::MakeC10Net(&rng);
-  client.SetModel(a);
-  client.SetModel(b);
-  EXPECT_EQ(nn::Sequential::ParamDistance(client.model(), b), 0.0);
+  client.SetModel(ModelStore::Clone(a));
+  client.SetModel(ModelStore::Clone(b));
+  EXPECT_EQ(nn::ParamDistance(client.model(), b), 0.0);
 }
 
 // A CRC-valid client record whose momentum buffers match the model's
@@ -122,7 +128,7 @@ TEST(ClientTest, SetModelReplacesParameters) {
 TEST(ClientStateTest, RejectsMomentumShapedUnlikeTheModel) {
   Fixture f;
   util::Rng rng(5);
-  nn::Sequential other = nn::MakeMlp({2, 6}, /*softmax_output=*/false, &rng);
+  nn::Sequential other = nn::MakeMlp({2, 6}, &rng);
   nn::Sgd stepped(0.1, /*momentum=*/0.9);
   stepped.Step(&other);
 
@@ -136,7 +142,7 @@ TEST(ClientStateTest, RejectsMomentumShapedUnlikeTheModel) {
   writer.Io(std::vector<float>());  // proximal reference
 
   Client victim(0, &f.data.train, FirstN(10), 0.1, 0.9, 1);
-  victim.SetModel(nn::MakeMlp({5, 3}, /*softmax_output=*/false, &rng));
+  victim.SetModel(ModelStore::Clone(nn::MakeMlp({5, 3}, &rng)));
   util::ByteReader reader(writer.bytes());
   const util::Status status = util::Load(&reader, &victim);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)

@@ -9,6 +9,7 @@
 #include "data/synthetic.h"
 #include "fl/schemes.h"
 #include "fl/trainer.h"
+#include "net/sim_topologies.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 

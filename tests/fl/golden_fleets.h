@@ -14,6 +14,7 @@
 #include "fl/policies.h"
 #include "fl/trainer.h"
 #include "net/device.h"
+#include "net/sim_topologies.h"
 #include "net/topology.h"
 #include "nn/zoo.h"
 #include "util/rng.h"

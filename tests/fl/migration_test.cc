@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/sim_topologies.h"
+
 namespace fedmigr::fl {
 namespace {
 

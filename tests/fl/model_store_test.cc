@@ -139,13 +139,6 @@ TEST(ModelStoreTest, ProximalReferenceAliasesTheFlattenedAggregate) {
   Client a(0, &data.train, SomeIndices(8), 0.05, 0.0, 41);
   a.SetProximalReference(store.aggregate_flat());
   EXPECT_EQ(a.proximal_reference(), store.aggregate_flat());
-
-  // Legacy overload makes a private flatten, equal in value.
-  Client b(1, &data.train, SomeIndices(8), 0.05, 0.0, 42);
-  b.SetProximalReference(*store.aggregate());
-  ASSERT_NE(b.proximal_reference(), nullptr);
-  EXPECT_NE(b.proximal_reference(), store.aggregate_flat());
-  EXPECT_EQ(*b.proximal_reference(), *store.aggregate_flat());
 }
 
 }  // namespace

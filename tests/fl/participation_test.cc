@@ -6,6 +6,7 @@
 #include "data/synthetic.h"
 #include "fl/schemes.h"
 #include "fl/trainer.h"
+#include "net/sim_topologies.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 

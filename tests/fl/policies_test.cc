@@ -4,6 +4,7 @@
 
 #include "data/distribution.h"
 #include "net/budget.h"
+#include "net/sim_topologies.h"
 #include "util/rng.h"
 
 namespace fedmigr::fl {

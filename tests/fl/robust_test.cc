@@ -18,6 +18,7 @@
 #include "fl/schemes.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
+#include "net/sim_topologies.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"

@@ -6,6 +6,7 @@
 
 #include "data/synthetic.h"
 #include "nn/layers.h"
+#include "nn/tensor_helpers.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 
@@ -48,7 +49,7 @@ TEST(ServerTest, AggregateOfIdenticalModelsIsIdentity) {
   const std::unique_ptr<Aggregator> mean = MakeAggregator(AggregatorKind::kMean);
   server.SetAggregator(mean.get());
   server.Aggregate({&model, &model, &model}, {1.0, 2.0, 3.0});
-  EXPECT_NEAR(nn::Sequential::ParamDistance(server.global_model(), model),
+  EXPECT_NEAR(nn::ParamDistance(server.global_model(), model),
               0.0, 1e-5);
 }
 
@@ -76,7 +77,7 @@ TEST(ServerTest, EvaluateDoesNotMutateModel) {
   nn::Sequential model = nn::MakeC10Net(&rng);
   Server server(model, &data.test);
   (void)server.EvaluateGlobal();
-  EXPECT_EQ(nn::Sequential::ParamDistance(server.global_model(), model), 0.0);
+  EXPECT_EQ(nn::ParamDistance(server.global_model(), model), 0.0);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "rl/agent.h"
 #include "rl/policy.h"
 #include "rl/pretrain.h"
+#include "rl/pretrained_agent.h"
 #include "util/serial.h"
 
 namespace fedmigr::fl {

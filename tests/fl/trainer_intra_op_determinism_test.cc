@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "fl/schemes.h"
 #include "fl/trainer.h"
+#include "net/sim_topologies.h"
 #include "nn/gemm.h"
 #include "nn/zoo.h"
 #include "util/rng.h"

@@ -24,6 +24,7 @@
 #include "fl/schemes.h"
 #include "fl/trainer.h"
 #include "golden_fleets.h"
+#include "net/sim_topologies.h"
 #include "net/topology.h"
 #include "nn/gemm.h"
 #include "nn/zoo.h"

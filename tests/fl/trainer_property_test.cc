@@ -10,6 +10,7 @@
 #include "data/synthetic.h"
 #include "fl/schemes.h"
 #include "fl/trainer.h"
+#include "net/sim_topologies.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 
@@ -59,7 +60,8 @@ TEST_P(SchemeSweep, TrafficSplitsAreConsistent) {
   const RunResult result = RunConfig(scheme, agg_period, 6, 21);
   // Total = C2S + C2C, and the accountant's view matches the summary.
   EXPECT_NEAR(result.traffic_gb, result.c2s_gb + result.c2c_gb, 1e-12);
-  EXPECT_NEAR(result.traffic.total_gb(), result.traffic_gb, 1e-12);
+  EXPECT_NEAR(static_cast<double>(result.traffic.total_bytes()) / 1e9,
+              result.traffic_gb, 1e-12);
   EXPECT_EQ(result.epochs_run, 6);
   EXPECT_FALSE(result.history.empty());
 }

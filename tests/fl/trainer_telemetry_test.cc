@@ -4,6 +4,7 @@
 // (history, traffic, faults) are identical with telemetry enabled and
 // disabled.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -14,8 +15,9 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/schemes.h"
-#include "golden_fleets.h"
 #include "fl/trainer.h"
+#include "golden_fleets.h"
+#include "net/sim_topologies.h"
 #include "nn/zoo.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -92,8 +94,12 @@ TEST(TrainerTelemetryTest, RunPopulatesPhaseHistogramsAndCounters) {
   EXPECT_GT(epoch->sum, 0.0);
 
   // Loss/accuracy gauges hold the last epoch's values.
-  EXPECT_DOUBLE_EQ(result.metrics.GaugeValue("fl/train_loss"),
-                   result.history.back().train_loss);
+  const auto& gauges = result.metrics.gauges;
+  const auto loss = std::find_if(gauges.begin(), gauges.end(), [](auto& g) {
+    return g.name == "fl/train_loss";
+  });
+  ASSERT_NE(loss, gauges.end());
+  EXPECT_DOUBLE_EQ(loss->value, result.history.back().train_loss);
 }
 
 // The chaos fleet's partition/outage/churn/quorum script on a cohort of 30,
@@ -228,7 +234,6 @@ TEST(TrainerTelemetryTest, SimSpansLandOnSimulatedTimeTracks) {
     if (e.pid == 2) ++sim_spans;
     if (e.pid == 1 && !e.instant) ++wall_spans;
   }
-  recorder.Clear();
   // One epoch span + phase spans per epoch on pid 2; the RAII scopes land
   // on pid 1.
   EXPECT_GE(sim_spans, 6);

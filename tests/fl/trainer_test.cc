@@ -8,6 +8,7 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/schemes.h"
+#include "net/sim_topologies.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/sim_topologies.h"
 #include "net/topology.h"
 #include "net/traffic.h"
 

@@ -47,7 +47,7 @@ bool SameBytes(const Tensor& a, const Tensor& b) {
 }
 
 Sequential RandomMlp(util::Rng* rng) {
-  Sequential model = MakeMlp(kAgentDims, /*softmax_output=*/false, rng);
+  Sequential model = MakeMlp(kAgentDims, rng);
   for (Tensor* param : model.Params()) {
     for (int64_t i = 0; i < param->size(); ++i) {
       (*param)[i] = static_cast<float>(rng->Normal(0.0, 0.5));

@@ -31,6 +31,7 @@
 #include "conv_reference.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "nn/tensor_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 

@@ -4,27 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/tensor_helpers.h"
+#include "util/running_stats.h"
 #include "util/stats.h"
 
 namespace fedmigr::nn {
 namespace {
-
-TEST(InitTest, XavierUniformBoundsAndSpread) {
-  util::Rng rng(1);
-  Tensor weights({64, 64});
-  const int fan_in = 64, fan_out = 64;
-  XavierUniform(&weights, fan_in, fan_out, &rng);
-  const double bound = std::sqrt(6.0 / (fan_in + fan_out));
-  util::RunningStats stats;
-  for (int64_t i = 0; i < weights.size(); ++i) {
-    ASSERT_GE(weights[i], -bound);
-    ASSERT_LE(weights[i], bound);
-    stats.Add(weights[i]);
-  }
-  EXPECT_NEAR(stats.mean(), 0.0, 0.01);
-  // Uniform(-a, a) variance = a^2 / 3.
-  EXPECT_NEAR(stats.variance(), bound * bound / 3.0, 0.002);
-}
 
 TEST(InitTest, HeNormalStatistics) {
   util::Rng rng(2);

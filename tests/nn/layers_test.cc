@@ -9,6 +9,7 @@
 
 #include "gradcheck.h"
 #include "nn/sequential.h"
+#include "nn/tensor_helpers.h"
 #include "util/rng.h"
 
 namespace fedmigr::nn {
@@ -110,62 +111,6 @@ TEST(ReluTest, BackwardZeroesAtNonPositiveInputsOnly) {
   for (int i = 0; i < 7; ++i) EXPECT_EQ(out[i], want[i]) << "element " << i;
 }
 
-TEST(TanhSigmoidTest, RangeAndGradients) {
-  util::Rng rng(7);
-  {
-    Sequential model;
-    model.Add(std::make_unique<Dense>(3, 3, &rng));
-    model.Add(std::make_unique<Tanh>());
-    const auto r = CheckGradients(&model, RandomInput({2, 3}, 8), &rng);
-    EXPECT_LT(r.max_input_error, 1e-2);
-    EXPECT_LT(r.max_param_error, 1e-2);
-  }
-  {
-    Sequential model;
-    model.Add(std::make_unique<Dense>(3, 3, &rng));
-    model.Add(std::make_unique<Sigmoid>());
-    const auto r = CheckGradients(&model, RandomInput({2, 3}, 9), &rng);
-    EXPECT_LT(r.max_input_error, 1e-2);
-    EXPECT_LT(r.max_param_error, 1e-2);
-  }
-}
-
-TEST(SigmoidTest, KnownValues) {
-  Sigmoid sigmoid;
-  Tensor in({1, 1}, {0.0f});
-  EXPECT_FLOAT_EQ(sigmoid.Forward(in, true)[0], 0.5f);
-}
-
-TEST(SoftmaxTest, RowsSumToOne) {
-  Softmax softmax;
-  const Tensor out = softmax.Forward(RandomInput({3, 5}, 10), true);
-  for (int n = 0; n < 3; ++n) {
-    float sum = 0.0f;
-    for (int c = 0; c < 5; ++c) {
-      EXPECT_GT(out.At(n, c), 0.0f);
-      sum += out.At(n, c);
-    }
-    EXPECT_NEAR(sum, 1.0f, 1e-5f);
-  }
-}
-
-TEST(SoftmaxTest, StableUnderLargeLogits) {
-  Softmax softmax;
-  Tensor in({1, 3}, {1000.0f, 1000.0f, 1000.0f});
-  const Tensor out = softmax.Forward(in, true);
-  EXPECT_NEAR(out[0], 1.0f / 3.0f, 1e-5f);
-}
-
-TEST(SoftmaxTest, GradientsMatchFiniteDifferences) {
-  util::Rng rng(11);
-  Sequential model;
-  model.Add(std::make_unique<Dense>(4, 4, &rng));
-  model.Add(std::make_unique<Softmax>());
-  const auto r = CheckGradients(&model, RandomInput({2, 4}, 12), &rng);
-  EXPECT_LT(r.max_input_error, 1e-2);
-  EXPECT_LT(r.max_param_error, 1e-2);
-}
-
 TEST(FlattenTest, RoundTripsShape) {
   Flatten flatten;
   Tensor in = RandomInput({2, 3, 4, 4}, 13);
@@ -261,9 +206,6 @@ TEST(CloneTest, AllLayerTypesClone) {
   model.Add(std::make_unique<MaxPool2x2>());
   model.Add(std::make_unique<Flatten>());
   model.Add(std::make_unique<Dense>(8, 4, &rng));
-  model.Add(std::make_unique<Tanh>());
-  model.Add(std::make_unique<Sigmoid>());
-  model.Add(std::make_unique<Softmax>());
   Sequential copy = model;  // copy = layer-wise Clone
   const Tensor in = RandomInput({1, 1, 4, 4}, 21);
   EXPECT_LT(MaxAbsDiff(model.Forward(in, false), copy.Forward(in, false)),

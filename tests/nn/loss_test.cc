@@ -62,22 +62,6 @@ TEST(SoftmaxCrossEntropyTest, NumericallyStableForLargeLogits) {
   EXPECT_LT(result.loss, 1.0);
 }
 
-TEST(MeanSquaredErrorTest, ZeroForIdentical) {
-  Tensor a({2, 2}, {1, 2, 3, 4});
-  const LossResult result = MeanSquaredError(a, a);
-  EXPECT_EQ(result.loss, 0.0);
-  EXPECT_EQ(result.grad_logits.Sum(), 0.0);
-}
-
-TEST(MeanSquaredErrorTest, KnownValue) {
-  Tensor pred({1, 2}, {1.0f, 3.0f});
-  Tensor target({1, 2}, {0.0f, 1.0f});
-  const LossResult result = MeanSquaredError(pred, target);
-  EXPECT_DOUBLE_EQ(result.loss, (1.0 + 4.0) / 2.0);
-  EXPECT_FLOAT_EQ(result.grad_logits[0], 1.0f);   // 2*(1-0)/2
-  EXPECT_FLOAT_EQ(result.grad_logits[1], 2.0f);   // 2*(3-1)/2
-}
-
 TEST(AccuracyTest, PerfectAndZero) {
   Tensor logits({2, 3}, {5, 0, 0, 0, 0, 5});
   EXPECT_DOUBLE_EQ(Accuracy(logits, {0, 2}), 1.0);

@@ -55,7 +55,7 @@ class MlpRowStackingTest
 TEST_P(MlpRowStackingTest, StackedForwardMatchesSeparateForwardsBytewise) {
   const auto [total, block] = GetParam();
   util::Rng rng(static_cast<uint64_t>(total * 31 + block));
-  Sequential model = MakeMlp(kAgentDims, /*softmax_output=*/false, &rng);
+  Sequential model = MakeMlp(kAgentDims, &rng);
   // A trained agent's biases are not zero, and a zero bias would hide an
   // add whose rounding depends on the stacking.
   for (Tensor* param : model.Params()) {

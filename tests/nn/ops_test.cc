@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "conv_reference.h"
+#include "nn/tensor_helpers.h"
 #include "util/rng.h"
 
 namespace fedmigr::nn {

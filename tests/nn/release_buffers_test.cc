@@ -32,8 +32,7 @@ struct Net {
 };
 
 // Every layer with caches or gradients: Conv2D, ReLU and MaxPool2x2 (the
-// CNNs), Dense (all), ResidualDense (ResMini), and Tanh, Sigmoid and
-// Softmax (the last net).
+// CNNs), Dense (all) and ResidualDense (ResMini).
 std::vector<Net> Nets() {
   constexpr int kBatch = 5;
   const Shape image = {kBatch, kImageChannels, kImageSize, kImageSize};
@@ -42,24 +41,11 @@ std::vector<Net> Nets() {
       {"c100", MakeC100Net, image},
       {"ddpg_mlp",
        [](util::Rng* rng) {
-         return MakeMlp({rl::kActionFeatureDim, 32, 32, 1},
-                        /*softmax_output=*/false, rng);
+         return MakeMlp({rl::kActionFeatureDim, 32, 32, 1}, rng);
        },
        {kBatch, rl::kActionFeatureDim}},
       {"resmini", [](util::Rng* rng) { return MakeResMini(rng); },
        {kBatch, kResFeatureDim}},
-      {"tanh_sigmoid_softmax",
-       [](util::Rng* rng) {
-         Sequential model;
-         model.Add(std::make_unique<Dense>(6, 7, rng))
-             .Add(std::make_unique<Tanh>())
-             .Add(std::make_unique<Dense>(7, 7, rng))
-             .Add(std::make_unique<Sigmoid>())
-             .Add(std::make_unique<Dense>(7, 4, rng))
-             .Add(std::make_unique<Softmax>());
-         return model;
-       },
-       {kBatch, 6}},
   };
 }
 
@@ -183,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReleaseBuffersStepTest, StepWithoutABackwardAfterAReleaseDies) {
   util::Rng rng(5);
-  Sequential model = MakeMlp({3, 4, 2}, /*softmax_output=*/false, &rng);
+  Sequential model = MakeMlp({3, 4, 2}, &rng);
   model.ReleaseBuffers();
   Sgd sgd(0.1);
   EXPECT_DEATH(sgd.Step(&model), "ReleaseBuffers");

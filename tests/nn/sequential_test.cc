@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/layers.h"
+#include "nn/tensor_helpers.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 
@@ -45,9 +46,9 @@ TEST(SequentialTest, CopyIsDeep) {
 TEST(SequentialTest, CopyParamsFrom) {
   Sequential a = TwoLayerMlp(4);
   Sequential b = TwoLayerMlp(5);
-  EXPECT_GT(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_GT(ParamDistance(a, b), 0.0);
   b.CopyParamsFrom(a);
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_EQ(ParamDistance(a, b), 0.0);
 }
 
 TEST(SequentialTest, LerpParamsHalfway) {
@@ -55,8 +56,8 @@ TEST(SequentialTest, LerpParamsHalfway) {
   Sequential b = TwoLayerMlp(7);
   Sequential mid = a;
   mid.LerpParamsFrom(b, 0.5f);
-  const double da = Sequential::ParamDistance(mid, a);
-  const double db = Sequential::ParamDistance(mid, b);
+  const double da = ParamDistance(mid, a);
+  const double db = ParamDistance(mid, b);
   EXPECT_NEAR(da, db, 1e-4);
 }
 
@@ -65,9 +66,9 @@ TEST(SequentialTest, LerpZeroAndOneAreEndpoints) {
   Sequential b = TwoLayerMlp(9);
   Sequential x = a;
   x.LerpParamsFrom(b, 0.0f);
-  EXPECT_NEAR(Sequential::ParamDistance(x, a), 0.0, 1e-5);
+  EXPECT_NEAR(ParamDistance(x, a), 0.0, 1e-5);
   x.LerpParamsFrom(b, 1.0f);
-  EXPECT_NEAR(Sequential::ParamDistance(x, b), 0.0, 1e-5);
+  EXPECT_NEAR(ParamDistance(x, b), 0.0, 1e-5);
 }
 
 TEST(SequentialTest, ZeroGradsClearsAll) {
@@ -105,14 +106,9 @@ TEST(SequentialTest, GradientsAccumulateAcrossBackwards) {
 TEST(SequentialTest, ParamDistanceIsMetricLike) {
   Sequential a = TwoLayerMlp(12);
   Sequential b = TwoLayerMlp(13);
-  EXPECT_EQ(Sequential::ParamDistance(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(Sequential::ParamDistance(a, b),
-                   Sequential::ParamDistance(b, a));
-}
-
-TEST(SequentialTest, ParamNormPositive) {
-  Sequential model = TwoLayerMlp(14);
-  EXPECT_GT(model.ParamNorm(), 0.0);
+  EXPECT_EQ(ParamDistance(a, a), 0.0);
+  EXPECT_DOUBLE_EQ(ParamDistance(a, b),
+                   ParamDistance(b, a));
 }
 
 // BackwardParams lets layer 0 skip its input gradient; the parameter
@@ -134,7 +130,7 @@ TEST_P(BackwardParamsTest, GradsMatchBackward) {
     model = MakeResMini(&rng);
     input_shape = {5, kResFeatureDim};
   } else {
-    model = MakeMlp({6, 16, 16, 1}, /*softmax_output=*/false, &rng);
+    model = MakeMlp({6, 16, 16, 1}, &rng);
     input_shape = {7, 6};
   }
   Sequential twin = model;

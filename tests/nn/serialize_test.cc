@@ -1,14 +1,13 @@
 #include "nn/serialize.h"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "nn/layers.h"
+#include "nn/tensor_helpers.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 
@@ -34,7 +33,7 @@ TEST(SerializeTest, FlattenUnflattenRoundTrip) {
   Sequential a = SmallModel(2);
   Sequential b = SmallModel(3);
   ASSERT_TRUE(UnflattenParams(FlattenParams(a), &b).ok());
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_EQ(ParamDistance(a, b), 0.0);
 }
 
 TEST(SerializeTest, UnflattenRejectsWrongSize) {
@@ -47,7 +46,7 @@ TEST(SerializeTest, ByteRoundTrip) {
   Sequential a = SmallModel(5);
   Sequential b = SmallModel(6);
   ASSERT_TRUE(DeserializeParams(SerializeParams(a), &b).ok());
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_EQ(ParamDistance(a, b), 0.0);
 }
 
 TEST(SerializeTest, ByteSizeIsFramePlusFloats) {
@@ -80,35 +79,6 @@ TEST(SerializeTest, DeserializeRejectsMismatchedArchitecture) {
   EXPECT_FALSE(DeserializeParams(SerializeParams(a), &bigger).ok());
 }
 
-TEST(SerializeTest, CheckpointRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/fedmigr_ckpt.bin";
-  Sequential a = SmallModel(13);
-  Sequential b = SmallModel(14);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
-  ASSERT_TRUE(LoadCheckpoint(path, &b).ok());
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, LoadMissingFileFails) {
-  Sequential model = SmallModel(15);
-  const util::Status status =
-      LoadCheckpoint("/nonexistent/dir/model.bin", &model);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
-}
-
-TEST(SerializeTest, LoadIntoWrongArchitectureFails) {
-  const std::string path = ::testing::TempDir() + "/fedmigr_ckpt2.bin";
-  Sequential a = SmallModel(16);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
-  util::Rng rng(17);
-  Sequential other;
-  other.Add(std::make_unique<Dense>(11, 11, &rng));
-  EXPECT_FALSE(LoadCheckpoint(path, &other).ok());
-  std::remove(path.c_str());
-}
-
 TEST(SerializeTest, BitFlipInPayloadIsRejectedAsDataLoss) {
   Sequential a = SmallModel(20);
   Sequential b = SmallModel(21);
@@ -120,7 +90,7 @@ TEST(SerializeTest, BitFlipInPayloadIsRejectedAsDataLoss) {
   // The receiver's model is architecture-compatible but must not have
   // absorbed the corrupted payload silently.
   Sequential c = SmallModel(21);
-  EXPECT_EQ(Sequential::ParamDistance(b, c), 0.0);
+  EXPECT_EQ(ParamDistance(b, c), 0.0);
 }
 
 TEST(SerializeTest, NonFinitePayloadIsRejectedAsDataLoss) {
@@ -134,7 +104,7 @@ TEST(SerializeTest, NonFinitePayloadIsRejectedAsDataLoss) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kDataLoss);
   Sequential c = SmallModel(27);
-  EXPECT_EQ(Sequential::ParamDistance(b, c), 0.0);
+  EXPECT_EQ(ParamDistance(b, c), 0.0);
 
   // Same gate on the legacy v1 frame path, with an Inf.
   Sequential d = SmallModel(28);
@@ -184,7 +154,7 @@ TEST(SerializeTest, LegacyV1FrameStillLoads) {
               flat.size() * sizeof(float));
   Sequential b = SmallModel(26);
   ASSERT_TRUE(DeserializeParams(bytes, &b).ok());
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_EQ(ParamDistance(a, b), 0.0);
 }
 
 TEST(SerializeTest, LegacyFrameWithOverflowingCountIsRejected) {
@@ -196,80 +166,34 @@ TEST(SerializeTest, LegacyFrameWithOverflowingCountIsRejected) {
 }
 
 TEST(SerializeTest, LoadEmptyCheckpointFails) {
-  const std::string path = ::testing::TempDir() + "/fedmigr_empty.bin";
-  { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
   Sequential model = SmallModel(28);
-  const util::Status status = LoadCheckpoint(path, &model);
+  const util::Status status = DeserializeParams({}, &model);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, LoadTruncatedCheckpointFails) {
-  const std::string path = ::testing::TempDir() + "/fedmigr_trunc.bin";
   Sequential a = SmallModel(29);
-  const auto bytes = SerializeParams(a);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  EXPECT_FALSE(LoadCheckpoint(path, &a).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, SaveCheckpointLeavesNoTempFile) {
-  const std::string path = ::testing::TempDir() + "/fedmigr_atomic.bin";
-  Sequential a = SmallModel(30);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
-  std::ifstream tmp(path + ".tmp", std::ios::binary);
-  EXPECT_FALSE(tmp.good());
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, SaveCheckpointIntoMissingDirectoryFails) {
-  Sequential a = SmallModel(31);
-  EXPECT_FALSE(SaveCheckpoint(a, "/nonexistent/dir/model.bin").ok());
-}
-
-TEST(SerializeTest, SaveCheckpointOverwritesWholeFile) {
-  // An interrupted naive overwrite could leave a long stale tail; the
-  // atomic rename replaces the inode, so the new (shorter) payload must
-  // load cleanly after overwriting a longer one.
-  const std::string path = ::testing::TempDir() + "/fedmigr_overwrite.bin";
-  util::Rng rng(32);
-  Sequential big;
-  big.Add(std::make_unique<Dense>(20, 20, &rng));
-  ASSERT_TRUE(SaveCheckpoint(big, path).ok());
-  Sequential small = SmallModel(33);
-  ASSERT_TRUE(SaveCheckpoint(small, path).ok());
-  Sequential loaded = SmallModel(34);
-  ASSERT_TRUE(LoadCheckpoint(path, &loaded).ok());
-  EXPECT_EQ(Sequential::ParamDistance(small, loaded), 0.0);
-  std::remove(path.c_str());
+  auto bytes = SerializeParams(a);
+  bytes.resize(bytes.size() / 2);
+  EXPECT_FALSE(DeserializeParams(bytes, &a).ok());
 }
 
 TEST(SerializeTest, CheckpointBitFlipSweepNeverLoadsSilently) {
-  // Flip one bit at a spread of positions across the file; every corrupted
-  // variant must be rejected (frame checks or CRC), never absorbed.
-  const std::string path = ::testing::TempDir() + "/fedmigr_flip.bin";
+  // Flip one bit at a spread of positions across the payload; every
+  // corrupted variant must be rejected (frame checks or CRC), never absorbed.
   Sequential a = SmallModel(35);
   const auto bytes = SerializeParams(a);
   for (size_t pos = 0; pos < bytes.size(); pos += 7) {
     auto corrupt = bytes;
     corrupt[pos] ^= 0x10;
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(corrupt.data()),
-                static_cast<std::streamsize>(corrupt.size()));
-    }
     Sequential victim = SmallModel(36);
-    EXPECT_FALSE(LoadCheckpoint(path, &victim).ok()) << "flip at " << pos;
+    EXPECT_FALSE(DeserializeParams(corrupt, &victim).ok())
+        << "flip at " << pos;
     Sequential pristine = SmallModel(36);
-    EXPECT_EQ(Sequential::ParamDistance(victim, pristine), 0.0)
+    EXPECT_EQ(ParamDistance(victim, pristine), 0.0)
         << "partial load at " << pos;
   }
-  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, WriteReadTensorRoundTrip) {
@@ -343,7 +267,7 @@ TEST(SerializeTest, WriteReadParamsRoundTrip) {
   IoParams(reader, &b);
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_EQ(ParamDistance(a, b), 0.0);
 }
 
 TEST(SerializeTest, ReadParamsRejectsWrongArchitecture) {
@@ -363,7 +287,7 @@ TEST(SerializeTest, ZooModelsRoundTrip) {
   Sequential a = MakeC10Net(&rng);
   Sequential b = MakeC10Net(&rng);
   ASSERT_TRUE(DeserializeParams(SerializeParams(a), &b).ok());
-  EXPECT_EQ(Sequential::ParamDistance(a, b), 0.0);
+  EXPECT_EQ(ParamDistance(a, b), 0.0);
 }
 
 }  // namespace

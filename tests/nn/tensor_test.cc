@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/tensor_helpers.h"
+
 namespace fedmigr::nn {
 namespace {
 
@@ -51,9 +53,9 @@ TEST(TensorTest, ReshapePreservesData) {
 TEST(TensorTest, FillAndZero) {
   Tensor t({4});
   t.Fill(2.5f);
-  EXPECT_EQ(t.Sum(), 10.0);
+  for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 2.5f);
   t.Zero();
-  EXPECT_EQ(t.Sum(), 0.0);
+  for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
 TEST(TensorTest, AddAndAxpy) {
@@ -72,22 +74,17 @@ TEST(TensorTest, Scale) {
   EXPECT_EQ(a[1], -2.0f);
 }
 
-TEST(TensorTest, NormAndDot) {
+TEST(TensorTest, Norm) {
   Tensor a({2}, {3, 4});
   EXPECT_DOUBLE_EQ(a.Norm(), 5.0);
-  Tensor b({2}, {1, 2});
-  EXPECT_DOUBLE_EQ(Dot(a, b), 11.0);
 }
 
 TEST(TensorTest, FreeFunctions) {
   Tensor a({2}, {1, 2});
   Tensor b({2}, {3, 5});
   const Tensor sum = Add(a, b);
+  EXPECT_EQ(sum[0], 4.0f);
   EXPECT_EQ(sum[1], 7.0f);
-  const Tensor diff = Sub(b, a);
-  EXPECT_EQ(diff[0], 2.0f);
-  const Tensor scaled = Scale(a, 3.0f);
-  EXPECT_EQ(scaled[1], 6.0f);
 }
 
 TEST(TensorTest, MaxAbsDiff) {

@@ -20,7 +20,7 @@ TEST(TrainingTest, MlpLearnsXor) {
   util::Rng rng(42);
   Sequential model;
   model.Add(std::make_unique<Dense>(2, 8, &rng));
-  model.Add(std::make_unique<Tanh>());
+  model.Add(std::make_unique<ReLU>());
   model.Add(std::make_unique<Dense>(8, 2, &rng));
 
   Tensor inputs({4, 2}, {0, 0, 0, 1, 1, 0, 1, 1});

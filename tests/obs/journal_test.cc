@@ -5,13 +5,17 @@
 
 #include "obs/journal.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/file.h"
+#include "util/frame.h"
+#include "util/serial.h"
 #include "util/status.h"
 
 namespace fedmigr::obs {
@@ -73,6 +77,16 @@ std::vector<uint8_t> SealedImage(int epochs) {
   RecordEpochs(&journal, 1, epochs);
   EXPECT_TRUE(journal.EndRun().ok());
   return journal.memory_image();
+}
+
+// Wraps `payload` in the FJRN frame the journal writes ("FJRN" magic, the
+// journal version, the payload size, the payload and its CRC).
+std::vector<uint8_t> FrameJournalChunk(const std::vector<uint8_t>& payload) {
+  constexpr uint32_t kFjrnMagic = 0x4E524A46u;
+  util::ByteWriter writer;
+  util::BeginFrame(kFjrnMagic, kJournalVersion, payload.size(), &writer);
+  writer.Io(std::span<const uint8_t>(payload));
+  return util::SealFrame(&writer);
 }
 
 TEST(JournalFramingTest, FrameRoundTrips) {

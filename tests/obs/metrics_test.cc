@@ -21,13 +21,11 @@ TEST(CounterTest, AddAndIncrement) {
   EXPECT_EQ(counter.value(), 42);
 }
 
-TEST(GaugeTest, SetAndAdd) {
+TEST(GaugeTest, SetOverwrites) {
   Gauge gauge;
   EXPECT_EQ(gauge.value(), 0.0);
   gauge.Set(2.5);
   EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
-  gauge.Add(-0.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.0);
   gauge.Set(-1.0);
   EXPECT_DOUBLE_EQ(gauge.value(), -1.0);
 }
@@ -106,7 +104,6 @@ TEST(RegistryTest, ConcurrentUpdatesLoseNothing) {
   Registry registry;
   Counter* counter = registry.GetCounter("torture/counter");
   Histogram* hist = registry.GetHistogram("torture/hist");
-  Gauge* gauge = registry.GetGauge("torture/gauge");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   util::ThreadPool pool(kThreads);
@@ -115,14 +112,11 @@ TEST(RegistryTest, ConcurrentUpdatesLoseNothing) {
     Counter* mine = registry.GetCounter("torture/counter");
     for (int i = 0; i < kPerThread; ++i) {
       mine->Increment();
-      gauge->Add(1.0);
       hist->Observe(static_cast<double>((t + i) % 7));
     }
   });
   EXPECT_EQ(counter->value(), kThreads * kPerThread);
   EXPECT_EQ(hist->count(), kThreads * kPerThread);
-  EXPECT_DOUBLE_EQ(gauge->value(),
-                   static_cast<double>(kThreads * kPerThread));
 }
 
 TEST(RegistryTest, SnapshotIsSortedAndDeterministic) {
@@ -140,7 +134,9 @@ TEST(RegistryTest, SnapshotIsSortedAndDeterministic) {
   EXPECT_EQ(snap1.counters[1].name, "z/last");
   EXPECT_EQ(snap1.CounterValue("z/last"), 3);
   EXPECT_EQ(snap1.CounterValue("missing"), 0);
-  EXPECT_DOUBLE_EQ(snap1.GaugeValue("m/gauge"), 0.25);
+  ASSERT_EQ(snap1.gauges.size(), 1u);
+  EXPECT_EQ(snap1.gauges[0].name, "m/gauge");
+  EXPECT_DOUBLE_EQ(snap1.gauges[0].value, 0.25);
   ASSERT_NE(snap1.FindHistogram("h/hist"), nullptr);
   EXPECT_EQ(snap1.FindHistogram("nope"), nullptr);
 

@@ -194,7 +194,6 @@ TEST(ScopedTraceTest, RecordsSpanWhileDefaultRecorderRuns) {
     found = found || e.name == "obs/trace_test_scope";
   }
   EXPECT_TRUE(found);
-  recorder.Clear();
 }
 
 }  // namespace

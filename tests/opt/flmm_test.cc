@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/sim_topologies.h"
+
 namespace fedmigr::opt {
 namespace {
 

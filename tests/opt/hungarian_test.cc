@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,16 @@
 
 namespace fedmigr::opt {
 namespace {
+
+// Total cost of an assignment under a cost matrix.
+double AssignmentCost(const std::vector<std::vector<double>>& cost,
+                      const std::vector<int>& assignment) {
+  double total = 0.0;
+  for (size_t i = 0; i < assignment.size(); ++i) {
+    total += cost[i][static_cast<size_t>(assignment[i])];
+  }
+  return total;
+}
 
 double BruteForceBest(const std::vector<std::vector<double>>& cost) {
   const int n = static_cast<int>(cost.size());

@@ -1,6 +1,7 @@
 #include "opt/simplex.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,13 @@
 
 namespace fedmigr::opt {
 namespace {
+
+// The projection of `v`, through the in-place form the program calls.
+std::vector<double> ProjectedToSimplex(std::vector<double> v) {
+  std::vector<double> scratch;
+  ProjectToSimplex(&v, &scratch);
+  return v;
+}
 
 double Sum(const std::vector<double>& v) {
   double s = 0.0;

@@ -187,8 +187,7 @@ TEST(AgentTest, LoadRejectsMomentsShapedUnlikeTheNetworks) {
   bytes.resize(bytes.size() - 48);
   util::Rng rng(3);
   nn::Sequential wider = nn::MakeMlp(
-      {kActionFeatureDim + 1, config.hidden, config.hidden, 1},
-      /*softmax_output=*/false, &rng);
+      {kActionFeatureDim + 1, config.hidden, config.hidden, 1}, &rng);
   nn::Adam stepped(config.actor_lr);
   stepped.Step(&wider);
   util::ByteWriter tail;

@@ -78,8 +78,8 @@ class ReferenceDdpg {
     util::Rng rng(config_.seed);
     const std::vector<int> dims = {kActionFeatureDim, config_.hidden,
                                    config_.hidden, 1};
-    actor_ = nn::MakeMlp(dims, /*softmax_output=*/false, &rng);
-    critic_ = nn::MakeMlp(dims, /*softmax_output=*/false, &rng);
+    actor_ = nn::MakeMlp(dims, &rng);
+    critic_ = nn::MakeMlp(dims, &rng);
     target_actor_ = actor_;
     target_critic_ = critic_;
     actor_optimizer_ = std::make_unique<nn::Adam>(config_.actor_lr);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/budget.h"
+#include "net/sim_topologies.h"
 #include "net/topology.h"
 #include "rl/pretrain.h"
 

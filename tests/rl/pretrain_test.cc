@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rl/pretrained_agent.h"
+
 namespace fedmigr::rl {
 namespace {
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/budget.h"
+#include "net/sim_topologies.h"
 #include "net/topology.h"
 
 namespace fedmigr::rl {

@@ -46,27 +46,6 @@ TEST(TableWriterTest, ColumnsAreAligned) {
   EXPECT_GE(header.size(), std::string("looooooong  b").size());
 }
 
-TEST(TableWriterTest, CsvOutput) {
-  TableWriter table({"k", "v"});
-  table.AddRow();
-  table.AddCell("x");
-  table.AddCell(7);
-
-  std::ostringstream os;
-  table.PrintCsv(os);
-  EXPECT_EQ(os.str(), "k,v\nx,7\n");
-}
-
-TEST(TableWriterTest, CsvEscapesSpecialCharacters) {
-  TableWriter table({"text"});
-  table.AddRow();
-  table.AddCell("hello, \"world\"");
-
-  std::ostringstream os;
-  table.PrintCsv(os);
-  EXPECT_EQ(os.str(), "text\n\"hello, \"\"world\"\"\"\n");
-}
-
 TEST(TableWriterTest, ShortRowsPrintBlankCells) {
   TableWriter table({"a", "b", "c"});
   table.AddRow();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -151,13 +153,26 @@ TEST(RngTest, SplitProducesIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
+// An Rng's state travels in its snapshot layout (Rng::Visit).
+std::vector<uint8_t> SavedState(const Rng& rng) {
+  ByteWriter writer;
+  Save(rng, &writer);
+  return writer.bytes();
+}
+
+void RestoreState(const std::vector<uint8_t>& state, Rng* rng) {
+  ByteReader reader(state);
+  ASSERT_TRUE(Load(&reader, rng).ok());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
 TEST(RngStateTest, RestoreReplaysIdenticalStream) {
   Rng rng(21);
   for (int i = 0; i < 17; ++i) rng.Next();
-  const RngState state = rng.State();
+  const std::vector<uint8_t> state = SavedState(rng);
   std::vector<uint64_t> expected;
   for (int i = 0; i < 100; ++i) expected.push_back(rng.Next());
-  rng.Restore(state);
+  RestoreState(state, &rng);
   for (int i = 0; i < 100; ++i) {
     ASSERT_EQ(rng.Next(), expected[static_cast<size_t>(i)]) << "draw " << i;
   }
@@ -167,7 +182,7 @@ TEST(RngStateTest, RestoreIntoDifferentInstance) {
   Rng source(22);
   for (int i = 0; i < 9; ++i) source.Uniform();
   Rng clone(999);
-  clone.Restore(source.State());
+  RestoreState(SavedState(source), &clone);
   for (int i = 0; i < 50; ++i) {
     ASSERT_EQ(source.Next(), clone.Next());
   }
@@ -179,7 +194,7 @@ TEST(RngStateTest, CachedNormalSpareRoundTrips) {
   Rng rng(23);
   (void)rng.Normal();
   Rng restored(0);
-  restored.Restore(rng.State());
+  RestoreState(SavedState(rng), &restored);
   for (int i = 0; i < 20; ++i) {
     const double a = rng.Normal();
     const double b = restored.Normal();
@@ -190,15 +205,15 @@ TEST(RngStateTest, CachedNormalSpareRoundTrips) {
 TEST(RngStateTest, SplitStreamsRoundTripIndependently) {
   Rng parent(24);
   Rng child = parent.Split();
-  const RngState parent_state = parent.State();
-  const RngState child_state = child.State();
+  const std::vector<uint8_t> parent_state = SavedState(parent);
+  const std::vector<uint8_t> child_state = SavedState(child);
   std::vector<uint64_t> parent_draws, child_draws;
   for (int i = 0; i < 32; ++i) {
     parent_draws.push_back(parent.Next());
     child_draws.push_back(child.Next());
   }
-  parent.Restore(parent_state);
-  child.Restore(child_state);
+  RestoreState(parent_state, &parent);
+  RestoreState(child_state, &child);
   for (int i = 0; i < 32; ++i) {
     ASSERT_EQ(parent.Next(), parent_draws[static_cast<size_t>(i)]);
     ASSERT_EQ(child.Next(), child_draws[static_cast<size_t>(i)]);

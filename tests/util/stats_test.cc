@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/running_stats.h"
+
 namespace fedmigr::util {
 namespace {
 
@@ -40,30 +42,6 @@ TEST(RunningStatsTest, NegativeValues) {
   EXPECT_DOUBLE_EQ(stats.mean(), -2.0);
   EXPECT_EQ(stats.min(), -3.0);
   EXPECT_EQ(stats.max(), -1.0);
-}
-
-TEST(EmaTest, FirstValueInitializes) {
-  Ema ema(0.5);
-  EXPECT_TRUE(ema.empty());
-  ema.Add(10.0);
-  EXPECT_FALSE(ema.empty());
-  EXPECT_DOUBLE_EQ(ema.value(), 10.0);
-}
-
-TEST(EmaTest, Smooths) {
-  Ema ema(0.5);
-  ema.Add(0.0);
-  ema.Add(10.0);
-  EXPECT_DOUBLE_EQ(ema.value(), 5.0);
-  ema.Add(10.0);
-  EXPECT_DOUBLE_EQ(ema.value(), 7.5);
-}
-
-TEST(EmaTest, AlphaOneTracksExactly) {
-  Ema ema(1.0);
-  ema.Add(1.0);
-  ema.Add(42.0);
-  EXPECT_DOUBLE_EQ(ema.value(), 42.0);
 }
 
 TEST(MeanTest, BasicAndEmpty) {
