@@ -142,12 +142,13 @@ TEST(ThreadPoolTest, ParallelForRangeCoversAllChunks) {
 
 TEST(ThreadPoolTest, ParallelForRangeHandlesDegenerateInputs) {
   ThreadPool pool(2);
-  int calls = 0;
+  // Atomic: the three one-element chunks below may run on both workers.
+  std::atomic<int> calls{0};
   pool.ParallelForRange(0, 4, [&calls](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  // grain below 1 is clamped; n smaller than grain is one inline chunk.
+  EXPECT_EQ(calls.load(), 0);
+  // grain below 1 is clamped to 1, so n = 3 is three chunks.
   pool.ParallelForRange(3, 0, [&calls](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
 }
 
 TEST(ThreadPoolTest, InWorkerThreadFlagTracksPoolMembership) {
