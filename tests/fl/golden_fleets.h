@@ -1,6 +1,6 @@
 // The small fleets and configs the trainer's frozen-behaviour pins share:
 // TrainerGoldenTest pins what they charge the simulated network and clock,
-// StateBytesPinTest pins the bytes of the state they end in.
+// StateBytesPinTest pins the bytes of the state and journal they end in.
 
 #ifndef FEDMIGR_TESTS_FL_GOLDEN_FLEETS_H_
 #define FEDMIGR_TESTS_FL_GOLDEN_FLEETS_H_
@@ -110,6 +110,34 @@ struct ChaosFleet {
                                           /*duration_epochs=*/1});
     config.fault.chaos.churn_rate = 0.25;
     config.quorum_fraction = 0.5;
+    return config;
+  }
+
+  // The same partition/outage/churn/quorum script on a cohort of 30, with
+  // every other counted mechanism switched on: link failures with one retry
+  // and the server fallback, jitter, an upload deadline, corruption,
+  // crashes, stragglers, a Gaussian-noise attack, and the full screen with
+  // reputation and a one-round quarantine.
+  static TrainerConfig EveryCounterConfig() {
+    TrainerConfig config = CohortOfEightConfig();
+    config.max_epochs = 16;
+    config.cohort_size = 30;
+    config.fault.link_failure_prob = 0.3;
+    config.fault.max_retries = 1;
+    config.fault.bandwidth_jitter = 0.5;
+    config.fault.upload_deadline_s = 3.5;
+    config.fault.corruption_prob = 0.1;
+    config.fault.crash_prob = 0.01;
+    config.fault.straggler_prob = 0.2;
+    config.fault.attack_mode = net::AttackMode::kGaussianNoise;
+    config.fault.attack_fraction = 0.2;
+    config.fault.attack_scale = 0.5;
+    config.robust.screening.clip_norm = 2.0;
+    config.robust.screening.norm_reject_factor = 1.5;
+    config.robust.screening.cosine_reject_below = 0.5;
+    config.robust.reputation.enabled = true;
+    config.robust.reputation.patience = 1;
+    config.robust.reputation.quarantine_rounds = 1;
     return config;
   }
 

@@ -2,8 +2,8 @@
 // sweep over it.
 //
 // StateBytesPinTest runs the TrainerGoldenTest configs and a FedMigr (DRL,
-// online learning) config, hashes each trainer's SaveState bytes, one
-// sealed journal image and three pre-trained agents with FNV-1a 64, and
+// online learning) config, hashes each trainer's SaveState bytes, three
+// sealed journal images and three pre-trained agents with FNV-1a 64, and
 // compares each hash with the table below for the active GEMM kernel.
 // Model floats depend on the kernel, so each has its own column. A change
 // that moves model floats on purpose re-records a column and states why
@@ -63,6 +63,10 @@ constexpr Pin kPins[] = {
      0x79cf65188d185e03ULL},
     {"chaos-cohort-8", 0x2d74c3652aa22192ULL,
      0x76062eda4bab0fc8ULL},
+    {"chaos-cohort-8-journal", 0x854c861b62761d16ULL,
+     0x81b38c230d41f716ULL},
+    {"every-counter-journal", 0x6461ba72269d5f1bULL,
+     0x0d0206bc5ed9ef10ULL},
     {"fedmigr-drl", 0xfd5f6c7c8b04f58aULL,
      0x2aa28e5e02408d2eULL},
     {"fig3-full-journal", 0xb369b14fb7bc99d7ULL,
@@ -139,11 +143,33 @@ TEST(StateBytesPinTest, Fig3PartialParticipationUnderLinkFaults) {
   ExpectPinned("fig3-partial-faults", StateBytes(trainer));
 }
 
+// The journal carries the quorum, churn, carryover and chaos-edge events
+// the Fig. 3 run never emits.
 TEST(StateBytesPinTest, ChaosCohortOfEight) {
   const ChaosFleet fleet;
   Trainer trainer = fleet.MakeTrainer(ChaosFleet::CohortOfEightConfig());
+  obs::Journal journal(obs::Journal::Options{});
+  ASSERT_TRUE(journal.Attach(0).ok());
+  trainer.SetJournal(&journal);
   trainer.Run();
   ExpectPinned("chaos-cohort-8", StateBytes(trainer));
+  ExpectPinned("chaos-cohort-8-journal", journal.memory_image());
+}
+
+// A journal with screen verdicts, quarantine transitions, refused
+// quarantined uploads and dropped stragglers besides the chaos script.
+TEST(StateBytesPinTest, EveryCounterJournal) {
+  const ChaosFleet fleet;
+  Trainer trainer = fleet.MakeTrainer(ChaosFleet::EveryCounterConfig());
+  obs::Journal journal(obs::Journal::Options{});
+  ASSERT_TRUE(journal.Attach(0).ok());
+  trainer.SetJournal(&journal);
+  const RunResult result = trainer.Run();
+  EXPECT_GT(result.robust.screened_updates, 0);
+  EXPECT_GT(result.robust.quarantines, 0);
+  EXPECT_GT(result.robust.quarantine_excluded, 0);
+  EXPECT_GT(result.faults.dropped_stragglers, 0);
+  ExpectPinned("every-counter-journal", journal.memory_image());
 }
 
 TEST(StateBytesPinTest, FedMigrDrlOnlineLearning) {

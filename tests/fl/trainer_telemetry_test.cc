@@ -102,34 +102,6 @@ TEST(TrainerTelemetryTest, RunPopulatesPhaseHistogramsAndCounters) {
   EXPECT_DOUBLE_EQ(loss->value, result.history.back().train_loss);
 }
 
-// The chaos fleet's partition/outage/churn/quorum script on a cohort of 30,
-// with every other counted mechanism switched on: link failures with one
-// retry and the server fallback, jitter, an upload deadline, corruption,
-// crashes, stragglers, a Gaussian-noise attack, and the full screen with
-// reputation and a one-round quarantine.
-TrainerConfig EveryCounterConfig() {
-  TrainerConfig config = ChaosFleet::CohortOfEightConfig();
-  config.max_epochs = 16;
-  config.cohort_size = 30;
-  config.fault.link_failure_prob = 0.3;
-  config.fault.max_retries = 1;
-  config.fault.bandwidth_jitter = 0.5;
-  config.fault.upload_deadline_s = 3.5;
-  config.fault.corruption_prob = 0.1;
-  config.fault.crash_prob = 0.01;
-  config.fault.straggler_prob = 0.2;
-  config.fault.attack_mode = net::AttackMode::kGaussianNoise;
-  config.fault.attack_fraction = 0.2;
-  config.fault.attack_scale = 0.5;
-  config.robust.screening.clip_norm = 2.0;
-  config.robust.screening.norm_reject_factor = 1.5;
-  config.robust.screening.cosine_reject_below = 0.5;
-  config.robust.reputation.enabled = true;
-  config.robust.reputation.patience = 1;
-  config.robust.reputation.quarantine_rounds = 1;
-  return config;
-}
-
 // Registry name and per-run value of every counter the trainer publishes.
 std::vector<std::pair<std::string, int64_t>> RunCounterFacts(
     const RunResult& r) {
@@ -177,7 +149,7 @@ std::vector<std::pair<std::string, int64_t>> RunCounterFacts(
 TEST(TrainerTelemetryTest, RegistryCountersGrowByTheRunStructs) {
   const ChaosFleet fleet;
   const obs::MetricsSnapshot before = obs::Registry::Default().Snapshot();
-  const RunResult result = fleet.Run(EveryCounterConfig());
+  const RunResult result = fleet.Run(ChaosFleet::EveryCounterConfig());
 
   const auto facts = RunCounterFacts(result);
   ASSERT_EQ(facts.size(), 34u);
