@@ -128,6 +128,13 @@ void PublishGrowth(const CounterSeries<S> (&table)[N], const S& before,
   }
 }
 
+// How many of the clients `ids` have their bit set in the K-long `bits`.
+int CountSet(const std::vector<int>& ids, const std::vector<bool>& bits) {
+  return static_cast<int>(
+      std::count_if(ids.begin(), ids.end(),
+                    [&bits](int i) { return bits[static_cast<size_t>(i)]; }));
+}
+
 }  // namespace
 
 Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
@@ -253,30 +260,22 @@ void Trainer::Provenance::Reset(int64_t from) {
   lineage = from;
 }
 
-void Trainer::ResampleParticipants() {
-  const int k = num_clients();
-  if (config_.client_fraction >= 1.0) {
-    std::fill(participating_.begin(), participating_.end(), true);
-    return;
-  }
-  const int count = std::max(
-      1, static_cast<int>(config_.client_fraction * k + 0.5));
-  std::fill(participating_.begin(), participating_.end(), false);
-  for (int idx : rng_.SampleWithoutReplacement(k, count)) {
-    participating_[static_cast<size_t>(idx)] = true;
-  }
-}
-
-void Trainer::BeginRound(int64_t round) {
+void Trainer::BeginRound(int epoch, int64_t round) {
   if (!cohort_mode()) {
     // The identity cohort never changes and received the aggregate when the
     // last round committed; only the α-sample is re-drawn.
-    ResampleParticipants();
+    const int k = num_clients();
+    const bool everyone = config_.client_fraction >= 1.0;
+    std::fill(participating_.begin(), participating_.end(), everyone);
+    if (!everyone) {
+      const int count = std::max(
+          1, static_cast<int>(config_.client_fraction * k + 0.5));
+      for (int idx : rng_.SampleWithoutReplacement(k, count)) {
+        participating_[static_cast<size_t>(idx)] = true;
+      }
+    }
     return;
   }
-  // The epoch this round boundary executes in (BeginRound only runs on
-  // boundary epochs) — the stamp for every event recorded below.
-  const int epoch = static_cast<int>(round) * config_.agg_period + 1;
   // Retire the previous cohort (restored verbatim by LoadState on resume).
   const bool churning = config_.fault.chaos.churn_rate > 0.0;
   for (int i : cohort_) {
@@ -336,7 +335,6 @@ void Trainer::BeginRound(int64_t round) {
                        cohort_.end());
   }
   carryover_.clear();
-  cohort_round_ = round;
   events_.CohortSampled(epoch, static_cast<int>(cohort_.size()),
                         static_cast<int>(carried.size()));
 
@@ -388,11 +386,59 @@ double Trainer::DistributeAggregate(int epoch,
   return download_seconds;
 }
 
-void Trainer::RollAvailability() {
-  // Only the round's participants can be available; clients outside a
-  // sampled cohort keep the false bits BeginRound left behind.
-  // Quarantined clients are carved out of the migration action space the
-  // same way crashed ones are: policies only ever see `eligible_`.
+// The run counters as an epoch starts, whose growth its commit publishes,
+// and the budget, clock and lineage head once its round has begun, which
+// the commit and the policy feedback measure the epoch by.
+struct Trainer::EpochStart {
+  net::FaultCounters faults;
+  RobustCounters robust;
+  ChaosCounters chaos;
+  TrafficTotals traffic;
+  int64_t lineage = 0;
+  double compute = 0.0;
+  double bandwidth = 0.0;
+  double sim_seconds = 0.0;
+};
+
+Trainer::EpochStart Trainer::BeginEpoch(int epoch) {
+  EpochStart start;
+  start.faults = faults_.counters();
+  start.robust = counts_.robust;
+  start.chaos = counts_.chaos;
+  start.traffic = Totals(traffic_);
+
+  // Epoch tick for the injector: crash/straggler rolls happen on its own
+  // RNG stream, and the chaos schedule (partition/outage windows) advances
+  // here — before BeginRound, so a partition can refuse the round's
+  // aggregate downloads.
+  faults_.BeginEpoch(num_clients());
+
+  // Chaos window edges: the injector's schedule is pure in the epoch, so
+  // an edge is simply this epoch's sealed/down state differing from the
+  // previous epoch's — the same comparison on a fresh and a resumed run.
+  if (config_.fault.chaos.has_partitions() ||
+      config_.fault.chaos.has_outages()) {
+    for (int lan = 0; lan < topology_.num_lans(); ++lan) {
+      const bool sealed = faults_.LanSealed(lan, epoch);
+      const bool was_sealed = epoch > 1 && faults_.LanSealed(lan, epoch - 1);
+      if (sealed && !was_sealed) events_.ChaosLanSealed(epoch, lan);
+      if (!sealed && was_sealed) events_.ChaosLanOpened(epoch, lan);
+    }
+    const bool down = faults_.ServerDown(epoch);
+    const bool was_down = epoch > 1 && faults_.ServerDown(epoch - 1);
+    if (down && !was_down) events_.ChaosServerDown(epoch);
+    if (!down && was_down) events_.ChaosServerUp(epoch);
+  }
+
+  // A new global iteration starts right after each aggregation.
+  if ((epoch - 1) % config_.agg_period == 0) {
+    BeginRound(epoch, (epoch - 1) / config_.agg_period);
+  }
+  // This epoch's availability. Only the round's participants can be
+  // available; clients outside a sampled cohort keep the false bits
+  // BeginRound left behind. Quarantined clients are carved out of the
+  // migration action space the same way crashed ones are: policies only
+  // ever see `eligible_`.
   for (int i : active_clients()) {
     const size_t s = static_cast<size_t>(i);
     available_[s] = participating_[s] &&
@@ -401,14 +447,19 @@ void Trainer::RollAvailability() {
                     !faults_.IsCrashed(i);
     eligible_[s] = available_[s] && reputation_.Eligible(i);
   }
+
+  // A publish this epoch moves the store's lineage head; the round commit
+  // compares against it.
+  start.lineage = store_.aggregate_lineage();
+  events_.RoundBegin(epoch, static_cast<int>(active_clients().size()),
+                     CountSet(active_clients(), available_), start.lineage);
+  start.compute = budget_.compute_used();
+  start.bandwidth = budget_.bandwidth_used();
+  start.sim_seconds = budget_.time_used();
+  return start;
 }
 
-void Trainer::ApplyDp(nn::Sequential* model) {
-  if (!config_.dp.enabled()) return;
-  dp::PrivatizeModel(config_.dp, model, &rng_);
-}
-
-double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
+double Trainer::LocalUpdatePhase(int epoch) {
   FEDMIGR_TRACE_SCOPE("fl/local_update");
   const std::vector<int>& active = active_clients();
   const int n = static_cast<int>(active.size());
@@ -456,33 +507,24 @@ double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
                                  client.label_distribution(), samples);
       provenance.samples += samples;
     }
-  }
-  // Byzantine tampering happens after the honest local update, in place, so
-  // a poisoned replica also contaminates any C2C migration of it — exactly
-  // the lineage-poisoning exposure fl/robust defends against. Applied
-  // serially (outside the ParallelFor) from the injector's dedicated attack
-  // stream: deterministic, thread-safe, invisible to the trainer RNG.
-  if (config_.fault.attacks_enabled()) {
-    for (int i : active) {
-      if (!available_[static_cast<size_t>(i)] || !faults_.IsAttacker(i)) {
-        continue;
-      }
-      Client& client = MaterializedClient(i);
-      if (!client.has_model()) continue;
+    // Byzantine tampering happens after the honest local update, in place,
+    // so a poisoned replica also contaminates any C2C migration of it —
+    // exactly the lineage-poisoning exposure fl/robust defends against.
+    // Applied here (never in the ParallelFor) from the injector's dedicated
+    // attack stream: deterministic, thread-safe, invisible to the trainer
+    // RNG.
+    if (config_.fault.attacks_enabled() && faults_.IsAttacker(i)) {
       ApplyAttack(config_.fault.attack_mode, config_.fault.attack_scale,
                   faults_.attack_rng(), &client.mutable_model());
       ++counts_.robust.attacked_updates;
     }
   }
-
   budget_.ConsumeTime(slowest);
-  *phase_seconds = slowest;
   return total_samples > 0.0 ? loss_weighted / total_samples : 0.0;
 }
 
-Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
+void Trainer::AggregationPhase(int epoch) {
   FEDMIGR_TRACE_SCOPE("fl/aggregate");
-  const int k = num_clients();
   const bool faulty = faults_.enabled();
   const double upload_deadline = config_.fault.upload_deadline_s;
   // Upload: every healthy selected client sends its model over the WAN
@@ -495,13 +537,15 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
   // FedAvg partial participation, where the round average is the
   // sample-weighted mean over the cohort (the 1/C participation factor
   // cancels under the weight normalization).
-  const std::vector<int>& active = active_clients();
   double upload_seconds = 0.0;
-  std::vector<bool> arrived(static_cast<size_t>(k), false);
-  for (int i : active) {
+  int expected = 0;          // participating, reputation-eligible members
+  std::vector<int> arrived;  // in cohort order
+  for (int i : active_clients()) {
     if (!participating_[static_cast<size_t>(i)]) continue;
+    const bool eligible = reputation_.Eligible(i);
+    if (eligible) ++expected;
     if (faults_.IsCrashed(i)) continue;
-    if (!reputation_.Eligible(i)) {
+    if (!eligible) {
       // Quarantined: the server refuses the upload outright — no transfer,
       // no traffic, no seat in the aggregate.
       events_.ClientUploaded(epoch, i, obs::UploadStatus::kExcludedQuarantined,
@@ -510,7 +554,11 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
     }
     Client& client = MaterializedClient(i);
     if (!client.has_model()) continue;
-    if (config_.dp.enabled()) ApplyDp(&client.mutable_model());
+    // Checked here so that mutable_model() clones no aliased replica when
+    // DP is off.
+    if (config_.dp.enabled()) {
+      dp::PrivatizeModel(config_.dp, &client.mutable_model(), &rng_);
+    }
     const net::TransferResult res = faults_.Transfer(
         i, net::kServerId, model_bytes_, topology_, &traffic_);
     const double arrival =
@@ -520,22 +568,18 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
                          : std::max(upload_seconds, res.seconds);
     budget_.ConsumeBandwidth(static_cast<double>(res.bytes));
     if (!res.status.ok()) continue;  // upload lost after retries
+    obs::UploadStatus status = obs::UploadStatus::kArrived;
     if (faulty && arrival > upload_deadline) {
       // The server stopped waiting; the bytes are spent anyway.
       faults_.CountDroppedStraggler();
-      events_.ClientUploaded(epoch, i, obs::UploadStatus::kDroppedStraggler,
-                             model_lineage(i));
-      continue;
-    }
-    if (res.corrupted && CorruptedPayloadRejected(client.model())) {
+      status = obs::UploadStatus::kDroppedStraggler;
+    } else if (res.corrupted && CorruptedPayloadRejected(client.model())) {
       faults_.CountCorruptRejected();
-      events_.ClientUploaded(epoch, i, obs::UploadStatus::kDroppedCorrupt,
-                             model_lineage(i));
-      continue;
+      status = obs::UploadStatus::kDroppedCorrupt;
+    } else {
+      arrived.push_back(i);
     }
-    arrived[static_cast<size_t>(i)] = true;
-    events_.ClientUploaded(epoch, i, obs::UploadStatus::kArrived,
-                           model_lineage(i));
+    events_.ClientUploaded(epoch, i, status, model_lineage(i));
   }
   if (faulty && upload_seconds > upload_deadline) {
     upload_seconds = upload_deadline;
@@ -543,112 +587,90 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
 
   // Round-progress watchdog: the round commits only when a quorum of the
   // expected uploads arrived before the deadline. On a miss nothing is
-  // screened, aggregated or published — the last published aggregate stands
-  // for the whole fleet — and in cohort mode the survivors are carried into
-  // the next round so their error feedback is not lost.
+  // screened, aggregated, published or distributed — the last published
+  // aggregate stands for the whole fleet — and in cohort mode the survivors
+  // are carried into the next round so their error feedback is not lost.
+  bool commit = true;
   if (config_.quorum_fraction > 0.0) {
-    int expected = 0;
-    int arrived_count = 0;
-    for (int i : active) {
-      const size_t s = static_cast<size_t>(i);
-      if (participating_[s] && reputation_.Eligible(i)) ++expected;
-      if (arrived[s]) ++arrived_count;
-    }
-    const bool quorum_met =
-        expected == 0 ||
-        static_cast<double>(arrived_count) + 1e-12 >=
-            config_.quorum_fraction * static_cast<double>(expected);
+    const int count = static_cast<int>(arrived.size());
+    const double needed =
+        config_.quorum_fraction * static_cast<double>(expected);
+    commit = expected == 0 || static_cast<double>(count) + 1e-12 >= needed;
     // The commit threshold with the same tolerance the verdict uses.
-    const int required = static_cast<int>(
-        std::ceil(config_.quorum_fraction * static_cast<double>(expected) -
-                  1e-12));
-    if (!quorum_met) {
-      events_.QuorumMiss(epoch, arrived_count, required);
-      if (cohort_mode()) {
-        carryover_.clear();
-        for (int i : active) {
-          if (arrived[static_cast<size_t>(i)]) carryover_.push_back(i);
-        }
-      }
-      budget_.ConsumeTime(upload_seconds);
-      Evaluation eval;
-      if (evaluate) {
-        FEDMIGR_TRACE_SCOPE("fl/evaluate");
-        eval = server_->EvaluateGlobal(config_.batch_size * 2);
-      }
-      return eval;
+    const int required = static_cast<int>(std::ceil(needed - 1e-12));
+    if (commit) {
+      events_.QuorumCommit(epoch, count, required);
+    } else {
+      events_.QuorumMiss(epoch, count, required);
+      if (cohort_mode()) carryover_ = arrived;
     }
-    events_.QuorumCommit(epoch, arrived_count, required);
   }
 
-  std::vector<const nn::Sequential*> models;
-  std::vector<double> weights;
-  std::vector<int> uploaders;
-  models.reserve(active.size());
-  for (int i : active) {
-    if (!arrived[static_cast<size_t>(i)]) continue;
-    const Client& client = MaterializedClient(i);
-    models.push_back(&client.model());
-    weights.push_back(static_cast<double>(client.num_samples()));
-    uploaders.push_back(i);
-  }
-  // Ingest screening against the last aggregate: the non-finite gate always
-  // runs (one NaN would brick the mean permanently); clipping and the
-  // norm/cosine outlier tests follow config_.robust. Verdicts feed the
-  // reputation machine; survivors are aggregated (through the installed
-  // robust rule, if any). If every upload was lost or rejected this round,
-  // the previous global model stands.
-  if (!models.empty()) {
-    std::vector<const nn::Sequential*> kept_models;
-    std::vector<double> kept_weights;
-    std::vector<std::unique_ptr<nn::Sequential>> clipped;
-    const std::vector<ScreeningVerdict> verdicts = ScreenUpdates(
-        config_.robust.screening, models, weights, server_->global_model(),
-        &kept_models, &kept_weights, &clipped, &counts_.robust);
-    for (size_t u = 0; u < uploaders.size(); ++u) {
-      if (verdicts[u].flagged()) {
-        reputation_.ReportFlagged(uploaders[u]);
-      } else {
-        reputation_.ReportClean(uploaders[u]);
-      }
-      events_.ScreenVerdict(epoch, uploaders[u], verdicts[u].flagged());
-    }
-    if (!kept_models.empty()) server_->Aggregate(kept_models, kept_weights);
-  }
-  reputation_.AdvanceRound();
-  // The transition log becomes events every round; the quarantine and
-  // rehabilitation counts are folded from them.
-  for (const ReputationTracker::Transition& t :
-       reputation_.DrainTransitions()) {
-    events_.QuarantineTransition(epoch, t.client, static_cast<int>(t.from),
-                                 static_cast<int>(t.to));
-  }
-  Evaluation eval;
-  if (evaluate) {
-    FEDMIGR_TRACE_SCOPE("fl/evaluate");
-    eval = server_->EvaluateGlobal(config_.batch_size * 2);
-  }
-
-  // Publish the (possibly refreshed) aggregate into the CoW store: one deep
-  // copy + one flatten per aggregation, shared by every alias.
-  store_.Publish(server_->global_model());
-  events_.ModelPublished(epoch, store_.aggregate_lineage(),
-                         store_.parent_lineage());
-
-  // Full participation distributes at commit, to every reachable client —
-  // participants or not; a sampled cohort defers it to the next round's
-  // BeginRound. The clock charges upload and download as one sum.
   double download_seconds = 0.0;
-  if (!cohort_mode()) {
-    std::vector<int> targets;
-    targets.reserve(identity_.size());
-    for (int i : identity_) {
-      if (!faults_.IsCrashed(i)) targets.push_back(i);
+  if (commit) {
+    // Ingest screening against the last aggregate: the non-finite gate
+    // always runs (one NaN would brick the mean permanently); clipping and
+    // the norm/cosine outlier tests follow config_.robust. Verdicts feed the
+    // reputation machine; survivors are aggregated (through the installed
+    // robust rule, if any). If every upload was lost or rejected this
+    // round, the previous global model stands.
+    if (!arrived.empty()) {
+      std::vector<const nn::Sequential*> models;
+      std::vector<double> weights;
+      models.reserve(arrived.size());
+      for (int i : arrived) {
+        const Client& client = MaterializedClient(i);
+        models.push_back(&client.model());
+        weights.push_back(static_cast<double>(client.num_samples()));
+      }
+      std::vector<const nn::Sequential*> kept_models;
+      std::vector<double> kept_weights;
+      std::vector<std::unique_ptr<nn::Sequential>> clipped;
+      const std::vector<ScreeningVerdict> verdicts = ScreenUpdates(
+          config_.robust.screening, models, weights, server_->global_model(),
+          &kept_models, &kept_weights, &clipped, &counts_.robust);
+      for (size_t u = 0; u < arrived.size(); ++u) {
+        if (verdicts[u].flagged()) {
+          reputation_.ReportFlagged(arrived[u]);
+        } else {
+          reputation_.ReportClean(arrived[u]);
+        }
+        events_.ScreenVerdict(epoch, arrived[u], verdicts[u].flagged());
+      }
+      if (!kept_models.empty()) server_->Aggregate(kept_models, kept_weights);
     }
-    download_seconds = DistributeAggregate(epoch, targets);
+    reputation_.AdvanceRound();
+    // The transition log becomes events every round; the quarantine and
+    // rehabilitation counts are folded from them.
+    for (const ReputationTracker::Transition& t :
+         reputation_.DrainTransitions()) {
+      events_.QuarantineTransition(epoch, t.client, static_cast<int>(t.from),
+                                   static_cast<int>(t.to));
+    }
+
+    // Publish the (possibly refreshed) aggregate into the CoW store: one
+    // deep copy + one flatten per aggregation, shared by every alias.
+    store_.Publish(server_->global_model());
+    events_.ModelPublished(epoch, store_.aggregate_lineage(),
+                           store_.parent_lineage());
+
+    // Full participation distributes at commit, to every reachable client —
+    // participants or not; a sampled cohort defers it to the next round's
+    // BeginRound.
+    if (!cohort_mode()) {
+      std::vector<int> targets;
+      targets.reserve(identity_.size());
+      for (int i : identity_) {
+        if (!faults_.IsCrashed(i)) targets.push_back(i);
+      }
+      download_seconds = DistributeAggregate(epoch, targets);
+    }
   }
+  // The clock charges upload and download as one sum.
   budget_.ConsumeTime(upload_seconds + download_seconds);
-  return eval;
+  // Inside this phase's span: perfbench attributes the evaluation of an
+  // aggregation epoch to fl/aggregate.
+  EvaluationPhase(epoch, /*aggregated=*/true);
 }
 
 int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
@@ -792,10 +814,9 @@ int Trainer::MigrationPhase(int epoch, double loss) {
   if (config_.dp.enabled()) {
     for (size_t j = 0; j < plan.incoming.size(); ++j) {
       const int src = plan.incoming[j];
-      if (src != static_cast<int>(j)) {
-        ApplyDp(&MaterializedClient(ids[static_cast<size_t>(src)])
-                     .mutable_model());
-      }
+      if (src == static_cast<int>(j)) continue;
+      Client& source = MaterializedClient(ids[static_cast<size_t>(src)]);
+      dp::PrivatizeModel(config_.dp, &source.mutable_model(), &rng_);
     }
   }
 
@@ -824,28 +845,59 @@ int Trainer::MigrationPhase(int epoch, double loss) {
   return ApplyMigrationMoves(epoch, plan, exec, ids);
 }
 
-Evaluation Trainer::VirtualEvaluation() {
+void Trainer::EvaluationPhase(int epoch, bool aggregated) {
+  if (config_.eval_every <= 0 ||
+      (epoch % config_.eval_every != 0 && epoch != config_.max_epochs)) {
+    return;
+  }
   FEDMIGR_TRACE_SCOPE("fl/evaluate");
+  // Off aggregation epochs the measured model is the virtual aggregate of
+  // the local models. Quarantined replicas and non-finite models are
+  // measurement poison: one NaN coordinate would turn the whole virtual
+  // aggregate (and the reported accuracy) into NaN. Both gates are no-ops
+  // on a clean run.
   std::vector<const nn::Sequential*> models;
   std::vector<double> weights;
-  for (int i : active_clients()) {
-    // Quarantined replicas and non-finite models are measurement poison:
-    // one NaN coordinate would turn the whole virtual aggregate (and the
-    // reported accuracy) into NaN. Both gates are no-ops on a clean run.
-    if (!reputation_.Eligible(i)) continue;
-    const Client& client = MaterializedClient(i);
-    if (!client.has_model()) continue;
-    if (!ParamsFinite(client.model())) continue;
-    models.push_back(&client.model());
-    weights.push_back(static_cast<double>(client.num_samples()));
+  if (!aggregated) {
+    for (int i : active_clients()) {
+      if (!reputation_.Eligible(i)) continue;
+      const Client& client = MaterializedClient(i);
+      if (!client.has_model()) continue;
+      if (!ParamsFinite(client.model())) continue;
+      models.push_back(&client.model());
+      weights.push_back(static_cast<double>(client.num_samples()));
+    }
   }
-  if (models.empty()) return server_->EvaluateGlobal(config_.batch_size * 2);
-  nn::Sequential aggregate = server_->global_model();
-  Server::WeightedAverage(models, weights, &aggregate);
-  return server_->Evaluate(aggregate, config_.batch_size * 2);
+  Evaluation eval;
+  if (models.empty()) {
+    eval = server_->EvaluateGlobal(config_.batch_size * 2);
+  } else {
+    nn::Sequential aggregate = server_->global_model();
+    WeightedMean(models, weights, &aggregate);
+    eval = server_->Evaluate(aggregate, config_.batch_size * 2);
+  }
+  progress_.last_accuracy = eval.accuracy;
+  progress_.last_test_loss = eval.loss;
 }
 
-void Trainer::CommitEvents(int epoch) {
+void Trainer::CloseEpoch(const EpochStart& start, double sim_after_update,
+                        EpochRecord* record) {
+  const int epoch = record->epoch;
+  record->test_accuracy = progress_.last_accuracy;
+  record->test_loss = progress_.last_test_loss;
+  record->cumulative_time_s = budget_.time_used();
+  record->cumulative_traffic_gb =
+      static_cast<double>(traffic_.total_bytes()) / 1e9;
+  result_.history.push_back(*record);
+
+  // The round commit closes the epoch's events: they are folded into the
+  // run counters before the telemetry block publishes their growth, and
+  // persisted before the hook may snapshot — Attach(epoch) then keeps
+  // exactly the chunks committed so far, so kill-anywhere resume replays
+  // to a byte-equal journal.
+  events_.RoundCommitted(epoch, CountSet(active_clients(), participating_),
+                         store_.aggregate_lineage() != start.lineage,
+                         store_.aggregate_lineage(), record->train_loss);
   for (const obs::JournalEvent& event : events_.events()) {
     obs::FoldEvent(event, &counts_);
   }
@@ -853,6 +905,94 @@ void Trainer::CommitEvents(int epoch) {
   FEDMIGR_CHECK(committed.ok())
       << "journal commit failed: " << committed.message();
   events_.Clear();
+
+  if (!obs::Telemetry::enabled()) return;
+  // Simulated-time spans go on the pid-2 tracks so a trace shows what the
+  // simulation modelled next to what the host actually spent.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
+  if (recorder.recording()) {
+    const double sim_epoch_end = budget_.time_used();
+    recorder.RecordSimSpan("epoch " + std::to_string(epoch), "fl/epoch",
+                           start.sim_seconds, sim_epoch_end);
+    recorder.RecordSimSpan("local_update", "fl/phase", start.sim_seconds,
+                           sim_after_update);
+    recorder.RecordSimSpan(record->aggregated ? "aggregate" : "migrate",
+                           "fl/phase", sim_after_update, sim_epoch_end);
+  }
+  static obs::Counter* epochs_run =
+      obs::Registry::Default().GetCounter("fl/epochs_run");
+  static obs::Counter* aggregations =
+      obs::Registry::Default().GetCounter("fl/aggregations");
+  static obs::Counter* migrations_applied =
+      obs::Registry::Default().GetCounter("fl/migrations_applied");
+  static obs::Gauge* train_loss =
+      obs::Registry::Default().GetGauge("fl/train_loss");
+  static obs::Gauge* test_accuracy =
+      obs::Registry::Default().GetGauge("fl/test_accuracy");
+  epochs_run->Increment();
+  if (record->aggregated) aggregations->Increment();
+  migrations_applied->Add(record->migrations);
+  train_loss->Set(record->train_loss);
+  test_accuracy->Set(record->test_accuracy);
+  PublishGrowth(kFaultSeries, start.faults, faults_.counters());
+  PublishGrowth(kRobustSeries, start.robust, counts_.robust);
+  PublishGrowth(kChaosSeries, start.chaos, counts_.chaos);
+  PublishGrowth(kTrafficSeries, start.traffic, Totals(traffic_));
+  if (config_.fault.chaos.enabled()) {
+    static obs::Gauge* partitions_active =
+        obs::Registry::Default().GetGauge("net/chaos_partitions_active");
+    static obs::Gauge* server_down =
+        obs::Registry::Default().GetGauge("net/chaos_server_down");
+    partitions_active->Set(faults_.ActivePartitions(faults_.epoch()));
+    server_down->Set(faults_.ServerDown(faults_.epoch()) ? 1 : 0);
+  }
+  obs::UpdateResourceGauges();
+}
+
+bool Trainer::FinishEpoch(const EpochStart& start, const EpochRecord& record) {
+  const int epoch = record.epoch;
+  result_.best_accuracy =
+      std::max(result_.best_accuracy, progress_.last_accuracy);
+  result_.epochs_run = epoch;
+
+  // Reward feedback for learned policies.
+  PolicyFeedback feedback;
+  feedback.epoch = epoch;
+  feedback.loss_before = progress_.previous_loss < 0.0
+                             ? record.train_loss
+                             : progress_.previous_loss;
+  feedback.loss_after = record.train_loss;
+  const double cb = budget_.compute_budget();
+  const double bb = budget_.bandwidth_budget();
+  feedback.compute_cost_fraction =
+      std::isinf(cb) ? 0.0 : (budget_.compute_used() - start.compute) / cb;
+  feedback.bandwidth_cost_fraction =
+      std::isinf(bb) ? 0.0 : (budget_.bandwidth_used() - start.bandwidth) / bb;
+  progress_.previous_loss = record.train_loss;
+
+  const bool target_hit = config_.target_accuracy > 0.0 &&
+                          progress_.last_accuracy >= config_.target_accuracy;
+  if (target_hit && !result_.reached_target) {
+    if (obs::Telemetry::enabled()) {
+      obs::TraceRecorder::Default().RecordInstant("fl/target_reached");
+    }
+    result_.reached_target = true;
+    result_.epochs_to_target = epoch;
+    result_.time_to_target_s = budget_.time_used();
+    result_.traffic_to_target_gb =
+        static_cast<double>(traffic_.total_bytes()) / 1e9;
+  }
+  const bool exhausted = budget_.Exhausted();
+  result_.budget_exhausted = exhausted;
+  progress_.done = target_hit || exhausted || epoch == config_.max_epochs;
+  feedback.done = progress_.done;
+  feedback.success = progress_.done && !exhausted;
+  policy_->Feedback(feedback);
+
+  // The epoch is now fully accounted for; a snapshot taken here (by the
+  // hook) resumes at next_epoch.
+  progress_.next_epoch = epoch + 1;
+  return !epoch_hook_ || epoch_hook_(*this, epoch) || progress_.done;
 }
 
 RunResult Trainer::Run() {
@@ -869,201 +1009,28 @@ RunResult Trainer::Run() {
   header.scheme = config_.scheme_name;
   journal_->BeginRun(header);
 
+  // The epoch of Sec. II-B: Local Updating, then Model Distribution and
+  // Global Aggregation every agg_period epochs (and at the last one), Model
+  // Migration otherwise. Begin, commit and finish run outside every phase
+  // span.
   for (int epoch = progress_.next_epoch;
        !progress_.done && epoch <= config_.max_epochs; ++epoch) {
     FEDMIGR_TRACE_SCOPE("fl/epoch");
+    const EpochStart start = BeginEpoch(epoch);
     EpochRecord record;
     record.epoch = epoch;
-
-    // The run counters as the epoch starts; the telemetry block publishes
-    // their growth.
-    const net::FaultCounters faults_before = faults_.counters();
-    const RobustCounters robust_before = counts_.robust;
-    const ChaosCounters chaos_before = counts_.chaos;
-    const TrafficTotals traffic_before = Totals(traffic_);
-
-    // Epoch tick for the injector: crash/straggler rolls happen on its own
-    // RNG stream, and the chaos schedule (partition/outage windows) advances
-    // here — before BeginRound, so a partition can refuse the round's
-    // aggregate downloads.
-    faults_.BeginEpoch(num_clients());
-
-    // Chaos window edges: the injector's schedule is pure in the epoch, so
-    // an edge is simply this epoch's sealed/down state differing from the
-    // previous epoch's — the same comparison on a fresh and a resumed run.
-    if (config_.fault.chaos.has_partitions() ||
-        config_.fault.chaos.has_outages()) {
-      for (int lan = 0; lan < topology_.num_lans(); ++lan) {
-        const bool sealed = faults_.LanSealed(lan, epoch);
-        const bool was_sealed = epoch > 1 && faults_.LanSealed(lan, epoch - 1);
-        if (sealed && !was_sealed) events_.ChaosLanSealed(epoch, lan);
-        if (!sealed && was_sealed) events_.ChaosLanOpened(epoch, lan);
-      }
-      const bool down = faults_.ServerDown(epoch);
-      const bool was_down = epoch > 1 && faults_.ServerDown(epoch - 1);
-      if (down && !was_down) events_.ChaosServerDown(epoch);
-      if (!down && was_down) events_.ChaosServerUp(epoch);
-    }
-
-    // A new global iteration starts right after each aggregation.
-    if ((epoch - 1) % config_.agg_period == 0) {
-      BeginRound((epoch - 1) / config_.agg_period);
-    }
-    RollAvailability();
-
-    int available_count = 0;
-    for (int i : active_clients()) {
-      if (available_[static_cast<size_t>(i)]) ++available_count;
-    }
-    events_.RoundBegin(epoch, static_cast<int>(active_clients().size()),
-                       available_count, store_.aggregate_lineage());
-    // A publish this epoch moves the store's lineage head; comparing after
-    // the phases tells the round-commit event whether one happened.
-    const int64_t lineage_before = store_.aggregate_lineage();
-
-    double compute_before = budget_.compute_used();
-    double bandwidth_before = budget_.bandwidth_used();
-    const double sim_epoch_start = budget_.time_used();
-
-    double phase_seconds = 0.0;
-    record.train_loss = LocalUpdatePhase(epoch, &phase_seconds);
+    record.aggregated =
+        epoch % config_.agg_period == 0 || epoch == config_.max_epochs;
+    record.train_loss = LocalUpdatePhase(epoch);
     const double sim_after_update = budget_.time_used();
-
-    const bool aggregate_now = (epoch % config_.agg_period == 0) ||
-                               (epoch == config_.max_epochs);
-    const bool evaluate_now =
-        config_.eval_every > 0 && (epoch % config_.eval_every == 0 ||
-                                   epoch == config_.max_epochs);
-    if (aggregate_now) {
-      const Evaluation eval = AggregationPhase(epoch, evaluate_now);
-      if (evaluate_now) {
-        progress_.last_accuracy = eval.accuracy;
-        progress_.last_test_loss = eval.loss;
-      }
-      record.aggregated = true;
+    if (record.aggregated) {
+      AggregationPhase(epoch);
     } else {
       record.migrations = MigrationPhase(epoch, record.train_loss);
-      if (evaluate_now) {
-        const Evaluation eval = VirtualEvaluation();
-        progress_.last_accuracy = eval.accuracy;
-        progress_.last_test_loss = eval.loss;
-      }
+      EvaluationPhase(epoch, /*aggregated=*/false);
     }
-
-    record.test_accuracy = progress_.last_accuracy;
-    record.test_loss = progress_.last_test_loss;
-    record.cumulative_time_s = budget_.time_used();
-    record.cumulative_traffic_gb =
-        static_cast<double>(traffic_.total_bytes()) / 1e9;
-    result_.history.push_back(record);
-
-    // The round commit closes the epoch's events: they are folded into the
-    // run counters before the telemetry block publishes their growth, and
-    // persisted before the hook may snapshot — Attach(epoch) then keeps
-    // exactly the chunks committed so far, so kill-anywhere resume replays
-    // to a byte-equal journal.
-    int participated = 0;
-    for (int i : active_clients()) {
-      if (participating_[static_cast<size_t>(i)]) ++participated;
-    }
-    events_.RoundCommitted(epoch, participated,
-                           store_.aggregate_lineage() != lineage_before,
-                           store_.aggregate_lineage(), record.train_loss);
-    CommitEvents(epoch);
-
-    if (obs::Telemetry::enabled()) {
-      // Simulated-time spans go on the pid-2 tracks so a trace shows what
-      // the simulation modelled next to what the host actually spent.
-      obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
-      if (recorder.recording()) {
-        const double sim_epoch_end = budget_.time_used();
-        recorder.RecordSimSpan("epoch " + std::to_string(epoch), "fl/epoch",
-                               sim_epoch_start, sim_epoch_end);
-        recorder.RecordSimSpan("local_update", "fl/phase", sim_epoch_start,
-                               sim_after_update);
-        recorder.RecordSimSpan(record.aggregated ? "aggregate" : "migrate",
-                               "fl/phase", sim_after_update, sim_epoch_end);
-      }
-      static obs::Counter* epochs_run =
-          obs::Registry::Default().GetCounter("fl/epochs_run");
-      static obs::Counter* aggregations =
-          obs::Registry::Default().GetCounter("fl/aggregations");
-      static obs::Counter* migrations_applied =
-          obs::Registry::Default().GetCounter("fl/migrations_applied");
-      static obs::Gauge* train_loss =
-          obs::Registry::Default().GetGauge("fl/train_loss");
-      static obs::Gauge* test_accuracy =
-          obs::Registry::Default().GetGauge("fl/test_accuracy");
-      epochs_run->Increment();
-      if (record.aggregated) aggregations->Increment();
-      migrations_applied->Add(record.migrations);
-      train_loss->Set(record.train_loss);
-      test_accuracy->Set(record.test_accuracy);
-      PublishGrowth(kFaultSeries, faults_before, faults_.counters());
-      PublishGrowth(kRobustSeries, robust_before, counts_.robust);
-      PublishGrowth(kChaosSeries, chaos_before, counts_.chaos);
-      PublishGrowth(kTrafficSeries, traffic_before, Totals(traffic_));
-      if (config_.fault.chaos.enabled()) {
-        static obs::Gauge* partitions_active =
-            obs::Registry::Default().GetGauge("net/chaos_partitions_active");
-        static obs::Gauge* server_down =
-            obs::Registry::Default().GetGauge("net/chaos_server_down");
-        partitions_active->Set(faults_.ActivePartitions(faults_.epoch()));
-        server_down->Set(faults_.ServerDown(faults_.epoch()) ? 1 : 0);
-      }
-      obs::UpdateResourceGauges();
-    }
-
-    result_.best_accuracy =
-        std::max(result_.best_accuracy, progress_.last_accuracy);
-    result_.epochs_run = epoch;
-
-    // Reward feedback for learned policies.
-    PolicyFeedback feedback;
-    feedback.epoch = epoch;
-    feedback.loss_before = progress_.previous_loss < 0.0
-                               ? record.train_loss
-                               : progress_.previous_loss;
-    feedback.loss_after = record.train_loss;
-    const double cb = budget_.compute_budget();
-    const double bb = budget_.bandwidth_budget();
-    feedback.compute_cost_fraction =
-        std::isinf(cb) ? 0.0 : (budget_.compute_used() - compute_before) / cb;
-    feedback.bandwidth_cost_fraction =
-        std::isinf(bb) ? 0.0
-                       : (budget_.bandwidth_used() - bandwidth_before) / bb;
-    progress_.previous_loss = record.train_loss;
-
-    const bool target_hit = config_.target_accuracy > 0.0 &&
-                            progress_.last_accuracy >= config_.target_accuracy;
-    if (target_hit && !result_.reached_target) {
-      if (obs::Telemetry::enabled()) {
-        obs::TraceRecorder::Default().RecordInstant("fl/target_reached");
-      }
-      result_.reached_target = true;
-      result_.epochs_to_target = epoch;
-      result_.time_to_target_s = budget_.time_used();
-      result_.traffic_to_target_gb =
-          static_cast<double>(traffic_.total_bytes()) / 1e9;
-    }
-    const bool exhausted = budget_.Exhausted();
-    const bool done =
-        target_hit || exhausted || epoch == config_.max_epochs;
-    feedback.done = done;
-    feedback.success = done && !exhausted;
-    policy_->Feedback(feedback);
-
-    // The epoch is now fully accounted for; a snapshot taken here (by the
-    // hook) resumes at next_epoch.
-    progress_.next_epoch = epoch + 1;
-    if (target_hit || exhausted) {
-      result_.budget_exhausted = exhausted;
-      progress_.done = true;
-    } else if (epoch == config_.max_epochs) {
-      progress_.done = true;
-    }
-
-    if (epoch_hook_ && !epoch_hook_(*this, epoch) && !progress_.done) {
+    CloseEpoch(start, sim_after_update, &record);
+    if (!FinishEpoch(start, record)) {
       result_.interrupted = true;
       break;
     }
@@ -1164,7 +1131,6 @@ struct Trainer::Staged {
   obs::EventCounts counts_;
   ReputationTracker reputation_;
   std::vector<int> cohort_;
-  int64_t cohort_round_ = -1;
   std::vector<int> carryover_;
   int64_t next_lineage_id_ = 0;
   int64_t aggregate_lineage_ = 0;
@@ -1316,7 +1282,12 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
   // members that were active when the round began.
   ar.Io(s.counts_.chaos);
   ar.Io(s.cohort_);
-  ar.Io(s.cohort_round_);
+  // The round the cohort belongs to, the last one begun (-1 before the
+  // first and under full participation); read back and not needed.
+  int64_t cohort_round = cohort_mode() && progress_.next_epoch > 1
+                             ? (progress_.next_epoch - 2) / config_.agg_period
+                             : -1;
+  ar.Io(cohort_round);
   ar.Io(s.carryover_);
   const auto in_fleet = [k](const std::vector<int>& ids) {
     return std::all_of(ids.begin(), ids.end(), [k](int i) {
@@ -1385,7 +1356,6 @@ void Trainer::Commit(Staged&& s) {
   // The effective cohort is restored, not recomputed: under churn and
   // quorum carryover only the snapshot knows who was active mid-round.
   cohort_ = std::move(s.cohort_);
-  cohort_round_ = s.cohort_round_;
   carryover_ = std::move(s.carryover_);
   // The re-publish in VisitState minted a throwaway id; restore the mint
   // counter and the aggregate/parent heads the snapshot recorded so the

@@ -279,21 +279,26 @@ class Trainer {
   util::Status Visit(Ar& ar);
 
  private:
-  // One Local Updating phase across the active clients; returns weighted
-  // mean loss and advances time/compute budgets.
-  double LocalUpdatePhase(int epoch, double* phase_seconds);
-  // Uploads, aggregates, redistributes; evaluates only when `evaluate` is
-  // set (evaluation is measurement, not simulation, and is the dominant
-  // cost for schemes that aggregate every epoch).
-  Evaluation AggregationPhase(int epoch, bool evaluate);
-  // Plans one migration round over the active clients' local index space
-  // and executes it against the real fleet; returns number of moves.
+  // The steps of one epoch in the order Run calls them; DESIGN.md §16
+  // lists the trace span and the events each owns. EpochStart (trainer.cc)
+  // is what the commit and finish steps measure the epoch against.
+  struct EpochStart;
+  EpochStart BeginEpoch(int epoch);
+  // Returns the weighted mean training loss.
+  double LocalUpdatePhase(int epoch);
+  // A quorum miss skips screening, aggregation, publish and distribution.
+  // The evaluation step runs last, inside this phase's span.
+  void AggregationPhase(int epoch);
+  // Plans over the active clients' local index space, executes against the
+  // real fleet; returns the number of moves.
   int MigrationPhase(int epoch, double loss);
-  // Weighted average of current local models, evaluated on the test set
-  // (measurement only; no traffic is charged).
-  Evaluation VirtualEvaluation();
-
-  void ApplyDp(nn::Sequential* model);
+  // On evaluation epochs, measures the published aggregate after an
+  // aggregation and the virtual aggregate of the local models otherwise.
+  void EvaluationPhase(int epoch, bool aggregated);
+  void CloseEpoch(const EpochStart& start, double sim_after_update,
+                  EpochRecord* record);
+  // False when the epoch hook interrupts the run.
+  bool FinishEpoch(const EpochStart& start, const EpochRecord& record);
 
   // The snapshot stream in order, read from this trainer (S = Trainer) or
   // parsed into stand-ins (S = Staged) that mirror its fields by name.
@@ -317,10 +322,11 @@ class Trainer {
   Client& ClientAt(int i);
   // Client i without materializing; CHECK-fails if still lazy.
   Client& MaterializedClient(int i) const;
-  // Starts aggregation round `round`. Full participation re-draws its
-  // α-sample. A sampled cohort retires the previous members, samples the
-  // new ones, materializes them and delivers the current aggregate.
-  void BeginRound(int64_t round);
+  // Starts aggregation round `round` in `epoch`. Full participation
+  // re-draws its α-sample. A sampled cohort retires the previous members,
+  // samples the new ones, materializes them and delivers the current
+  // aggregate.
+  void BeginRound(int epoch, int64_t round);
   // Model Distribution: delivers the published aggregate to each of
   // `targets` that does not already hold it; returns the download seconds.
   double DistributeAggregate(int epoch, const std::vector<int>& targets);
@@ -347,7 +353,6 @@ class Trainer {
   // SNAPSHOT-SKIP(deterministic in config seed; rebuilt on construction)
   std::unique_ptr<CohortSampler> cohort_sampler_;
   std::vector<int> cohort_;       // sorted ids of the current round's cohort
-  int64_t cohort_round_ = -1;     // round cohort_ belongs to
   // Survivors of a quorum-missed round (sorted ids): their uploads never
   // committed, so BeginRound folds them into the next cohort and skips
   // their Model Distribution — they keep the pending local update.
@@ -389,8 +394,6 @@ class Trainer {
   std::vector<bool> available_;
   // SNAPSHOT-SKIP(derived from availability and reputation on load)
   std::vector<bool> eligible_;
-  void ResampleParticipants();
-  void RollAvailability();
 
   // Robustness state: the aggregation rule installed into the server and
   // per-client reputation.
@@ -404,8 +407,6 @@ class Trainer {
   // SNAPSHOT-SKIP(cleared at every epoch commit, so empty at snapshots)
   obs::EventBuffer events_;
   obs::EventCounts counts_;
-  // Folds the epoch's events into counts_ and persists them.
-  void CommitEvents(int epoch);
 
   // Run-loop state promoted to members so a run can be snapshotted between
   // epochs and continued bit-identically.

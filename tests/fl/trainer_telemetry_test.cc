@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,11 +40,11 @@ struct TinyWorkload {
     partition = data::PartitionByClassShards(data.train, 10, 1, &rng);
   }
 
-  RunResult Run(const std::string& scheme, int epochs) {
+  RunResult Run(const std::string& scheme, int epochs, int eval_every = 2) {
     SchemeSetup setup =
         scheme == "randmigr" ? MakeRandMigr(/*agg_period=*/2) : MakeFedAvg();
     setup.config.max_epochs = epochs;
-    setup.config.eval_every = 2;
+    setup.config.eval_every = eval_every;
     Trainer trainer(setup.config, &data.train, partition, &data.test,
                     topology, devices,
                     [](util::Rng* rng) { return nn::MakeC10Net(rng); },
@@ -210,6 +211,59 @@ TEST(TrainerTelemetryTest, SimSpansLandOnSimulatedTimeTracks) {
   // on pid 1.
   EXPECT_GE(sim_spans, 6);
   EXPECT_GE(wall_spans, 6);
+}
+
+// perfbench attributes an epoch's wall time to the top-level phase spans,
+// counting fl/evaluate as part of fl/aggregate on aggregation epochs and on
+// its own otherwise. So every phase span lies inside an fl/epoch span, and
+// fl/evaluate lies inside fl/aggregate exactly on aggregation epochs.
+TEST(TrainerTelemetryTest, EvaluationNestsInAggregateOnlyOnAggregationEpochs) {
+  TinyWorkload w;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
+  recorder.Start();
+  // RandMigr aggregates on epochs 2 and 4 and migrates on 1 and 3; every
+  // epoch evaluates.
+  (void)w.Run("randmigr", 4, /*eval_every=*/1);
+  recorder.Stop();
+
+  std::map<std::string, std::vector<obs::TraceEvent>> spans;
+  for (const obs::TraceEvent& e : recorder.ExportEvents()) {
+    if (e.pid == 1 && !e.instant) spans[e.name].push_back(e);
+  }
+  const auto inside = [](const obs::TraceEvent& inner,
+                         const std::vector<obs::TraceEvent>& outers) {
+    return std::any_of(outers.begin(), outers.end(), [&inner](auto& outer) {
+      return outer.tid == inner.tid && outer.start_us <= inner.start_us &&
+             inner.end_us <= outer.end_us;
+    });
+  };
+  const std::vector<obs::TraceEvent>& epochs = spans["fl/epoch"];
+  const std::vector<obs::TraceEvent>& aggregates = spans["fl/aggregate"];
+  const std::vector<obs::TraceEvent>& migrations = spans["fl/migrate"];
+  ASSERT_EQ(epochs.size(), 4u);
+  ASSERT_EQ(aggregates.size(), 2u);
+  ASSERT_EQ(migrations.size(), 2u);
+  ASSERT_EQ(spans["fl/local_update"].size(), 4u);
+  for (const char* phase : {"fl/local_update", "fl/aggregate", "fl/migrate"}) {
+    for (const obs::TraceEvent& span : spans[phase]) {
+      EXPECT_TRUE(inside(span, epochs)) << phase << " outside every epoch";
+    }
+  }
+  const std::vector<obs::TraceEvent>& evaluations = spans["fl/evaluate"];
+  ASSERT_EQ(evaluations.size(), 4u);
+  for (const obs::TraceEvent& evaluation : evaluations) {
+    ASSERT_TRUE(inside(evaluation, epochs));
+    const auto epoch = std::find_if(
+        epochs.begin(), epochs.end(), [&](const obs::TraceEvent& e) {
+          return inside(evaluation, {e});
+        });
+    const bool aggregation_epoch = std::any_of(
+        aggregates.begin(), aggregates.end(),
+        [&](const obs::TraceEvent& a) { return inside(a, {*epoch}); });
+    EXPECT_EQ(inside(evaluation, aggregates), aggregation_epoch);
+    EXPECT_FALSE(inside(evaluation, migrations));
+    EXPECT_FALSE(inside(evaluation, spans["fl/local_update"]));
+  }
 }
 
 }  // namespace
