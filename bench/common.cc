@@ -241,6 +241,11 @@ void FinishTelemetry(const TelemetryFlags& flags) {
   if (!flags.trace_out.empty()) {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
     recorder.Stop();
+    if (recorder.dropped() > 0) {
+      FEDMIGR_LOG(kWarning)
+          << "trace ring full: " << recorder.dropped()
+          << " events dropped; " << flags.trace_out << " is truncated";
+    }
     const util::Status status = recorder.WriteChromeJson(flags.trace_out);
     if (!status.ok()) {
       FEDMIGR_LOG(kError) << "trace write failed: " << status.ToString();

@@ -161,9 +161,11 @@ std::vector<TraceEvent> TraceRecorder::ExportEvents() const {
 std::string TraceRecorder::ToChromeJson() const {
   std::vector<TraceEvent> events = ExportEvents();
   std::vector<std::pair<int, std::string>> sim_tracks;
+  int64_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     sim_tracks = sim_track_names_;
+    dropped = dropped_;
   }
 
   std::string out = "{\"traceEvents\":[\n";
@@ -238,7 +240,10 @@ std::string TraceRecorder::ToChromeJson() const {
   }
   drain();
 
-  out += "\n]}\n";
+  // A trace the full ring truncated says so, so that it never reads as
+  // complete.
+  out += "\n],\"otherData\":{\"dropped_events\":" + std::to_string(dropped) +
+         "}}\n";
   return out;
 }
 

@@ -94,7 +94,8 @@ class TraceRecorder {
   // instead of re-parsing JSON.
   std::vector<TraceEvent> ExportEvents() const;
 
-  // Chrome trace-event JSON (object form, "traceEvents" array). Spans are
+  // Chrome trace-event JSON (object form, "traceEvents" array, and the
+  // drop count as "otherData":{"dropped_events":N}). Spans are
   // re-nested per track — sorted by (start asc, end desc), child ends
   // clamped to their parent — so emitted B/E pairs always match and each
   // track's timestamps are monotone. Load via Perfetto (ui.perfetto.dev)

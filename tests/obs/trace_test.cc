@@ -126,11 +126,19 @@ TEST(TraceRecorderTest, FullRingDropsNewestAndCounts) {
   recorder.Stop();
   EXPECT_EQ(recorder.ExportEvents().size(), 2u);
   EXPECT_EQ(recorder.dropped(), 1);
+  // The export carries the count, so a truncated trace never reads as
+  // complete.
+  EXPECT_NE(recorder.ToChromeJson().find(
+                "\n],\"otherData\":{\"dropped_events\":1}}"),
+            std::string::npos);
   // Start() resets the ring and the drop counter.
   recorder.Start(/*capacity=*/2);
   recorder.Stop();
   EXPECT_TRUE(recorder.ExportEvents().empty());
   EXPECT_EQ(recorder.dropped(), 0);
+  EXPECT_NE(recorder.ToChromeJson().find(
+                "\"otherData\":{\"dropped_events\":0}"),
+            std::string::npos);
 }
 
 TEST(TraceRecorderTest, WallSpansGetOneTidPerThread) {

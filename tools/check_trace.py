@@ -13,6 +13,8 @@ must actually load in a trace viewer:
     and no track ends with an open span;
   * metadata names the two clock domains (pid 1 wall clock, pid 2
     simulated time) when events reference them;
+  * a trace whose "otherData" reports dropped events (the recorder's ring
+    was full) is rejected as truncated;
   * counter tracks ("C", e.g. tools/fedmigr_report's journal counters)
     carry a name and numeric series values.
 
@@ -84,6 +86,11 @@ def validate(path):
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         return ["%s: top-level 'traceEvents' list is missing" % path]
+    other = doc.get("otherData")
+    if isinstance(other, dict) and other.get("dropped_events", 0) != 0:
+        errors.append(
+            "%s: the trace ring dropped %s events, so the trace is truncated"
+            % (path, other["dropped_events"]))
 
     last_ts = {}     # (pid, tid) -> last timestamp seen on the track
     open_spans = {}  # (pid, tid) -> count of unclosed "B" events
