@@ -93,8 +93,8 @@ class Aggregator {
 std::unique_ptr<Aggregator> MakeAggregator(
     AggregatorKind kind, const AggregatorOptions& options = {});
 
-// The weighted-mean kernel shared by Server::WeightedAverage and the Mean
-// aggregator — one implementation, so the two are bit-identical.
+// The weighted mean w = sum_k (n_k / N) w_k (Eq. 7): the Mean aggregator's
+// kernel, which the trainer's virtual evaluation also calls.
 void WeightedMean(const std::vector<const nn::Sequential*>& models,
                   const std::vector<double>& weights, nn::Sequential* out);
 

@@ -10,12 +10,6 @@ Server::Server(nn::Sequential global_model, const data::Dataset* test)
   FEDMIGR_CHECK(test_ != nullptr);
 }
 
-void Server::WeightedAverage(const std::vector<const nn::Sequential*>& models,
-                             const std::vector<double>& weights,
-                             nn::Sequential* out) {
-  WeightedMean(models, weights, out);
-}
-
 void Server::SetAggregator(const Aggregator* aggregator) {
   aggregator_ = aggregator;
 }

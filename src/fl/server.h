@@ -36,13 +36,6 @@ class Server {
   void Aggregate(const std::vector<const nn::Sequential*>& models,
                  const std::vector<double>& weights);
 
-  // The legacy weighted average into an arbitrary output model; used for the
-  // per-epoch "virtual aggregate" metric without touching server state.
-  // Delegates to the shared WeightedMean kernel in fl/robust.h.
-  static void WeightedAverage(const std::vector<const nn::Sequential*>& models,
-                              const std::vector<double>& weights,
-                              nn::Sequential* out);
-
   // Evaluates the stored global model on the test set.
   Evaluation EvaluateGlobal(int batch_size = 64) const;
   // Evaluates an arbitrary model on the test set.

@@ -63,6 +63,8 @@ double MeanParam(const nn::Sequential& model) {
 // Aggregators
 // ---------------------------------------------------------------------------
 
+// The Mean rule and the WeightedMean kernel the trainer's virtual
+// evaluation calls are one implementation.
 TEST(RobustAggregatorTest, MeanIsBitIdenticalToLegacyWeightedAverage) {
   const nn::Sequential a = NoisyModel(0.5f, 0.3f, 11);
   const nn::Sequential b = NoisyModel(-0.2f, 0.5f, 12);
@@ -71,7 +73,7 @@ TEST(RobustAggregatorTest, MeanIsBitIdenticalToLegacyWeightedAverage) {
   const std::vector<double> weights = {3.0, 1.0, 2.5};
 
   nn::Sequential legacy = ConstantModel(0.0f);
-  Server::WeightedAverage(models, weights, &legacy);
+  WeightedMean(models, weights, &legacy);
   nn::Sequential robust = ConstantModel(0.0f);
   MakeAggregator(AggregatorKind::kMean)->Aggregate(models, weights, &robust);
 

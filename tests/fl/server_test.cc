@@ -25,7 +25,7 @@ TEST(ServerTest, WeightedAverageExact) {
   const nn::Sequential a = ConstantModel(1.0f);
   const nn::Sequential b = ConstantModel(4.0f);
   nn::Sequential out = ConstantModel(0.0f);
-  Server::WeightedAverage({&a, &b}, {3.0, 1.0}, &out);
+  WeightedMean({&a, &b}, {3.0, 1.0}, &out);
   for (const nn::Tensor* p : out.Params()) {
     for (int64_t i = 0; i < p->size(); ++i) {
       EXPECT_NEAR((*p)[i], 1.75f, 1e-6f);
@@ -37,7 +37,7 @@ TEST(ServerTest, ZeroWeightModelIgnored) {
   const nn::Sequential a = ConstantModel(1.0f);
   const nn::Sequential b = ConstantModel(100.0f);
   nn::Sequential out = ConstantModel(0.0f);
-  Server::WeightedAverage({&a, &b}, {1.0, 0.0}, &out);
+  WeightedMean({&a, &b}, {1.0, 0.0}, &out);
   EXPECT_NEAR((*out.Params()[0])[0], 1.0f, 1e-6f);
 }
 
