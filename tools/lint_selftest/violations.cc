@@ -111,8 +111,9 @@ void ForgesJournalRecords(fedmigr::util::ByteWriter* writer,
   raw.kind = 14;
   obs::WriteJournalEvent(raw, writer);  // LINT-EXPECT: journal-emit
   queue->push_back(obs::JournalEvent{21, 0, 0, 0, 0, 0, 0.0});  // LINT-EXPECT: journal-emit
-  std::vector<unsigned char> payload;
-  const auto framed = obs::FrameJournalChunk(payload);  // LINT-EXPECT: journal-emit
+  const std::vector<unsigned char> payload;
+  util::BeginFrame(0x4e524a46, 1, payload.size(), writer);  // LINT-EXPECT: journal-emit
+  const auto framed = util::SealFrame(writer);  // LINT-EXPECT: journal-emit
   (void)framed;
 }
 
