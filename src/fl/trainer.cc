@@ -606,7 +606,6 @@ void Trainer::AggregationPhase(int epoch) {
     }
   }
 
-  double download_seconds = 0.0;
   if (commit) {
     // Ingest screening against the last aggregate: the non-finite gate
     // always runs (one NaN would brick the mean permanently); clipping and
@@ -647,7 +646,14 @@ void Trainer::AggregationPhase(int epoch) {
       events_.QuarantineTransition(epoch, t.client, static_cast<int>(t.from),
                                    static_cast<int>(t.to));
     }
+  }
+  // Inside this phase's span, where perfbench attributes an aggregation
+  // epoch's evaluation, and before the publish, so that its model copy is
+  // never alive beside both the old and the new aggregate block.
+  EvaluationPhase(epoch, /*aggregated=*/true);
 
+  double download_seconds = 0.0;
+  if (commit) {
     // Publish the (possibly refreshed) aggregate into the CoW store: one
     // deep copy + one flatten per aggregation, shared by every alias.
     store_.Publish(server_->global_model());
@@ -668,9 +674,6 @@ void Trainer::AggregationPhase(int epoch) {
   }
   // The clock charges upload and download as one sum.
   budget_.ConsumeTime(upload_seconds + download_seconds);
-  // Inside this phase's span: perfbench attributes the evaluation of an
-  // aggregation epoch to fl/aggregate.
-  EvaluationPhase(epoch, /*aggregated=*/true);
 }
 
 int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,

@@ -287,7 +287,7 @@ class Trainer {
   // Returns the weighted mean training loss.
   double LocalUpdatePhase(int epoch);
   // A quorum miss skips screening, aggregation, publish and distribution.
-  // The evaluation step runs last, inside this phase's span.
+  // The evaluation step runs inside this phase's span, before the publish.
   void AggregationPhase(int epoch);
   // Plans over the active clients' local index space, executes against the
   // real fleet; returns the number of moves.
