@@ -292,8 +292,9 @@ class Trainer {
   // Plans over the active clients' local index space, executes against the
   // real fleet; returns the number of moves.
   int MigrationPhase(int epoch, double loss);
-  // On evaluation epochs, measures the published aggregate after an
-  // aggregation and the virtual aggregate of the local models otherwise.
+  // On evaluation epochs, measures the server's global model on
+  // aggregation epochs and the virtual aggregate of the local models
+  // otherwise.
   void EvaluationPhase(int epoch, bool aggregated);
   void CloseEpoch(const EpochStart& start, double sim_after_update,
                   EpochRecord* record);
