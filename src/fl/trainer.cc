@@ -130,9 +130,11 @@ void PublishGrowth(const CounterSeries<S> (&table)[N], const S& before,
 
 // How many of the clients `ids` have their bit set in the K-long `bits`.
 int CountSet(const std::vector<int>& ids, const std::vector<bool>& bits) {
-  return static_cast<int>(
-      std::count_if(ids.begin(), ids.end(),
-                    [&bits](int i) { return bits[static_cast<size_t>(i)]; }));
+  int count = 0;
+  for (int i : ids) {
+    if (bits[static_cast<size_t>(i)]) ++count;
+  }
+  return count;
 }
 
 }  // namespace

@@ -213,6 +213,18 @@ TEST(TrainerTelemetryTest, SimSpansLandOnSimulatedTimeTracks) {
   EXPECT_GE(wall_spans, 6);
 }
 
+// True when `inner` lies within one of `outers` on the same thread.
+bool Inside(const obs::TraceEvent& inner,
+            const std::vector<obs::TraceEvent>& outers) {
+  for (const obs::TraceEvent& outer : outers) {
+    if (outer.tid == inner.tid && outer.start_us <= inner.start_us &&
+        inner.end_us <= outer.end_us) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // perfbench attributes an epoch's wall time to the top-level phase spans,
 // counting fl/evaluate as part of fl/aggregate on aggregation epochs and on
 // its own otherwise. So every phase span lies inside an fl/epoch span, and
@@ -230,40 +242,36 @@ TEST(TrainerTelemetryTest, EvaluationNestsInAggregateOnlyOnAggregationEpochs) {
   for (const obs::TraceEvent& e : recorder.ExportEvents()) {
     if (e.pid == 1 && !e.instant) spans[e.name].push_back(e);
   }
-  const auto inside = [](const obs::TraceEvent& inner,
-                         const std::vector<obs::TraceEvent>& outers) {
-    return std::any_of(outers.begin(), outers.end(), [&inner](auto& outer) {
-      return outer.tid == inner.tid && outer.start_us <= inner.start_us &&
-             inner.end_us <= outer.end_us;
-    });
-  };
   const std::vector<obs::TraceEvent>& epochs = spans["fl/epoch"];
+  const std::vector<obs::TraceEvent>& locals = spans["fl/local_update"];
   const std::vector<obs::TraceEvent>& aggregates = spans["fl/aggregate"];
   const std::vector<obs::TraceEvent>& migrations = spans["fl/migrate"];
+  const std::vector<obs::TraceEvent>& evaluations = spans["fl/evaluate"];
   ASSERT_EQ(epochs.size(), 4u);
+  ASSERT_EQ(locals.size(), 4u);
   ASSERT_EQ(aggregates.size(), 2u);
   ASSERT_EQ(migrations.size(), 2u);
-  ASSERT_EQ(spans["fl/local_update"].size(), 4u);
+  ASSERT_EQ(evaluations.size(), 4u);
   for (const char* phase : {"fl/local_update", "fl/aggregate", "fl/migrate"}) {
     for (const obs::TraceEvent& span : spans[phase]) {
-      EXPECT_TRUE(inside(span, epochs)) << phase << " outside every epoch";
+      EXPECT_TRUE(Inside(span, epochs)) << phase << " outside every epoch";
     }
   }
-  const std::vector<obs::TraceEvent>& evaluations = spans["fl/evaluate"];
-  ASSERT_EQ(evaluations.size(), 4u);
-  for (const obs::TraceEvent& evaluation : evaluations) {
-    ASSERT_TRUE(inside(evaluation, epochs));
-    const auto epoch = std::find_if(
-        epochs.begin(), epochs.end(), [&](const obs::TraceEvent& e) {
-          return inside(evaluation, {e});
-        });
-    const bool aggregation_epoch = std::any_of(
-        aggregates.begin(), aggregates.end(),
-        [&](const obs::TraceEvent& a) { return inside(a, {*epoch}); });
-    EXPECT_EQ(inside(evaluation, aggregates), aggregation_epoch);
-    EXPECT_FALSE(inside(evaluation, migrations));
-    EXPECT_FALSE(inside(evaluation, spans["fl/local_update"]));
+  int evaluated_epochs = 0;
+  for (const obs::TraceEvent& epoch : epochs) {
+    bool aggregated = false;
+    for (const obs::TraceEvent& aggregate : aggregates) {
+      aggregated = aggregated || Inside(aggregate, {epoch});
+    }
+    for (const obs::TraceEvent& evaluation : evaluations) {
+      if (!Inside(evaluation, {epoch})) continue;
+      ++evaluated_epochs;
+      EXPECT_EQ(Inside(evaluation, aggregates), aggregated);
+      EXPECT_FALSE(Inside(evaluation, migrations));
+      EXPECT_FALSE(Inside(evaluation, locals));
+    }
   }
+  EXPECT_EQ(evaluated_epochs, 4);
 }
 
 }  // namespace
