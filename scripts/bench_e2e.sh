@@ -25,10 +25,12 @@
 # (context, result) are kept under WORKDIR/raw/.
 #
 # The entry holds both commits, the change side's context line (host, CPU,
-# compiler, build type, thread widths), whether every run passed its output
-# checks, and for each workload and end-to-end metric of BENCHMARK.json the
-# per-pair values, median, quartiles and IQR of each side, the median's
-# relative change and how many pairs the change won.
+# compiler, build type, thread widths), for each side whether the host CPU
+# has avx512f and the FEDMIGR_GEMM_KERNEL value its runs saw (so the GEMM
+# kernel each side measured can be told), whether every run passed its
+# output checks, and for each workload and end-to-end metric of
+# BENCHMARK.json the per-pair values, median, quartiles and IQR of each
+# side, the median's relative change and how many pairs the change won.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -53,7 +55,7 @@ while [[ $# -gt 0 ]]; do
     --workdir) workdir="$2"; shift 2 ;;
     --out) out="$2"; shift 2 ;;
     --note) note="$2"; shift 2 ;;
-    -h|--help) sed -n '2,32p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,33p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "bench_e2e.sh: unknown option $1" >&2; exit 2 ;;
   esac
 done
@@ -81,9 +83,21 @@ export_tree "$change_sha" "$workdir/change"
 seconds_flag=()
 if [[ -n "$seconds" ]]; then seconds_flag=(--seconds "$seconds"); fi
 
+# The two facts that pick a side's GEMM kernel, as one JSON object.
+gemm_facts() {
+  local avx512f=false
+  if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then avx512f=true; fi
+  local kernel=null
+  if [[ -n "${FEDMIGR_GEMM_KERNEL+set}" ]]; then
+    kernel="\"$FEDMIGR_GEMM_KERNEL\""
+  fi
+  echo "{\"host_avx512f\": $avx512f, \"FEDMIGR_GEMM_KERNEL\": $kernel}"
+}
+
 run_side() {
   local side="$1" workload="$2" seed="$3"
   local log="$workdir/raw/$workload-s$seed-$side.jsonl"
+  gemm_facts > "$workdir/raw/$workload-s$seed-$side.gemm.json"
   (cd "$workdir/$side" &&
    python3 perfbench/run.py --workload "$workload" --seed "$seed" \
      --trace 0 "${seconds_flag[@]}" > "$log")
@@ -135,12 +149,24 @@ def summary(values):
             "iqr": q3 - q1}
 
 
+def gemm_facts(workload, seed, side):
+    path = os.path.join(raw_dir, "%s-s%d-%s.gemm.json" % (workload, seed, side))
+    with open(path) as handle:
+        return json.load(handle)
+
+
 context = None
 all_correct = True
 results = {}
+facts = {"parent": [], "change": []}
 for workload in workloads:
     runs = {side: [load(workload, seed, side) for seed in seeds]
             for side in ("parent", "change")}
+    for side in facts:
+        for seed in seeds:
+            fact = gemm_facts(workload, seed, side)
+            if fact not in facts[side]:
+                facts[side].append(fact)
     if context is None:
         context = runs["change"][0][0]
     for side in runs:
@@ -172,6 +198,9 @@ entry = {
         timespec="seconds"),
     "note": note,
     "context": context,
+    # One object per side when every run of it saw the same facts.
+    "gemm": {side: seen[0] if len(seen) == 1 else seen
+             for side, seen in facts.items()},
     "protocol": {
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0"
                    + (" --seconds " + seconds if seconds else ""),

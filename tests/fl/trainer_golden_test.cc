@@ -54,7 +54,7 @@ std::string Render(const RunResult& r) {
         f.aborted_transfers, f.fallbacks, f.corrupted, f.corrupt_rejected,
         f.dropped_stragglers, f.crash_epochs, f.crashes,
         f.partitioned_transfers, f.outage_transfers}) {
-    out += " " + std::to_string(v);
+    out.append(" ").append(std::to_string(v));
   }
   out += "\n";
   const RobustCounters& b = r.robust;
@@ -63,7 +63,7 @@ std::string Render(const RunResult& r) {
        {b.screened_updates, b.nonfinite_rejected, b.norm_clipped,
         b.norm_rejected, b.cosine_rejected, b.attacked_updates,
         b.quarantine_excluded, b.quarantines, b.rehabilitations}) {
-    out += " " + std::to_string(v);
+    out.append(" ").append(std::to_string(v));
   }
   out += "\n";
   const ChaosCounters& c = r.chaos;
@@ -72,7 +72,7 @@ std::string Render(const RunResult& r) {
        {c.migrations_planned, c.migrations_completed, c.migration_fallbacks,
         c.migrations_rolled_back, c.quorum_commits, c.quorum_misses,
         c.carryover_clients, c.churn_absences, c.churn_departures}) {
-    out += " " + std::to_string(v);
+    out.append(" ").append(std::to_string(v));
   }
   out += "\n";
   return out;
