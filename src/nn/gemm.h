@@ -1,32 +1,36 @@
 // Blocked, vectorized SGEMM — the kernel every dense and (via im2col)
 // convolution op in the NN substrate lowers onto.
 //
-// Scheme: C is cut into kMR x kNR (4 x 16) tiles; a register-tiled
+// Scheme: C is cut into tiles of 16 columns and the micro-kernel's rows (8
+// on AVX-512, 4 on AVX2 and the portable kernel); a register-tiled
 // micro-kernel computes each tile's full K reduction in one pass, reading
 // A through a (row, k) stride pair and B through a k stride. Rows of C are
 // split into kMC-row blocks, the intra-op parallel grain. Each operand is
 // read in place or packed by a shape rule: when m*k + k*n is small (every
-// zoo GEMM), full 4-row panels of A (transposed or not) and full 16-column
-// panels of a non-transposed B are read where they lie, and only edge
-// panels and transposed B are copied into packed panels (transposed B via
-// an 8x8 register transpose on AVX2). Larger GEMMs pack every panel. The
-// micro-kernel is portable C or AVX2+FMA intrinsics, chosen once at
-// startup by runtime CPU dispatch. SgemmSegments runs the same body with
-// the k range cut into segments: each tile runs one chain per segment,
-// in order, over panels packed once for the whole range.
+// zoo GEMM), full tile-row panels of A (transposed or not) and full
+// 16-column panels of a non-transposed B are read where they lie, and only
+// edge panels and transposed B are copied into packed panels (transposed B
+// via an 8x8 register transpose on AVX2). Larger GEMMs pack every panel.
+// The micro-kernel is AVX-512 (8x16), AVX2+FMA (4x16) or portable C (4x16),
+// chosen once at the first call by runtime CPU dispatch (GemmKernelName).
+// SgemmSegments runs the same body with the k range cut into segments:
+// each tile runs one chain per segment, in order, over panels packed once
+// for the whole range.
 //
 // Determinism contract: each element of C is one in-order chain over
 // k = 0..K-1, seeded from 0 (kOverwrite, kAddAfter) or from C (kSeedFromC),
-// each step a fused multiply-add on the AVX2+FMA kernel and a rounded
-// product then an add on the portable kernel; kAddAfter adds the finished
-// chain to C once. Packing only copies values, and no step depends on the
-// tiling, the packing decision, the thread count or which thread runs
-// which tile, so results are bit-identical across runs and intra-op thread
-// counts for a fixed kernel. GemmBitExactTest pins this chain byte for byte
-// against a scalar reference under both kernels. The portable kernel
+// each step a fused multiply-add on the AVX-512 and AVX2+FMA kernels and a
+// rounded product then an add on the portable kernel; kAddAfter adds the
+// finished chain to C once. Packing only copies values, and no step depends
+// on the tiling (so not on the tile height either), the packing decision,
+// the thread count or which thread runs which tile, so results are
+// bit-identical across runs and intra-op thread counts for a fixed byte
+// family: the two fused kernels write the same bytes, the portable kernel
+// its own. GemmBitExactTest and GemmTileSweepTest pin this chain byte for
+// byte against a scalar reference under every kernel. The portable kernel
 // reproduces the legacy scalar kernels' mul-then-add sequence (the build
-// sets -ffp-contract=off so that no compiler fuses it); the AVX2 path
-// fuses, so the two match only to within 1 ulp per multiply-add.
+// sets -ffp-contract=off so that no compiler fuses it); the fused kernels
+// match it only to within 1 ulp per multiply-add.
 // SgemmSegments keeps the contract per segment (see its declaration).
 
 #ifndef FEDMIGR_NN_GEMM_H_
@@ -70,7 +74,7 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
 //   C = (((C + P_0) + P_1) + ...),   P_s = op(A)·op(B) over segment s,
 // where each element of P_s is one in-order k-chain over its segment seeded
 // from 0, exactly as kAddAfter computes it, and C takes the P_s in segment
-// order. Contract: byte-equal, under either micro-kernel and at every
+// order. Contract: byte-equal, under every micro-kernel and at every
 // intra-op thread count, to one Sgemm(trans_a, trans_b, m, n, k_s, A_s, lda,
 // B_s, ldb, c, ldc, GemmAcc::kAddAfter) per segment, run in order, where
 // A_s and B_s are the operands' slices for the segment's k range
@@ -101,8 +105,10 @@ void IntraOpParallelRange(int64_t n, int64_t grain,
                           const std::function<void(int64_t, int64_t)>& fn);
 
 // Name of the micro-kernel runtime dispatch selected on this machine:
-// "avx2+fma" or "portable". Setting FEDMIGR_GEMM_KERNEL=portable forces
-// the portable path (bit-compatible with the legacy scalar kernels).
+// "avx512+fma", "avx2+fma" or "portable", the widest the CPU runs.
+// FEDMIGR_GEMM_KERNEL narrows it: "avx2" skips the AVX-512 kernel (same
+// bytes), "portable" forces the portable path (bit-compatible with the
+// legacy scalar kernels); any other non-empty value is a fatal error.
 const char* GemmKernelName();
 
 }  // namespace fedmigr::nn
