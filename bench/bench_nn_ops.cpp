@@ -4,9 +4,8 @@
 // that frames it, which bound how fast migrations and snapshots can be
 // simulated.
 //
-// items_per_second reports FLOP/s (2 flops per multiply-accumulate).
-// The *Threads variants exercise the intra-op ParallelForRange splitting
-// and report wall-clock time.
+// items_per_second reports FLOP/s (2 flops per multiply-accumulate). Every
+// kernel runs serially on the benchmark's thread.
 // scripts/bench_nn_ops.sh runs this binary and records BENCH_nn_ops.json at
 // the repo root so the perf trajectory is tracked PR over PR.
 
@@ -36,23 +35,10 @@ nn::Tensor RandomTensor(nn::Shape shape, uint64_t seed) {
   return t;
 }
 
-// Pins the intra-op width for the duration of one benchmark.
-class IntraOpGuard {
- public:
-  explicit IntraOpGuard(int threads) : old_(nn::GetIntraOpThreads()) {
-    nn::SetIntraOpThreads(threads);
-  }
-  ~IntraOpGuard() { nn::SetIntraOpThreads(old_); }
-
- private:
-  int old_;
-};
-
 // ------------------------------------------------------------------ GEMM --
 
 void BM_MatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  IntraOpGuard guard(1);
   const nn::Tensor a = RandomTensor({n, n}, 1);
   const nn::Tensor b = RandomTensor({n, n}, 2);
   for (auto _ : state) {
@@ -65,7 +51,6 @@ BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_MatMulTransB(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  IntraOpGuard guard(1);
   const nn::Tensor a = RandomTensor({n, n}, 1);
   const nn::Tensor b = RandomTensor({n, n}, 2);
   for (auto _ : state) {
@@ -103,7 +88,6 @@ constexpr ZooGemm kZooGemms[] = {
 void BM_SgemmZooShapes(benchmark::State& state) {
   const ZooGemm& g = kZooGemms[state.range(0)];
   state.SetLabel(g.label);
-  IntraOpGuard guard(1);
   const int lda = g.trans_a ? g.m : g.k;
   const int ldb = g.trans_b ? g.k : g.n;
   const nn::Tensor a = RandomTensor({g.m, g.k}, 3);
@@ -148,7 +132,6 @@ struct SegmentedDw {
 
 void BM_SgemmSegments(benchmark::State& state) {
   SegmentedDw g(state.range(0));
-  IntraOpGuard guard(1);
   for (auto _ : state) {
     nn::SgemmSegments(true, false, g.out, g.in, g.ends, g.grad_output.data(),
                       g.out, g.input.data(), g.in, g.grad_weights.data(),
@@ -161,7 +144,6 @@ BENCHMARK(BM_SgemmSegments)->DenseRange(0, 1);
 
 void BM_SgemmSegmentLoop(benchmark::State& state) {
   SegmentedDw g(state.range(0));
-  IntraOpGuard guard(1);
   for (auto _ : state) {
     int k0 = 0;
     for (int k1 : g.ends) {
@@ -176,24 +158,6 @@ void BM_SgemmSegmentLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.Flops());
 }
 BENCHMARK(BM_SgemmSegmentLoop)->DenseRange(0, 1);
-
-// Intra-op scaling: row-panels of the 512x512 product split across the
-// pool (grain 64 -> 8 chunks).
-void BM_MatMulThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  IntraOpGuard guard(threads);
-  const int n = 512;
-  const nn::Tensor a = RandomTensor({n, n}, 1);
-  const nn::Tensor b = RandomTensor({n, n}, 2);
-  for (auto _ : state) {
-    nn::Tensor c = nn::MatMul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
-}
-// Wall-clock (real) time: the pool workers' CPU time is not charged to the
-// main thread, so CPU time would overstate the threaded throughput.
-BENCHMARK(BM_MatMulThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // ------------------------------------------------------------------ conv --
 // The two conv layers of the zoo C10/C100 CNN: 3->8 on 8x8 and 8->16 on
@@ -212,7 +176,6 @@ int64_t ConvForwardFlops(int batch, const ConvShape& s) {
 void BM_Conv2dForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const ConvShape shape = kZooConv[static_cast<size_t>(state.range(1))];
-  IntraOpGuard guard(1);
   const nn::Tensor input =
       RandomTensor({batch, shape.cin, shape.hw, shape.hw}, 3);
   const nn::Tensor kernel = RandomTensor({shape.cout, shape.cin, 5, 5}, 4);
@@ -231,7 +194,6 @@ BENCHMARK(BM_Conv2dForward)
 void BM_Conv2dBackward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const ConvShape shape = kZooConv[static_cast<size_t>(state.range(1))];
-  IntraOpGuard guard(1);
   const nn::Tensor input =
       RandomTensor({batch, shape.cin, shape.hw, shape.hw}, 6);
   const nn::Tensor kernel = RandomTensor({shape.cout, shape.cin, 5, 5}, 7);
@@ -252,54 +214,11 @@ BENCHMARK(BM_Conv2dBackward)
     ->ArgsProduct({{1, 16, 64}, {0, 1}})
     ->ArgNames({"batch", "layer"});
 
-// Intra-op scaling for conv: one image per chunk across the batch.
-void BM_Conv2dForwardThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  IntraOpGuard guard(threads);
-  const int batch = 64;
-  const ConvShape shape = kZooConv[0];
-  const nn::Tensor input =
-      RandomTensor({batch, shape.cin, shape.hw, shape.hw}, 3);
-  const nn::Tensor kernel = RandomTensor({shape.cout, shape.cin, 5, 5}, 4);
-  const nn::Tensor bias = RandomTensor({shape.cout}, 5);
-  for (auto _ : state) {
-    nn::Tensor out = nn::Conv2dForward(input, kernel, bias, 2);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * ConvForwardFlops(batch, shape));
-}
-BENCHMARK(BM_Conv2dForwardThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// The backward pass splits the input gradient across the pool but runs the
-// kernel gradient in image order (one fixed reduction tree), so it scales
-// less than the forward pass; these rows record that trade.
-void BM_Conv2dBackwardThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  IntraOpGuard guard(threads);
-  const int batch = 64;
-  const ConvShape shape = kZooConv[0];
-  const nn::Tensor input =
-      RandomTensor({batch, shape.cin, shape.hw, shape.hw}, 6);
-  const nn::Tensor kernel = RandomTensor({shape.cout, shape.cin, 5, 5}, 7);
-  const nn::Tensor bias = RandomTensor({shape.cout}, 8);
-  const nn::Tensor grad = nn::Conv2dForward(input, kernel, bias, 2);
-  for (auto _ : state) {
-    nn::Tensor grad_input, grad_kernel, grad_bias;
-    nn::Conv2dBackward(input, kernel, 2, grad, &grad_input, &grad_kernel,
-                       &grad_bias);
-    benchmark::DoNotOptimize(grad_input.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 *
-                          ConvForwardFlops(batch, shape));
-}
-BENCHMARK(BM_Conv2dBackwardThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 // One Conv2D layer's share of a local-update step at batch 16: a training
 // Forward, which keeps the batch's columns in the thread's column
 // workspace, then BackwardParams, which reads them for the kernel gradient.
 void BM_Conv2dLayerTrainStep(benchmark::State& state) {
   const ConvShape shape = kZooConv[static_cast<size_t>(state.range(0))];
-  IntraOpGuard guard(1);
   util::Rng rng(15);
   nn::Conv2D layer(shape.cin, shape.cout, 5, 2, &rng);
   const nn::Tensor input = RandomTensor({16, shape.cin, shape.hw, shape.hw}, 16);
@@ -346,7 +265,6 @@ BENCHMARK(BM_ReLUBackward);
 // ------------------------------------------------------------ end to end --
 
 void BM_C10NetForward(benchmark::State& state) {
-  IntraOpGuard guard(1);
   util::Rng rng(9);
   nn::Sequential model = nn::MakeC10Net(&rng);
   const nn::Tensor batch = RandomTensor({16, 3, 8, 8}, 10);
@@ -361,7 +279,6 @@ BENCHMARK(BM_C10NetForward);
 // cross-entropy and the parameters-only backward fl::Client runs (the
 // optimizer step is excluded).
 void BM_C10NetTrainStep(benchmark::State& state) {
-  IntraOpGuard guard(1);
   util::Rng rng(9);
   nn::Sequential model = nn::MakeC10Net(&rng);
   const nn::Tensor batch = RandomTensor({16, 3, 8, 8}, 10);

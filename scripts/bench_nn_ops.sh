@@ -6,10 +6,8 @@
 #
 # The build dir defaults to ./build and must already contain a compiled
 # bench/bench_nn_ops (cmake -B build -S . && cmake --build build -j).
-# Environment knobs the binary honors:
+# Environment knob the binary honors:
 #   FEDMIGR_GEMM_KERNEL=portable   force the scalar micro-kernel
-#   FEDMIGR_INTRA_OP_THREADS=N     default intra-op width (benchmarks that
-#                                  pin their own width override this)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

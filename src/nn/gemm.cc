@@ -4,8 +4,6 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -20,7 +18,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace fedmigr::nn {
 
@@ -29,25 +26,6 @@ namespace {
 constexpr int kMR = 4;     // portable and AVX2 micro-tile rows
 constexpr int kMaxMR = 8;  // AVX-512 micro-tile rows, the tallest tile
 constexpr int kNR = 16;    // micro-tile cols (one zmm or two ymm vectors)
-constexpr int kMC = 64;    // row-panel height: parallel grain, multiple of
-                           // every tile's rows
-
-// ---------------------------------------------------------- intra-op pool --
-
-std::mutex g_pool_mutex;
-int g_intra_op_threads = 0;  // 0 = unset; resolved from env on first use
-std::unique_ptr<util::ThreadPool> g_pool;
-
-int ResolveThreadsLocked() {
-  if (g_intra_op_threads == 0) {
-    int threads = 1;
-    if (const char* env = std::getenv("FEDMIGR_INTRA_OP_THREADS")) {
-      threads = std::max(1, std::atoi(env));
-    }
-    g_intra_op_threads = threads;
-  }
-  return g_intra_op_threads;
-}
 
 // -------------------------------------------------------------- telemetry --
 
@@ -418,46 +396,7 @@ void PackBPanel(const KernelChoice& kernel, const float* b, int ldb,
 
 }  // namespace
 
-void SetIntraOpThreads(int num_threads) {
-  FEDMIGR_CHECK_GT(num_threads, 0);
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (num_threads == g_intra_op_threads) return;
-  g_intra_op_threads = num_threads;
-  g_pool.reset();  // rebuilt lazily at the new width
-}
-
-int GetIntraOpThreads() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  return ResolveThreadsLocked();
-}
-
-void IntraOpParallelRange(int64_t n, int64_t grain,
-                          const std::function<void(int64_t, int64_t)>& fn) {
-  if (n <= 0) return;
-  if (grain < 1) grain = 1;
-  util::ThreadPool* pool = nullptr;
-  // Inside any pool worker the kernels run inline: the inter-client level
-  // already owns the parallelism, and blocking a worker on another pool's
-  // Wait() would at best oversubscribe and at worst (same pool) deadlock.
-  if (n > grain && !util::ThreadPool::InWorkerThread()) {
-    std::lock_guard<std::mutex> lock(g_pool_mutex);
-    if (ResolveThreadsLocked() > 1) {
-      if (g_pool == nullptr) {
-        g_pool = std::make_unique<util::ThreadPool>(g_intra_op_threads);
-      }
-      pool = g_pool.get();
-    }
-  }
-  if (pool != nullptr) {
-    pool->ParallelForRange(n, grain, fn);
-    return;
-  }
-  const int64_t num_chunks = (n + grain - 1) / grain;
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const int64_t begin = c * grain;
-    fn(begin, std::min(n, begin + grain));
-  }
-}
+int GetIntraOpThreads() { return 1; }
 
 const char* GemmKernelName() { return MicroKernel().name; }
 
@@ -467,10 +406,10 @@ namespace {
 // over each k range that k_ends cuts (non-decreasing, a positive total), in
 // turn; more than one segment takes kAddAfter. Tiles are the outer loops
 // and segments the inner one, so the per-call work (telemetry, scratch, the
-// packing, the row split) is paid once however many segments there are.
-// Packing covers the whole k range, and a segment's chain reads its own
-// rows of the panels; each element of C is still one k-chain per segment,
-// added in segment order, whatever the tiling, packing or thread count.
+// packing) is paid once however many segments there are. Packing covers the
+// whole k range, and a segment's chain reads its own rows of the panels;
+// each element of C is still one k-chain per segment, added in segment
+// order, whatever the tiling or packing.
 // KEnds is std::array<int, 1> for Sgemm, so its one-segment loops compile
 // away, or a span of segment ends.
 template <class KEnds>
@@ -514,64 +453,58 @@ void GemmOverSegments(bool trans_a, bool trans_b, int m, int n,
                k, bp + static_cast<int64_t>(np) * k * kNR);
   }
 
-  // Row-blocks of kMC rows are the unit of parallelism. Each element of C
-  // is computed by one tile, so neither the block split nor the choice to
-  // pack can change a bit.
+  // Each element of C is computed by one tile, so the choice to pack cannot
+  // change a bit.
   const int tile_rows = kernel.mr;
-  IntraOpParallelRange(m, kMC, [&](int64_t row_begin, int64_t row_end) {
-    ScratchArena::Scope block_scope;
-    float* ap = ScratchArena::ThreadLocal().AllocFloats(
-        static_cast<int64_t>(k) * tile_rows);
-    // Edge tiles (fewer than tile_rows rows or kNR columns of C) run
-    // through this buffer, since a micro-kernel always covers a full tile.
-    alignas(64) float tile[kMaxMR * kNR] = {};
-    for (int i0 = static_cast<int>(row_begin); i0 < row_end;
-         i0 += tile_rows) {
-      const int mr = std::min(tile_rows, static_cast<int>(row_end) - i0);
-      const float* a_panel = ap;
-      int a_row_stride = 1, a_k_stride = tile_rows;
-      if (in_place && mr == tile_rows) {
-        a_panel = trans_a ? a + i0 : a + static_cast<int64_t>(i0) * lda;
-        a_row_stride = trans_a ? 1 : lda;
-        a_k_stride = trans_a ? lda : 1;
-      } else {
-        PackAPanel(a, lda, trans_a, i0, mr, tile_rows, k, ap);
-      }
-      for (int np = 0; np < n_panels; ++np) {
-        const int j0 = np * kNR;
-        const int nr = std::min(kNR, n - j0);
-        const bool b_direct = b_in_place(np);
-        const float* b_panel =
-            b_direct ? b + j0 : bp + static_cast<int64_t>(np) * k * kNR;
-        const int b_k_stride = b_direct ? ldb : kNR;
-        float* c_tile = c + static_cast<int64_t>(i0) * ldc + j0;
-        const bool full = mr == tile_rows && nr == kNR;
-        float* out = full ? c_tile : tile;
-        const int ld_out = full ? ldc : kNR;
-        if (!full && acc != GemmAcc::kOverwrite) {
-          for (int r = 0; r < mr; ++r) {
-            std::memcpy(tile + r * kNR, c_tile + static_cast<int64_t>(r) * ldc,
-                        static_cast<size_t>(nr) * sizeof(float));
-          }
-        }
-        for (int k0 = 0; const int k1 : k_ends) {
-          if (k1 > k0) {
-            kernel.micro(k1 - k0,
-                         a_panel + static_cast<int64_t>(k0) * a_k_stride,
-                         a_row_stride, a_k_stride,
-                         b_panel + static_cast<int64_t>(k0) * b_k_stride,
-                         b_k_stride, out, ld_out, acc);
-          }
-          k0 = k1;
-        }
-        if (full) continue;
+  float* ap = ScratchArena::ThreadLocal().AllocFloats(
+      static_cast<int64_t>(k) * tile_rows);
+  // Edge tiles (fewer than tile_rows rows or kNR columns of C) run through
+  // this buffer, since a micro-kernel always covers a full tile.
+  alignas(64) float tile[kMaxMR * kNR] = {};
+  for (int i0 = 0; i0 < m; i0 += tile_rows) {
+    const int mr = std::min(tile_rows, m - i0);
+    const float* a_panel = ap;
+    int a_row_stride = 1, a_k_stride = tile_rows;
+    if (in_place && mr == tile_rows) {
+      a_panel = trans_a ? a + i0 : a + static_cast<int64_t>(i0) * lda;
+      a_row_stride = trans_a ? 1 : lda;
+      a_k_stride = trans_a ? lda : 1;
+    } else {
+      PackAPanel(a, lda, trans_a, i0, mr, tile_rows, k, ap);
+    }
+    for (int np = 0; np < n_panels; ++np) {
+      const int j0 = np * kNR;
+      const int nr = std::min(kNR, n - j0);
+      const bool b_direct = b_in_place(np);
+      const float* b_panel =
+          b_direct ? b + j0 : bp + static_cast<int64_t>(np) * k * kNR;
+      const int b_k_stride = b_direct ? ldb : kNR;
+      float* c_tile = c + static_cast<int64_t>(i0) * ldc + j0;
+      const bool full = mr == tile_rows && nr == kNR;
+      float* out = full ? c_tile : tile;
+      const int ld_out = full ? ldc : kNR;
+      if (!full && acc != GemmAcc::kOverwrite) {
         for (int r = 0; r < mr; ++r) {
-          std::memcpy(c_tile + static_cast<int64_t>(r) * ldc, tile + r * kNR,
+          std::memcpy(tile + r * kNR, c_tile + static_cast<int64_t>(r) * ldc,
                       static_cast<size_t>(nr) * sizeof(float));
         }
       }
+      for (int k0 = 0; const int k1 : k_ends) {
+        if (k1 > k0) {
+          kernel.micro(k1 - k0, a_panel + static_cast<int64_t>(k0) * a_k_stride,
+                       a_row_stride, a_k_stride,
+                       b_panel + static_cast<int64_t>(k0) * b_k_stride,
+                       b_k_stride, out, ld_out, acc);
+        }
+        k0 = k1;
+      }
+      if (full) continue;
+      for (int r = 0; r < mr; ++r) {
+        std::memcpy(c_tile + static_cast<int64_t>(r) * ldc, tile + r * kNR,
+                    static_cast<size_t>(nr) * sizeof(float));
+      }
     }
-  });
+  }
 
   if (start_ns != 0) {
     static obs::Histogram* gemm_ms = obs::Registry::Default().GetHistogram(

@@ -228,30 +228,27 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& kernel,
   const int64_t plane_size =
       static_cast<int64_t>(cin) * (h + 2 * pad) * (w + 2 * pad);
 
-  // One image per parallel chunk; images are independent, so any split of
-  // the batch yields bit-identical outputs.
-  IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
-    ScratchArena::Scope scope;
-    ScratchArena& arena = ScratchArena::ThreadLocal();
-    float* scratch_cols =
-        columns == nullptr ? arena.AllocFloats(cols_img) : nullptr;
-    float* plane = arena.AllocFloats(plane_size);
-    std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
-    for (int64_t img = img_begin; img < img_end; ++img) {
-      float* cols = columns != nullptr ? columns + img * cols_img
-                                       : scratch_cols;
-      Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane, cols);
-      float* out_n = out + img * out_img;
-      // Pre-fill with the bias and let the GEMM accumulate on top of it
-      // (kSeedFromC), matching the legacy kernel's bias-first reduction.
-      for (int oc = 0; oc < cout; ++oc) {
-        std::fill(out_n + static_cast<int64_t>(oc) * ohw,
-                  out_n + static_cast<int64_t>(oc + 1) * ohw, bias_p[oc]);
-      }
-      Sgemm(false, false, cout, ohw, kcols, ker, kcols, cols, ohw, out_n, ohw,
-            GemmAcc::kSeedFromC);
+  // One scratch set and one zeroing for the batch: Im2col writes only the
+  // plane's interior, so the zero border serves every image.
+  ScratchArena::Scope scope;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  float* scratch_cols =
+      columns == nullptr ? arena.AllocFloats(cols_img) : nullptr;
+  float* plane = arena.AllocFloats(plane_size);
+  std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
+  for (int64_t img = 0; img < batch; ++img) {
+    float* cols = columns != nullptr ? columns + img * cols_img : scratch_cols;
+    Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane, cols);
+    float* out_n = out + img * out_img;
+    // Pre-fill with the bias and let the GEMM accumulate on top of it
+    // (kSeedFromC), matching the legacy kernel's bias-first reduction.
+    for (int oc = 0; oc < cout; ++oc) {
+      std::fill(out_n + static_cast<int64_t>(oc) * ohw,
+                out_n + static_cast<int64_t>(oc + 1) * ohw, bias_p[oc]);
     }
-  });
+    Sgemm(false, false, cout, ohw, kcols, ker, kcols, cols, ohw, out_n, ohw,
+          GemmAcc::kSeedFromC);
+  }
   return output;
 }
 
@@ -319,31 +316,27 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
       static_cast<int64_t>(cin) * (h + 2 * pad) * (w + 2 * pad);
 
   // Input gradient, unless the caller drops it: dcols = K^T (kcols x cout)
-  // · dY_img (cout x ohw), then scattered back into this image's (disjoint)
-  // slice of grad_input. Images are independent, so any split of the batch
-  // is bit-identical.
+  // · dY_img (cout x ohw), then scattered back into this image's slice of
+  // grad_input. Col2im zeroes the plane itself.
   if (grad_input != nullptr) {
     float* gin = grad_input->data();
-    IntraOpParallelRange(batch, 1, [&](int64_t img_begin, int64_t img_end) {
-      ScratchArena::Scope scope;
-      ScratchArena& arena = ScratchArena::ThreadLocal();
-      float* cols_grad = arena.AllocFloats(cols_img);
-      float* plane = arena.AllocFloats(plane_size);
-      for (int64_t img = img_begin; img < img_end; ++img) {
-        Sgemm(true, false, kcols, ohw, cout, ker, kcols, go + img * out_img,
-              ohw, cols_grad, ohw, GemmAcc::kOverwrite);
-        Col2im(cols_grad, cin, h, w, kh, kw, pad, oh, ow, plane,
-               gin + img * in_img);
-      }
-    });
+    ScratchArena::Scope scope;
+    ScratchArena& arena = ScratchArena::ThreadLocal();
+    float* cols_grad = arena.AllocFloats(cols_img);
+    float* plane = arena.AllocFloats(plane_size);
+    for (int64_t img = 0; img < batch; ++img) {
+      Sgemm(true, false, kcols, ohw, cout, ker, kcols, go + img * out_img, ohw,
+            cols_grad, ohw, GemmAcc::kOverwrite);
+      Col2im(cols_grad, cin, h, w, kh, kw, pad, oh, ow, plane,
+             gin + img * in_img);
+    }
   }
 
   // Kernel gradient, in image order: each dK_img = dY_img (cout x ohw) ·
   // cols_img^T (ohw x kcols) is reduced in registers and then added into
-  // grad_kernel (kAddAfter), giving the fixed tree ((0 + P_0) + P_1) + ...
-  // whatever the thread count. The columns are the forward's when the
-  // caller kept them, else each image is lowered again; both are the same
-  // bytes.
+  // grad_kernel (kAddAfter), giving the fixed tree ((0 + P_0) + P_1) + ...;
+  // the columns are the forward's when the caller kept them, else each
+  // image is lowered again, and both are the same bytes.
   ScratchArena::Scope scope;
   ScratchArena& arena = ScratchArena::ThreadLocal();
   float* lowered = nullptr;

@@ -87,35 +87,6 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   Wait();
 }
 
-void ThreadPool::ParallelForRange(
-    int64_t n, int64_t grain, const std::function<void(int64_t, int64_t)>& fn) {
-  if (n <= 0) return;
-  if (grain < 1) grain = 1;
-  const int64_t num_chunks = (n + grain - 1) / grain;
-  // Inline path walks the same chunk sequence as the dispatched path so
-  // callers observe identical (begin, end) spans either way.
-  if (num_chunks == 1 || num_threads() == 1 || InWorkerThread()) {
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      const int64_t begin = c * grain;
-      fn(begin, std::min(n, begin + grain));
-    }
-    return;
-  }
-  std::atomic<int64_t> next{0};
-  const int tasks = static_cast<int>(
-      std::min<int64_t>(num_chunks, num_threads()));
-  for (int t = 0; t < tasks; ++t) {
-    Submit([&next, n, grain, num_chunks, &fn] {
-      for (int64_t c = next.fetch_add(1); c < num_chunks;
-           c = next.fetch_add(1)) {
-        const int64_t begin = c * grain;
-        fn(begin, std::min(n, begin + grain));
-      }
-    });
-  }
-  Wait();
-}
-
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
   for (;;) {

@@ -4,7 +4,6 @@
 #define FEDMIGR_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -28,12 +27,12 @@ namespace fedmigr::util {
 // back out, so the exception object is only ever touched by one thread at
 // a time (the TSan-verified ownership handoff; see WorkerLoop).
 //
-// Nesting: ParallelFor / ParallelForRange called from inside any pool
-// worker (this pool or another) run their body inline on the calling
-// thread instead of dispatching. Dispatching from a worker of the same
-// pool would deadlock (Wait() can never see the caller's own task retire),
-// and dispatching from a worker of another pool would oversubscribe; both
-// collapse to sequential execution with identical results.
+// Nesting: ParallelFor called from inside any pool worker (this pool or
+// another) runs its body inline on the calling thread instead of
+// dispatching. Dispatching from a worker of the same pool would deadlock
+// (Wait() can never see the caller's own task retire), and dispatching from
+// a worker of another pool would oversubscribe; both collapse to sequential
+// execution with identical results.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -47,16 +46,6 @@ class ThreadPool {
 
   // Runs fn(i) for i in [0, n) across the pool and waits for completion.
   void ParallelFor(int n, const std::function<void(int)>& fn);
-
-  // Runs fn(begin, end) over the fixed chunking of [0, n) into grain-sized
-  // ranges ([0,grain), [grain,2*grain), ...) and waits for completion. The
-  // chunk boundaries depend only on n and grain — never on the number of
-  // threads or on which thread claims which chunk — so a kernel whose
-  // per-element results are a pure function of its (begin, end) chunk is
-  // bit-identical at any thread count (the intra-op determinism contract;
-  // see DESIGN.md).
-  void ParallelForRange(int64_t n, int64_t grain,
-                        const std::function<void(int64_t, int64_t)>& fn);
 
   // True when the calling thread is a worker of *any* ThreadPool.
   static bool InWorkerThread();

@@ -1,5 +1,5 @@
-// Trainer-level flight-recorder contracts: the journal is byte-identical
-// across FEDMIGR_INTRA_OP_THREADS settings and inter-client pool widths, a
+// Trainer-level flight-recorder contracts: the journal and the serialized
+// state are byte-identical across inter-client pool widths, a
 // kill-anywhere resume replays to a byte-equal journal (including over a
 // torn tail), the recorded lineage forms an acyclic DAG whose hops only
 // reference minted blocks, a quarantined client's lineage terminates (no
@@ -26,7 +26,6 @@
 #include "golden_fleets.h"
 #include "net/sim_topologies.h"
 #include "net/topology.h"
-#include "nn/gemm.h"
 #include "nn/zoo.h"
 #include "obs/journal.h"
 #include "util/file.h"
@@ -98,19 +97,7 @@ std::vector<uint8_t> RunWithMemoryJournal(TinyWorkload* w, SchemeSetup setup) {
   return journal.memory_image();
 }
 
-class IntraOpThreadsGuard {
- public:
-  IntraOpThreadsGuard() : saved_(nn::GetIntraOpThreads()) {}
-  ~IntraOpThreadsGuard() { nn::SetIntraOpThreads(saved_); }
-
- private:
-  int saved_;
-};
-
 TEST(TrainerJournalTest, JournalBytesIdenticalAcrossThreadSettings) {
-  IntraOpThreadsGuard guard;
-
-  nn::SetIntraOpThreads(1);
   SchemeSetup reference_setup = EventfulScheme();
   reference_setup.config.num_threads = 2;
   TinyWorkload w;
@@ -118,17 +105,6 @@ TEST(TrainerJournalTest, JournalBytesIdenticalAcrossThreadSettings) {
       RunWithMemoryJournal(&w, std::move(reference_setup));
   ASSERT_FALSE(reference.empty());
 
-  for (int intra_op : {2, 8}) {
-    nn::SetIntraOpThreads(intra_op);
-    SchemeSetup setup = EventfulScheme();
-    setup.config.num_threads = 2;
-    TinyWorkload twin;
-    const std::vector<uint8_t> got =
-        RunWithMemoryJournal(&twin, std::move(setup));
-    EXPECT_EQ(got, reference) << "intra_op=" << intra_op;
-  }
-
-  nn::SetIntraOpThreads(2);
   for (int pool : {1, 4}) {
     SchemeSetup setup = EventfulScheme();
     setup.config.num_threads = pool;
@@ -137,6 +113,28 @@ TEST(TrainerJournalTest, JournalBytesIdenticalAcrossThreadSettings) {
         RunWithMemoryJournal(&twin, std::move(setup));
     EXPECT_EQ(got, reference) << "pool=" << pool;
   }
+}
+
+// A full-participation run's serialized state, with client updates on the
+// inter-client pool and evaluation on the main thread, is the same bytes at
+// pool widths 1 and 4. The kill-and-resume harness and every
+// FedMigr-vs-FedAvg comparison rest on it; under the `tsan` preset it is
+// the race gate for the trainer's pool.
+TEST(TrainerPoolWidthTest, StateBytesIdenticalAcrossInterClientPoolWidths) {
+  auto run = [](int num_threads) {
+    SchemeSetup setup = MakeRandMigr(/*agg_period=*/2);
+    setup.config.max_epochs = 4;
+    setup.config.eval_every = 2;
+    setup.config.seed = 42;
+    setup.config.num_threads = num_threads;
+    TinyWorkload w;
+    Trainer trainer = w.MakeTrainer(std::move(setup));
+    EXPECT_FALSE(trainer.Run().interrupted);
+    return StateBytes(trainer);
+  };
+  const std::vector<uint8_t> one = run(1);
+  ASSERT_FALSE(one.empty());
+  EXPECT_EQ(one, run(4));
 }
 
 TEST(TrainerJournalTest, KillAnywhereResumeReplaysToByteEqualJournal) {

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/gemm.h"
 #include "nn/layers.h"
 #include "nn/sequential.h"
 #include "nn/zoo.h"
@@ -69,8 +68,6 @@ TEST_P(SegmentedBackwardTest, MatchesOneBackwardPerSegment) {
   const Tensor input = RandomTensor({rows, kAgentDims.front()}, &rng);
   const Tensor grad_output = RandomTensor({rows, 1}, &rng);
 
-  const int original = GetIntraOpThreads();
-  SetIntraOpThreads(1);
   // Reference: a forward and a backward per segment, gradients
   // accumulating across them in segment order.
   Sequential reference = model;
@@ -83,36 +80,31 @@ TEST_P(SegmentedBackwardTest, MatchesOneBackwardPerSegment) {
     begin = ends[s];
   }
 
-  for (int threads : {1, 2, 8}) {
-    SetIntraOpThreads(threads);
-    for (bool params_only : {false, true}) {
-      Sequential got = model;
-      got.ZeroGrads();
-      got.Forward(input, /*training=*/true);
-      Tensor input_grad;
-      if (params_only) {
-        got.BackwardParams(grad_output, ends);
-      } else {
-        input_grad = got.Backward(grad_output, ends);
-      }
-      const auto want_grads = reference.Grads();
-      const auto got_grads = got.Grads();
-      ASSERT_EQ(got_grads.size(), want_grads.size());
-      for (size_t i = 0; i < got_grads.size(); ++i) {
-        EXPECT_TRUE(SameBytes(*got_grads[i], *want_grads[i]))
-            << "gradient " << i << " threads " << threads << " params_only "
-            << params_only;
-      }
-      if (params_only) continue;
-      for (int s = 0, begin = 0; s < static_cast<int>(ends.size()); ++s) {
-        EXPECT_TRUE(
-            SameBytes(Rows(input_grad, begin, ends[s]), want_input_grads[s]))
-            << "input gradient of segment " << s << " threads " << threads;
-        begin = ends[s];
-      }
+  for (bool params_only : {false, true}) {
+    Sequential got = model;
+    got.ZeroGrads();
+    got.Forward(input, /*training=*/true);
+    Tensor input_grad;
+    if (params_only) {
+      got.BackwardParams(grad_output, ends);
+    } else {
+      input_grad = got.Backward(grad_output, ends);
+    }
+    const auto want_grads = reference.Grads();
+    const auto got_grads = got.Grads();
+    ASSERT_EQ(got_grads.size(), want_grads.size());
+    for (size_t i = 0; i < got_grads.size(); ++i) {
+      EXPECT_TRUE(SameBytes(*got_grads[i], *want_grads[i]))
+          << "gradient " << i << " params_only " << params_only;
+    }
+    if (params_only) continue;
+    for (int s = 0, begin = 0; s < static_cast<int>(ends.size()); ++s) {
+      EXPECT_TRUE(
+          SameBytes(Rows(input_grad, begin, ends[s]), want_input_grads[s]))
+          << "input gradient of segment " << s;
+      begin = ends[s];
     }
   }
-  SetIntraOpThreads(original);
 }
 
 // One-row samples (the critic), ragged candidate sets (the actor) and a

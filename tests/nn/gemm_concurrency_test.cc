@@ -1,8 +1,6 @@
 // Concurrency tests for the GEMM kernel layer: thread-local scratch arenas
-// under simultaneous Sgemm calls, the shared intra-op pool driven from
-// several external threads at once, and the bit-identical-across-thread-
-// counts contract exercised while other GEMMs are in flight. Designed as a
-// ThreadSanitizer workload for the `tsan` preset.
+// under simultaneous Sgemm calls from raw threads and from pool workers.
+// Designed as a ThreadSanitizer workload for the `tsan` preset.
 
 #include "nn/gemm.h"
 
@@ -36,18 +34,7 @@ std::vector<float> SerialGemm(int m, int n, int k,
   return c;
 }
 
-class IntraOpThreadsGuard {
- public:
-  IntraOpThreadsGuard() : saved_(GetIntraOpThreads()) {}
-  ~IntraOpThreadsGuard() { SetIntraOpThreads(saved_); }
-
- private:
-  int saved_;
-};
-
 TEST(GemmConcurrencyTest, ConcurrentCallsFromRawThreadsMatchSerial) {
-  IntraOpThreadsGuard guard;
-  SetIntraOpThreads(2);  // every caller contends for the shared intra-op pool
   constexpr int kThreads = 4;
   constexpr int kM = 96, kN = 80, kK = 64;
 
@@ -55,14 +42,7 @@ TEST(GemmConcurrencyTest, ConcurrentCallsFromRawThreadsMatchSerial) {
   for (int t = 0; t < kThreads; ++t) {
     as.push_back(RandomMatrix(kM, kK, 100 + t));
     bs.push_back(RandomMatrix(kK, kN, 200 + t));
-  }
-  {
-    // References computed serially (single intra-op thread) first.
-    IntraOpThreadsGuard inner;
-    SetIntraOpThreads(1);
-    for (int t = 0; t < kThreads; ++t) {
-      expected.push_back(SerialGemm(kM, kN, kK, as[t], bs[t]));
-    }
+    expected.push_back(SerialGemm(kM, kN, kK, as[t], bs[t]));
   }
 
   std::vector<std::vector<float>> results(kThreads);
@@ -84,63 +64,6 @@ TEST(GemmConcurrencyTest, ConcurrentCallsFromRawThreadsMatchSerial) {
       // grid, never by which thread computed which block.
       ASSERT_EQ(results[t][i], expected[t][i]) << "thread " << t << " i=" << i;
     }
-  }
-}
-
-TEST(GemmConcurrencyTest, GemmInsideOuterPoolWorkersUsesInlineIntraOp) {
-  // The trainer's shape: client updates run on inter-client pool workers,
-  // so every GEMM inside must take the inline intra-op path while several
-  // workers bump their thread-local arenas simultaneously.
-  IntraOpThreadsGuard guard;
-  SetIntraOpThreads(8);
-  constexpr int kClients = 12;
-  constexpr int kM = 64, kN = 48, kK = 32;
-
-  std::vector<std::vector<float>> as, bs, expected(kClients);
-  for (int t = 0; t < kClients; ++t) {
-    as.push_back(RandomMatrix(kM, kK, 300 + t));
-    bs.push_back(RandomMatrix(kK, kN, 400 + t));
-    expected[t] = SerialGemm(kM, kN, kK, as[t], bs[t]);
-  }
-
-  std::vector<std::vector<float>> results(kClients);
-  util::ThreadPool pool(4);
-  pool.ParallelFor(kClients, [&](int t) {
-    ScratchArena::Scope scope;  // nested scopes across concurrent workers
-    results[t] = SerialGemm(kM, kN, kK, as[t], bs[t]);
-  });
-
-  for (int t = 0; t < kClients; ++t) {
-    ASSERT_EQ(results[t], expected[t]) << "client " << t;
-  }
-}
-
-TEST(GemmConcurrencyTest, ThreadCountSweepIsBitIdenticalUnderContention) {
-  // The determinism contract, verified while a background thread keeps the
-  // shared pool busy: outputs at 1, 2 and 8 intra-op threads are the same
-  // bytes.
-  IntraOpThreadsGuard guard;
-  constexpr int kM = 150, kN = 70, kK = 90;  // ragged: partial tiles
-  const std::vector<float> a = RandomMatrix(kM, kK, 7);
-  const std::vector<float> b = RandomMatrix(kK, kN, 8);
-
-  SetIntraOpThreads(1);
-  const std::vector<float> reference = SerialGemm(kM, kN, kK, a, b);
-
-  for (int threads : {2, 8}) {
-    SetIntraOpThreads(threads);
-    std::vector<std::thread> noise;
-    noise.reserve(2);
-    for (int t = 0; t < 2; ++t) {
-      noise.emplace_back([&a, &b] {
-        for (int round = 0; round < 4; ++round) {
-          SerialGemm(kM, kN, kK, a, b);
-        }
-      });
-    }
-    const std::vector<float> got = SerialGemm(kM, kN, kK, a, b);
-    for (auto& th : noise) th.join();
-    ASSERT_EQ(got, reference) << "threads=" << threads;
   }
 }
 

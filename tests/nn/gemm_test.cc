@@ -1,7 +1,7 @@
 // Kernel-equivalence and determinism contract for the GEMM layer.
 //
 // Equivalence: over adversarial shapes — dimensions straddling the
-// micro-tile (4) / row-panel (64) / column-panel (16) boundaries, pads 0–2,
+// micro-tile (4, 8) and column-panel (16) boundaries and 64 rows, pads 0–2,
 // channel counts 1–9 — the MatMul wrappers must reproduce, byte for byte,
 // the scalar in-order k-chain below, and the im2col conv lowering must agree
 // with the direct loops of conv_reference.h within a tolerance loose enough
@@ -11,10 +11,6 @@
 // Bit identity: the conv kernels must reproduce, byte for byte, a frozen
 // copy of the per-image im2col lowering they replaced (same GEMM calls,
 // same reduction trees), so a lowering rewrite cannot move a float.
-//
-// Determinism: for a fixed configuration, outputs are bit-identical across
-// intra-op thread counts 1, 2 and 8 — the contract that keeps seeded
-// experiments reproducible no matter how the kernels are scheduled.
 
 #include "nn/gemm.h"
 
@@ -66,8 +62,8 @@ constexpr float kTol = 2e-5f;
 // or from C (kSeedFromC), each step a fused multiply-add on the AVX2+FMA
 // kernel and a rounded product then an add on the portable one; kAddAfter
 // adds the finished chain to C once. Sgemm must reproduce these bytes for
-// every shape, transposition, accumulation mode, leading dimension and
-// intra-op thread count, however it tiles or packs its operands.
+// every shape, transposition, accumulation mode and leading dimension,
+// however it tiles or packs its operands.
 
 float ChainStep(float acc, float a, float b, bool fused) {
   if (fused) return std::fma(a, b, acc);
@@ -181,11 +177,9 @@ void PrintTo(const GemmCase& c, std::ostream* os) { *os << c.name; }
 class GemmBitExactTest : public ::testing::TestWithParam<GemmCase> {};
 
 // Sgemm against ReferenceSgemm for one shape: every transposition, minimal
-// and padded leading dimensions, every accumulation mode and 1, 2 and 8
-// intra-op threads.
+// and padded leading dimensions and every accumulation mode.
 void ExpectMatchesInOrderKChain(const GemmCase& c) {
   const bool fused = FusedKernel();
-  const int original = GetIntraOpThreads();
   uint64_t seed = static_cast<uint64_t>(c.m * 10007 + c.n * 101 + c.k);
   for (bool trans_a : {false, true}) {
     for (bool trans_b : {false, true}) {
@@ -207,23 +201,18 @@ void ExpectMatchesInOrderKChain(const GemmCase& c) {
           std::vector<float> want = c0;
           ReferenceSgemm(trans_a, trans_b, c.m, c.n, c.k, a.data(), lda,
                          b.data(), ldb, want.data(), ldc, acc, fused);
-          for (int threads : {1, 2, 8}) {
-            SetIntraOpThreads(threads);
-            std::vector<float> got = c0;
-            Sgemm(trans_a, trans_b, c.m, c.n, c.k, a.data(), lda, b.data(),
-                  ldb, got.data(), ldc, acc);
-            EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                  got.size() * sizeof(float)),
-                      0)
-                << "trans_a " << trans_a << " trans_b " << trans_b
-                << " ld_pad " << ld_pad << " acc " << static_cast<int>(acc)
-                << " threads " << threads;
-          }
+          std::vector<float> got = c0;
+          Sgemm(trans_a, trans_b, c.m, c.n, c.k, a.data(), lda, b.data(), ldb,
+                got.data(), ldc, acc);
+          EXPECT_EQ(
+              std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+              << "trans_a " << trans_a << " trans_b " << trans_b << " ld_pad "
+              << ld_pad << " acc " << static_cast<int>(acc);
         }
       }
     }
   }
-  SetIntraOpThreads(original);
 }
 
 TEST_P(GemmBitExactTest, MatchesInOrderKChain) {
@@ -234,7 +223,7 @@ TEST_P(GemmBitExactTest, MatchesInOrderKChain) {
 // forward, input gradient Kᵀ·dY and kernel gradient dY·colsᵀ; Dense 64→64:
 // forward x·Wᵀ, weight gradient dYᵀ·x and input gradient dY·W), then the
 // blocking-boundary shapes of GemmShapeTest, then one GEMM large enough to
-// pack both operands and split its rows across threads. Each case runs
+// pack both operands. Each case runs
 // every transposition, so the zoo shapes' own layouts are among them.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmBitExactTest,
@@ -253,7 +242,7 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{"m131n90k130", 131, 90, 130}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// Every m around the 4- and 8-row tiles and the 64-row block against every
+// Every m around the 4- and 8-row tiles and at 64 rows against every
 // n around the 16-column panel (1, a half panel, edge columns, full
 // panels, a zoo edge), once with a short k (operands read in
 // place where the tile is full) and once with k just past the in-place rule
@@ -285,10 +274,9 @@ INSTANTIATE_TEST_SUITE_P(
 // SgemmSegments against its contract in gemm.h: one kAddAfter Sgemm per
 // segment, run in order on the segment's slices of A and B. Ragged
 // segments (an empty one among them), both transpositions, padded leading
-// dimensions, edge tiles in m and n, a row count that splits across
-// threads, and a shape whose whole k range is past the in-place rule while
-// each segment is within it; at 1, 2 and 8 intra-op threads. CI runs it
-// under both micro-kernels.
+// dimensions, edge tiles in m and n, a row count past 64, and a shape whose
+// whole k range is past the in-place rule while each segment is within it.
+// CI runs it under both micro-kernels.
 
 struct SegmentsCase {
   const char* name;
@@ -305,7 +293,6 @@ TEST_P(GemmSegmentsTest, MatchesOneAddAfterSgemmPerSegment) {
   std::vector<int> ends;
   int k = 0;
   for (int len : c.lengths) ends.push_back(k += len);
-  const int original = GetIntraOpThreads();
   uint64_t seed = static_cast<uint64_t>(c.m * 131 + c.n * 7 + k);
   for (bool trans_a : {false, true}) {
     for (bool trans_b : {false, true}) {
@@ -320,7 +307,6 @@ TEST_P(GemmSegmentsTest, MatchesOneAddAfterSgemmPerSegment) {
         const std::vector<float> c0 =
             RandomFloats(static_cast<int64_t>(c.m) * ldc, ++seed);
 
-        SetIntraOpThreads(1);
         std::vector<float> want = c0;
         for (int k0 = 0; const int k1 : ends) {
           Sgemm(trans_a, trans_b, c.m, c.n, k1 - k0,
@@ -332,27 +318,23 @@ TEST_P(GemmSegmentsTest, MatchesOneAddAfterSgemmPerSegment) {
                 ldb, want.data(), ldc, GemmAcc::kAddAfter);
           k0 = k1;
         }
-        for (int threads : {1, 2, 8}) {
-          SetIntraOpThreads(threads);
-          std::vector<float> got = c0;
-          SgemmSegments(trans_a, trans_b, c.m, c.n, ends, a.data(), lda,
-                        b.data(), ldb, got.data(), ldc);
-          EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                got.size() * sizeof(float)),
-                    0)
-              << "trans_a " << trans_a << " trans_b " << trans_b
-              << " ld_pad " << ld_pad << " threads " << threads;
-        }
+        std::vector<float> got = c0;
+        SgemmSegments(trans_a, trans_b, c.m, c.n, ends, a.data(), lda,
+                      b.data(), ldb, got.data(), ldc);
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+            << "trans_a " << trans_a << " trans_b " << trans_b << " ld_pad "
+            << ld_pad;
       }
     }
   }
-  SetIntraOpThreads(original);
 }
 
 // The DDPG actor's and critic's weight gradients (32 -> 32 and 8 -> 32
 // over 10-row candidate sets, 32 -> 1, one-row samples), ragged lengths
 // 1, 3 and 10 on edge tiles in m and n, an empty segment, one segment,
-// rows split across threads, a k range past the in-place rule, and empty
+// more than 64 rows, a k range past the in-place rule, and empty
 // segments first, last and in runs on full and edge 8-row tiles.
 std::vector<int> Repeat(int length, int count) {
   return std::vector<int>(static_cast<size_t>(count), length);
@@ -426,7 +408,7 @@ INSTANTIATE_TEST_SUITE_P(
 // branchy Im2col/Col2im that zero or skip the padding border row by row,
 // one Sgemm per image, and per-image kernel-gradient partials summed in
 // image order. Any rewrite of the lowering must reproduce these bytes
-// exactly, under every micro-kernel and intra-op thread count.
+// exactly, under every micro-kernel.
 
 void ReferenceIm2col(const float* in, int cin, int h, int w, int kh, int kw,
                      int pad, int oh, int ow, float* cols) {
@@ -581,58 +563,52 @@ TEST_P(ConvLoweringBitExactTest, MatchesPerImageLowering) {
   const Tensor kernel = RandomTensor({c.cout, c.cin, c.kh, c.kw}, seed + 1);
   const Tensor bias = RandomTensor({c.cout}, seed + 2);
 
-  const int original = GetIntraOpThreads();
-  SetIntraOpThreads(1);
   const Tensor want_out = ReferenceConvForward(input, kernel, bias, c.pad);
   const Tensor grad_out = RandomTensor(want_out.shape(), seed + 3);
   const ConvGrads want = ReferenceConvBackward(input, kernel, c.pad, grad_out);
 
-  for (int threads : {1, 2, 8}) {
-    SetIntraOpThreads(threads);
-    const Tensor out = Conv2dForward(input, kernel, bias, c.pad);
-    EXPECT_TRUE(SameBytes(out, want_out)) << threads << " threads";
-    Tensor gin, gker, gbias;
-    Conv2dBackward(input, kernel, c.pad, grad_out, &gin, &gker, &gbias);
-    EXPECT_TRUE(SameBytes(gin, want.input)) << threads << " threads";
-    EXPECT_TRUE(SameBytes(gker, want.kernel)) << threads << " threads";
-    EXPECT_TRUE(SameBytes(gbias, want.bias)) << threads << " threads";
-    // Without an input gradient the parameter gradients keep their bytes.
-    Tensor gker_only, gbias_only;
-    Conv2dBackward(input, kernel, c.pad, grad_out, nullptr, &gker_only,
-                   &gbias_only);
-    EXPECT_TRUE(SameBytes(gker_only, want.kernel)) << threads << " threads";
-    EXPECT_TRUE(SameBytes(gbias_only, want.bias)) << threads << " threads";
+  const Tensor out = Conv2dForward(input, kernel, bias, c.pad);
+  EXPECT_TRUE(SameBytes(out, want_out));
+  Tensor gin, gker, gbias;
+  Conv2dBackward(input, kernel, c.pad, grad_out, &gin, &gker, &gbias);
+  EXPECT_TRUE(SameBytes(gin, want.input));
+  EXPECT_TRUE(SameBytes(gker, want.kernel));
+  EXPECT_TRUE(SameBytes(gbias, want.bias));
+  // Without an input gradient the parameter gradients keep their bytes.
+  Tensor gker_only, gbias_only;
+  Conv2dBackward(input, kernel, c.pad, grad_out, nullptr, &gker_only,
+                 &gbias_only);
+  EXPECT_TRUE(SameBytes(gker_only, want.kernel));
+  EXPECT_TRUE(SameBytes(gbias_only, want.bias));
 
-    // The forward keeps its column matrices, which are the reference
-    // lowering's, and the backward reads them instead of lowering again.
-    std::vector<float> cols(
-        static_cast<size_t>(Conv2dColumnFloats(input, kernel, c.pad)));
-    const Tensor out_kept = Conv2dForward(input, kernel, bias, c.pad,
-                                          cols.data());
-    EXPECT_TRUE(SameBytes(out_kept, want_out)) << threads << " threads";
-    const ConvDims d = DimsOf(input, kernel, c.pad);
-    const size_t cols_img = static_cast<size_t>(d.kcols) * d.ohw;
-    std::vector<float> want_cols(cols_img);
-    for (int img = 0; img < batch; ++img) {
-      ReferenceIm2col(input.data() + img * d.cin * d.h * d.w, d.cin, d.h,
-                      d.w, d.kh, d.kw, d.pad, d.oh, d.ow, want_cols.data());
-      EXPECT_EQ(std::memcmp(cols.data() + img * cols_img, want_cols.data(),
-                            cols_img * sizeof(float)),
-                0)
-          << "image " << img << ", " << threads << " threads";
-    }
-    Tensor gin_kept, gker_kept, gbias_kept;
-    Conv2dBackward(input, kernel, c.pad, grad_out, &gin_kept, &gker_kept,
-                   &gbias_kept, cols.data());
-    EXPECT_TRUE(SameBytes(gin_kept, want.input)) << threads << " threads";
-    EXPECT_TRUE(SameBytes(gker_kept, want.kernel)) << threads << " threads";
-    EXPECT_TRUE(SameBytes(gbias_kept, want.bias)) << threads << " threads";
-    Conv2dBackward(input, kernel, c.pad, grad_out, nullptr, &gker_kept,
-                   &gbias_kept, cols.data());
-    EXPECT_TRUE(SameBytes(gker_kept, want.kernel)) << threads << " threads";
-    EXPECT_TRUE(SameBytes(gbias_kept, want.bias)) << threads << " threads";
+  // The forward keeps its column matrices, which are the reference
+  // lowering's, and the backward reads them instead of lowering again.
+  std::vector<float> cols(
+      static_cast<size_t>(Conv2dColumnFloats(input, kernel, c.pad)));
+  const Tensor out_kept =
+      Conv2dForward(input, kernel, bias, c.pad, cols.data());
+  EXPECT_TRUE(SameBytes(out_kept, want_out));
+  const ConvDims d = DimsOf(input, kernel, c.pad);
+  const size_t cols_img = static_cast<size_t>(d.kcols) * d.ohw;
+  std::vector<float> want_cols(cols_img);
+  for (int img = 0; img < batch; ++img) {
+    ReferenceIm2col(input.data() + img * d.cin * d.h * d.w, d.cin, d.h, d.w,
+                    d.kh, d.kw, d.pad, d.oh, d.ow, want_cols.data());
+    EXPECT_EQ(std::memcmp(cols.data() + img * cols_img, want_cols.data(),
+                          cols_img * sizeof(float)),
+              0)
+        << "image " << img;
   }
-  SetIntraOpThreads(original);
+  Tensor gin_kept, gker_kept, gbias_kept;
+  Conv2dBackward(input, kernel, c.pad, grad_out, &gin_kept, &gker_kept,
+                 &gbias_kept, cols.data());
+  EXPECT_TRUE(SameBytes(gin_kept, want.input));
+  EXPECT_TRUE(SameBytes(gker_kept, want.kernel));
+  EXPECT_TRUE(SameBytes(gbias_kept, want.bias));
+  Conv2dBackward(input, kernel, c.pad, grad_out, nullptr, &gker_kept,
+                 &gbias_kept, cols.data());
+  EXPECT_TRUE(SameBytes(gker_kept, want.kernel));
+  EXPECT_TRUE(SameBytes(gbias_kept, want.bias));
 }
 
 // The zoo C10/C100 convs, then the lowering's edge cases: no border, a
@@ -658,60 +634,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------------------- determinism --
 
-// Every op must produce bit-identical results at 1, 2 and 8 intra-op
-// threads: tile boundaries and per-tile reduction order are fixed, so the
-// schedule cannot leak into the floats.
-TEST(GemmDeterminismTest, ResultsBitIdenticalAcrossThreadCounts) {
-  // Large enough that the row-panel loop actually splits (m > 2 * 64) and
-  // the conv batch loop has more images than threads.
-  const Tensor a = RandomTensor({200, 130}, 71);
-  const Tensor b = RandomTensor({130, 90}, 72);
-  const Tensor at = RandomTensor({130, 200}, 73);
-  const Tensor bt = RandomTensor({90, 130}, 74);
-  const Tensor input = RandomTensor({9, 3, 8, 8}, 75);
-  const Tensor kernel = RandomTensor({8, 3, 5, 5}, 76);
-  const Tensor bias = RandomTensor({8}, 77);
-
-  struct Snapshot {
-    Tensor mm, ta, tb, conv, gin, gker, gbias;
-  };
-  auto run = [&]() {
-    Snapshot s;
-    s.mm = MatMul(a, b);
-    s.ta = MatMulTransA(at, b);
-    s.tb = MatMulTransB(a, bt);
-    s.conv = Conv2dForward(input, kernel, bias, 2);
-    const Tensor grad_out = RandomTensor(s.conv.shape(), 78);
-    Conv2dBackward(input, kernel, 2, grad_out, &s.gin, &s.gker, &s.gbias);
-    return s;
-  };
-
-  const int original = GetIntraOpThreads();
-  SetIntraOpThreads(1);
-  const Snapshot base = run();
-  for (int threads : {2, 8}) {
-    SetIntraOpThreads(threads);
-    const Snapshot got = run();
-    EXPECT_EQ(MaxAbsDiff(got.mm, base.mm), 0.0f) << threads << " threads";
-    EXPECT_EQ(MaxAbsDiff(got.ta, base.ta), 0.0f) << threads << " threads";
-    EXPECT_EQ(MaxAbsDiff(got.tb, base.tb), 0.0f) << threads << " threads";
-    EXPECT_EQ(MaxAbsDiff(got.conv, base.conv), 0.0f) << threads << " threads";
-    EXPECT_EQ(MaxAbsDiff(got.gin, base.gin), 0.0f) << threads << " threads";
-    EXPECT_EQ(MaxAbsDiff(got.gker, base.gker), 0.0f) << threads << " threads";
-    EXPECT_EQ(MaxAbsDiff(got.gbias, base.gbias), 0.0f) << threads
-                                                       << " threads";
-  }
-  SetIntraOpThreads(original);
-}
-
-// The kernels must also be stable when invoked from inside a pool worker
-// (the trainer's inter-client ParallelFor): the intra-op layer detects
-// in-pool execution and runs inline with the same tile grid.
+// The kernels must be stable when invoked from inside a pool worker (the
+// trainer's inter-client ParallelFor): the same tile grid on any thread.
 TEST(GemmDeterminismTest, InPoolExecutionMatchesTopLevel) {
   const Tensor a = RandomTensor({150, 64}, 81);
   const Tensor b = RandomTensor({64, 40}, 82);
-  const int original = GetIntraOpThreads();
-  SetIntraOpThreads(4);
   const Tensor top_level = MatMul(a, b);
   util::ThreadPool pool(2);
   std::vector<Tensor> from_workers(4);
@@ -719,7 +646,6 @@ TEST(GemmDeterminismTest, InPoolExecutionMatchesTopLevel) {
   for (const Tensor& got : from_workers) {
     EXPECT_EQ(MaxAbsDiff(got, top_level), 0.0f);
   }
-  SetIntraOpThreads(original);
 }
 
 TEST(GemmConfigTest, KernelNameIsResolved) {

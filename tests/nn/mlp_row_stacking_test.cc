@@ -3,9 +3,9 @@
 // gives. The DDPG train step relies on it to run its fixed-weight passes
 // (target actor, target critic, critic baseline) once per batch instead of
 // once per sample. It follows from the GEMM contract (DESIGN §8: each
-// element of C is one in-order k-chain, whatever the tiling, packing or
-// thread count) plus Dense's per-element bias add and ReLU's elementwise
-// select; this test pins it for the agent's network shape.
+// element of C is one in-order k-chain, whatever the tiling or packing)
+// plus Dense's per-element bias add and ReLU's elementwise select; this
+// test pins it for the agent's network shape.
 
 #include <algorithm>
 #include <cstring>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/gemm.h"
 #include "nn/sequential.h"
 #include "nn/zoo.h"
 #include "rl/state.h"
@@ -71,30 +70,23 @@ TEST_P(MlpRowStackingTest, StackedForwardMatchesSeparateForwardsBytewise) {
     done += rows;
   }
 
-  const int original = GetIntraOpThreads();
-  SetIntraOpThreads(1);
   std::vector<Tensor> want;
   for (const Tensor& p : parts) want.push_back(model.Forward(p, false));
 
   const Tensor stacked = Stack(parts);
-  for (int threads : {1, 2, 8}) {
-    SetIntraOpThreads(threads);
-    for (bool training : {false, true}) {
-      const Tensor got = model.Forward(stacked, training);
-      ASSERT_EQ(got.shape(), (Shape{total, 1}));
-      const float* row = got.data();
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(std::memcmp(row, want[i].data(),
-                              static_cast<size_t>(want[i].size()) *
-                                  sizeof(float)),
-                  0)
-            << "input " << i << ", " << threads << " threads, training "
-            << training;
-        row += want[i].size();
-      }
+  for (bool training : {false, true}) {
+    const Tensor got = model.Forward(stacked, training);
+    ASSERT_EQ(got.shape(), (Shape{total, 1}));
+    const float* row = got.data();
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::memcmp(row, want[i].data(),
+                            static_cast<size_t>(want[i].size()) *
+                                sizeof(float)),
+                0)
+          << "input " << i << ", training " << training;
+      row += want[i].size();
     }
   }
-  SetIntraOpThreads(original);
 }
 
 INSTANTIATE_TEST_SUITE_P(RowsAndBlocks, MlpRowStackingTest,

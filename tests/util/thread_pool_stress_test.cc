@@ -20,18 +20,16 @@
 namespace fedmigr::util {
 namespace {
 
-TEST(ThreadPoolStressTest, NestedParallelForRangeFromWorkersCoversAll) {
+TEST(ThreadPoolStressTest, NestedParallelForFromWorkersCoversAll) {
   ThreadPool pool(4);
   constexpr int kOuter = 16;
-  constexpr int64_t kInner = 1000;
+  constexpr int kInner = 1000;
   std::vector<std::vector<int>> hits(kOuter,
                                      std::vector<int>(kInner, 0));
   pool.ParallelFor(kOuter, [&](int outer) {
     // Runs on a pool worker, so the nested call must execute inline and
     // must not touch the pool's queue (same-pool dispatch would deadlock).
-    pool.ParallelForRange(kInner, 64, [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) ++hits[outer][i];
-    });
+    pool.ParallelFor(kInner, [&](int i) { ++hits[outer][i]; });
   });
   for (const auto& row : hits) {
     for (int h : row) EXPECT_EQ(h, 1);
@@ -42,13 +40,13 @@ TEST(ThreadPoolStressTest, TriplyNestedParallelCallsRunInline) {
   ThreadPool pool(3);
   std::atomic<int64_t> total{0};
   pool.ParallelFor(6, [&](int) {
-    pool.ParallelForRange(10, 3, [&](int64_t b0, int64_t e0) {
-      pool.ParallelForRange(e0 - b0, 2, [&](int64_t b1, int64_t e1) {
-        total.fetch_add(e1 - b1, std::memory_order_relaxed);
+    pool.ParallelFor(10, [&](int) {
+      pool.ParallelFor(3, [&](int) {
+        total.fetch_add(1, std::memory_order_relaxed);
       });
     });
   });
-  EXPECT_EQ(total.load(), 6 * 10);
+  EXPECT_EQ(total.load(), 6 * 10 * 3);
 }
 
 TEST(ThreadPoolStressTest, SubmitFromWorkerOfSamePoolIsDrained) {
@@ -74,32 +72,28 @@ TEST(ThreadPoolStressTest, WorkersOfOnePoolFanOutIntoAnother) {
   constexpr int kTasks = 24;
   std::atomic<int> inner_tasks{0};
   outer.ParallelFor(kTasks, [&](int) {
-    // From an `outer` worker, `inner.ParallelForRange` detects it is on *a*
+    // From an `outer` worker, `inner.ParallelFor` detects it is on *a*
     // pool worker and runs inline — dispatching would oversubscribe.
-    inner.ParallelForRange(8, 2, [&](int64_t begin, int64_t end) {
-      inner_tasks.fetch_add(static_cast<int>(end - begin),
-                            std::memory_order_relaxed);
+    inner.ParallelFor(8, [&](int) {
+      inner_tasks.fetch_add(1, std::memory_order_relaxed);
     });
   });
   EXPECT_EQ(inner_tasks.load(), kTasks * 8);
 }
 
 TEST(ThreadPoolStressTest, ConcurrentExternalCallersShareOnePool) {
-  // Two non-worker threads drive ParallelForRange on the same pool at the
-  // same time — the intra-op pool sees exactly this when evaluation and a
-  // benchmark harness overlap. Each caller's chunks must all execute, and
-  // Wait() must hold both callers until the combined queue drains.
+  // Several non-worker threads drive ParallelFor on the same pool at the
+  // same time. Each caller's indices must all execute, and Wait() must hold
+  // every caller until the combined queue drains.
   ThreadPool pool(4);
   constexpr int kCallers = 4;
-  constexpr int64_t kN = 4096;
+  constexpr int kN = 4096;
   std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kN, 0));
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&pool, &hits, t] {
-      pool.ParallelForRange(kN, 128, [&hits, t](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) ++hits[t][i];
-      });
+      pool.ParallelFor(kN, [&hits, t](int i) { ++hits[t][i]; });
     });
   }
   for (auto& c : callers) c.join();

@@ -127,30 +127,6 @@ TEST(ThreadPoolTest, MixedThrowingAndHealthyTasksCompleteAll) {
   EXPECT_EQ(completed.load(), 9);
 }
 
-TEST(ThreadPoolTest, ParallelForRangeCoversAllChunks) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(103);
-  pool.ParallelForRange(103, 10, [&hits](int64_t begin, int64_t end) {
-    // Chunk boundaries must follow the fixed grid regardless of which
-    // thread claims the chunk.
-    EXPECT_EQ(begin % 10, 0);
-    EXPECT_TRUE(end == begin + 10 || end == 103);
-    for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)]++;
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForRangeHandlesDegenerateInputs) {
-  ThreadPool pool(2);
-  // Atomic: the three one-element chunks below may run on both workers.
-  std::atomic<int> calls{0};
-  pool.ParallelForRange(0, 4, [&calls](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-  // grain below 1 is clamped to 1, so n = 3 is three chunks.
-  pool.ParallelForRange(3, 0, [&calls](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 3);
-}
-
 TEST(ThreadPoolTest, InWorkerThreadFlagTracksPoolMembership) {
   EXPECT_FALSE(ThreadPool::InWorkerThread());
   ThreadPool pool(2);
@@ -170,22 +146,10 @@ TEST(ThreadPoolTest, NestedParallelCallsFromWorkerRunInlineWithoutDeadlock) {
   // Both same-pool and cross-pool nesting must complete (inline) instead
   // of blocking a worker on a pool Wait().
   outer.ParallelFor(4, [&](int) {
-    outer.ParallelForRange(8, 2, [&total](int64_t begin, int64_t end) {
-      total.fetch_add(static_cast<int>(end - begin));
-    });
+    outer.ParallelFor(8, [&total](int) { total.fetch_add(1); });
     inner.ParallelFor(3, [&total](int) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 4 * (8 + 3));
-}
-
-TEST(ThreadPoolTest, ParallelForRangePropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelForRange(
-                   32, 1,
-                   [](int64_t begin, int64_t) {
-                     if (begin == 17) throw std::runtime_error("chunk 17");
-                   }),
-               std::runtime_error);
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
