@@ -1,6 +1,7 @@
 // Concurrency tests for the GEMM kernel layer: thread-local scratch arenas
-// under simultaneous Sgemm calls from raw threads and from pool workers.
-// Designed as a ThreadSanitizer workload for the `tsan` preset.
+// under simultaneous Sgemm calls from raw threads, and deep scope nesting
+// on concurrent pool workers. Designed as a ThreadSanitizer workload for
+// the `tsan` preset.
 
 #include "nn/gemm.h"
 
