@@ -1,11 +1,17 @@
-// The small fleets and configs the trainer's frozen-behaviour pins share:
-// TrainerGoldenTest pins what they charge the simulated network and clock,
-// StateBytesPinTest pins the bytes of the state and journal they end in.
+// The small fleets and configs the trainer's frozen-behaviour pins share,
+// and the rendering of what a run charged: TrainerGoldenTest pins that
+// rendering, StateBytesPinTest pins the bytes of the state, models and
+// journal the runs end in.
 
 #ifndef FEDMIGR_TESTS_FL_GOLDEN_FLEETS_H_
 #define FEDMIGR_TESTS_FL_GOLDEN_FLEETS_H_
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -160,6 +166,60 @@ struct ChaosFleet {
   data::Partition partition;
   std::vector<net::DeviceProfile> devices;
 };
+
+inline std::string Bits(double value) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(value));
+  std::memcpy(&bits, &value, sizeof(bits));
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, bits);
+  return buffer;
+}
+
+// What a run charged the simulated network and clock, one line per epoch,
+// then the directional traffic totals and the fault, robustness and chaos
+// counters. None of it depends on model floats.
+inline std::string Render(const RunResult& r) {
+  std::string out;
+  for (const EpochRecord& e : r.history) {
+    out += "e" + std::to_string(e.epoch) +
+           " gb=" + Bits(e.cumulative_traffic_gb) +
+           " s=" + Bits(e.cumulative_time_s) +
+           " m=" + std::to_string(e.migrations) +
+           " a=" + std::to_string(e.aggregated ? 1 : 0) + "\n";
+  }
+  out += "up=" + Bits(r.c2s_up_gb) + " down=" + Bits(r.c2s_down_gb) +
+         " c2c=" + Bits(r.c2c_gb) + "\n";
+  const net::FaultCounters& f = r.faults;
+  out += "faults";
+  for (int64_t v :
+       {f.attempts, f.failures, f.retries, f.deadline_aborts,
+        f.aborted_transfers, f.fallbacks, f.corrupted, f.corrupt_rejected,
+        f.dropped_stragglers, f.crash_epochs, f.crashes,
+        f.partitioned_transfers, f.outage_transfers}) {
+    out.append(" ").append(std::to_string(v));
+  }
+  out += "\n";
+  const RobustCounters& b = r.robust;
+  out += "robust";
+  for (int64_t v :
+       {b.screened_updates, b.nonfinite_rejected, b.norm_clipped,
+        b.norm_rejected, b.cosine_rejected, b.attacked_updates,
+        b.quarantine_excluded, b.quarantines, b.rehabilitations}) {
+    out.append(" ").append(std::to_string(v));
+  }
+  out += "\n";
+  const ChaosCounters& c = r.chaos;
+  out += "chaos";
+  for (int64_t v :
+       {c.migrations_planned, c.migrations_completed, c.migration_fallbacks,
+        c.migrations_rolled_back, c.quorum_commits, c.quorum_misses,
+        c.carryover_clients, c.churn_absences, c.churn_departures}) {
+    out.append(" ").append(std::to_string(v));
+  }
+  out += "\n";
+  return out;
+}
 
 }  // namespace fedmigr::fl
 
