@@ -216,13 +216,18 @@ class ReputationTracker {
   // quarantine; -1 if never. The bench's quarantine-latency column.
   int first_quarantine_round(int client) const;
 
-  // Snapshot layout: the round counter and one record per client (the
-  // default one for a client without); the client count must match.
+  // Snapshot layout: the round counter and the held records by client id;
+  // every id must be a client of this fleet.
   template <class Ar>
   util::Status Visit(Ar& ar) {
     ar.Io(round_);
-    ar.Io(util::SparseSeq(records_, static_cast<size_t>(num_clients_),
-                          "reputation state client count mismatch"));
+    ar.Io(records_);
+    ar.Check(
+        [this] {
+          return records_.empty() || (records_.begin()->first >= 0 &&
+                                      records_.rbegin()->first < num_clients_);
+        },
+        "reputation record id out of range");
     return ar.status();
   }
 
@@ -267,7 +272,9 @@ class ReputationTracker {
 
   // SNAPSHOT-SKIP(configuration, supplied identically on resume)
   ReputationConfig config_;
-  int num_clients_ = 0;  // the stream's sequence length
+  // SNAPSHOT-SKIP(fleet size, supplied identically on resume; a restored
+  // record's id is checked against it)
+  int num_clients_ = 0;
   // Records of the clients that have one, in id order: AdvanceRound walks
   // them, so transitions come out in id order (never a hash map).
   std::map<int, ClientRecord> records_;

@@ -1204,23 +1204,56 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
   ar.Io(s.budget_);
   ar.Io(s.traffic_);
   ar.Io(s.faults_);
-  ar.Io(s.participating_);
-  ar.Io(s.available_);
-  ar.Check(s.participating_.size() == k && s.available_.size() == k,
-           "snapshot participation vectors sized wrong");
-  // Provenance streams as K-long sequences; a client without a record
-  // reads and writes the default values.
-  ar.Io(util::SparseSeq(s.provenance_, k,
-                        "snapshot distribution count mismatch",
-                        &Provenance::dist));
-  ar.Io(util::SparseSeq(s.provenance_, k, "snapshot sample count mismatch",
-                        &Provenance::samples));
+  ar.Check([&] { return s.faults_.ValidFor(static_cast<int>(k)); },
+           "snapshot fault client ids malformed");
+  // The effective cohort must be stored (not recomputed): under churn and
+  // quorum carryover it is no longer a pure function of (seed, round), and
+  // a kill inside a round must resume with exactly the members that were
+  // active when the round began.
+  ar.Io(s.cohort_);
+  const auto in_fleet = [k](const std::vector<int>& ids) {
+    return std::all_of(ids.begin(), ids.end(), [k](int i) {
+      return i >= 0 && static_cast<size_t>(i) < k;
+    });
+  };
+  ar.Check([&] { return in_fleet(s.cohort_); },
+           "snapshot cohort id out of range");
+  if (!ar.ok()) return ar.status();
+  // Participation bits of the active clients; every other client's are
+  // false, since BeginRound clears a retired cohort's.
+  const std::vector<int>& active = cohort_mode() ? s.cohort_ : identity_;
+  if constexpr (Ar::kLoading) {
+    s.participating_.assign(k, false);
+    s.available_.assign(k, false);
+  }
+  for (size_t j = 0, n = ar.Repeat(active.size()); j < n; ++j) {
+    const size_t i = j < active.size() ? static_cast<size_t>(active[j]) : 0;
+    bool participating = s.participating_[i];
+    bool available = s.available_[i];
+    ar.Io(participating);
+    ar.Io(available);
+    if constexpr (Ar::kLoading) {
+      s.participating_[i] = participating;
+      s.available_[i] = available;
+    }
+  }
+  ar.Io(s.provenance_);
+  const size_t classes = static_cast<size_t>(train_->num_classes());
+  ar.Check(
+      [&] {
+        return std::all_of(s.provenance_.begin(), s.provenance_.end(),
+                           [&](const auto& record) {
+                             return record.first >= 0 &&
+                                    static_cast<size_t>(record.first) < k &&
+                                    record.second.dist.size() == classes;
+                           });
+      },
+      "snapshot provenance record malformed");
 
-  // Models: server, then every client slot. Lazy clients write one byte;
-  // materialized clients whose replica still aliases the current aggregate
-  // block skip the parameter payload (the block is rebuilt from the server
-  // model on load). The effective cohort is stored with the chaos layer
-  // below.
+  // Models: the server's, then each materialized client's id and record, in
+  // id order. Replicas that still alias the current aggregate block skip
+  // the parameter payload (the block is rebuilt from the server model on
+  // load).
   if constexpr (Ar::kLoading) {
     nn::IoParams(ar, &s.global_);
     if (!ar.ok()) return ar.status();
@@ -1230,24 +1263,30 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
   } else {
     nn::IoParams(ar, &server_->global_model());
   }
-  for (size_t i = 0, n = ar.Repeat(k); i < n; ++i) {
-    const int id = static_cast<int>(i);
-    Client* client = clients_.Get(id);
-    uint8_t kind = client != nullptr ? 1 : 0;
-    ar.Io(kind);
-    ar.Check(kind <= 1, "unknown client record kind");
-    if (!ar.ok()) return ar.status();
-    if constexpr (Ar::kLoading) {
-      if (kind == 0 && client != nullptr) {
-        // The snapshot predates this client's first cohort: reclaim the
-        // data slice and return the slot to the lazy state.
-        partition_[i] = client->indices();
-        clients_.Evict(id);
-      } else if (kind == 1) {
-        client = &ClientAt(id);
-      }
+  std::vector<int> listed;
+  if constexpr (!Ar::kLoading) {
+    for (const auto& [i, provenance] : provenance_) {
+      if (clients_.Get(i) != nullptr) listed.push_back(i);
     }
-    std::optional<Client> stand_in;  // digest of a lazy slot
+  }
+  uint64_t count = listed.size();
+  ar.Io(count);
+  int32_t previous = -1;  // ids strictly increase, so at most K are read
+  for (size_t j = 0, n = ar.Repeat(count); j < n && ar.ok(); ++j) {
+    int32_t id = j < listed.size() ? listed[j] : 0;
+    ar.Io(id);
+    ar.Check(id > previous && static_cast<size_t>(id) < k,
+             "snapshot client id out of order or range");
+    previous = id;
+    ar.Check([&] { return s.provenance_.contains(id); },
+             "snapshot client has no provenance record");
+    if (!ar.ok()) return ar.status();
+    Client* client = clients_.Get(id);
+    if constexpr (Ar::kLoading) {
+      client = &ClientAt(id);
+      listed.push_back(id);
+    }
+    std::optional<Client> stand_in;  // digest of a trainer holding no client
     if constexpr (Ar::kSchema) {
       if (client == nullptr) {
         client = &stand_in.emplace(id, train_, std::vector<int>(),
@@ -1255,9 +1294,21 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
                                    config_.seed);
       }
     }
-    if (ar.Present(kind == 1)) {
-      // Errors stick to `ar`.
-      (void)client->Visit(ar, store_.aggregate(), store_.aggregate_flat());
+    // Errors stick to `ar`.
+    (void)client->Visit(ar, store_.aggregate(), store_.aggregate_flat());
+  }
+  if constexpr (Ar::kLoading) {
+    if (!ar.ok()) return ar.status();
+    // A client materialized here but not in the snapshot predates its first
+    // cohort there: reclaim the data slice and return the slot to the lazy
+    // state.
+    for (const auto& [i, provenance] : provenance_) {
+      Client* client = clients_.Get(i);
+      if (client != nullptr &&
+          !std::binary_search(listed.begin(), listed.end(), i)) {
+        partition_[static_cast<size_t>(i)] = client->indices();
+        clients_.Evict(i);
+      }
     }
   }
 
@@ -1281,35 +1332,16 @@ util::Status Trainer::VisitState(Ar& ar, S& s) {
   ar.Io(s.counts_.robust);
   ar.Io(s.reputation_);
 
-  // v4: chaos layer. The effective cohort must be stored (not recomputed):
-  // under churn and quorum carryover it is no longer a pure function of
-  // (seed, round), and a kill inside a round must resume with exactly the
-  // members that were active when the round began.
+  // v4: chaos layer (the cohort rides with the participation bits above).
   ar.Io(s.counts_.chaos);
-  ar.Io(s.cohort_);
-  // The round the cohort belongs to, the last one begun (-1 before the
-  // first and under full participation); read back and not needed.
-  int64_t cohort_round = cohort_mode() && progress_.next_epoch > 1
-                             ? (progress_.next_epoch - 2) / config_.agg_period
-                             : -1;
-  ar.Io(cohort_round);
   ar.Io(s.carryover_);
-  const auto in_fleet = [k](const std::vector<int>& ids) {
-    return std::all_of(ids.begin(), ids.end(), [k](int i) {
-      return i >= 0 && static_cast<size_t>(i) < k;
-    });
-  };
-  ar.Check([&] { return in_fleet(s.cohort_); },
-           "snapshot cohort id out of range");
   ar.Check([&] { return in_fleet(s.carryover_); },
            "snapshot carryover id out of range");
   ar.Check(cohort_mode() || (s.cohort_.empty() && s.carryover_.empty()),
            "snapshot carries a cohort but this trainer runs full "
            "participation");
 
-  // v5: lineage state for the flight recorder.
-  ar.Io(util::SparseSeq(s.provenance_, k, "snapshot lineage count mismatch",
-                        &Provenance::lineage));
+  // v5: the model store's lineage mint state for the flight recorder.
   int64_t next_lineage_id = store_.next_lineage_id();
   int64_t aggregate_lineage = store_.aggregate_lineage();
   int64_t parent_lineage = store_.parent_lineage();

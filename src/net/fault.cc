@@ -1,6 +1,7 @@
 #include "net/fault.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "util/logging.h"
@@ -138,24 +139,23 @@ void FaultInjector::BeginEpoch(int num_clients) {
   ++epoch_;
   if (config_.attacks_enabled() && !attackers_sampled_) {
     // One-time persistent Byzantine set: round(f * K) distinct clients.
-    attacker_.assign(static_cast<size_t>(num_clients), false);
     const int count = std::min(
         num_clients,
         static_cast<int>(config_.attack_fraction * num_clients + 0.5));
-    for (int idx : attack_rng_.SampleWithoutReplacement(num_clients, count)) {
-      attacker_[static_cast<size_t>(idx)] = true;
-    }
+    attackers_ = attack_rng_.SampleWithoutReplacement(num_clients, count);
+    std::sort(attackers_.begin(), attackers_.end());
     attackers_sampled_ = true;
   }
-  down_epochs_.resize(static_cast<size_t>(num_clients), 0);
-  straggler_.resize(static_cast<size_t>(num_clients), false);
   // Chaos-only configs draw no per-client randomness: skipping the roll
   // loop keeps the RNG stream (and so the whole trajectory) byte-identical
   // to a run without the chaos schedule.
   if (config_.crash_prob <= 0.0 && config_.straggler_prob <= 0.0) return;
+  stragglers_.clear();
+  // Every client is rolled in id order; `held` walks the crashed ones.
+  auto held = down_epochs_.begin();
   for (int i = 0; i < num_clients; ++i) {
-    int& down = down_epochs_[static_cast<size_t>(i)];
-    if (down > 0) --down;
+    const bool was_down = held != down_epochs_.end() && held->first == i;
+    int down = was_down ? held->second - 1 : 0;
     if (down == 0 && config_.crash_prob > 0.0 &&
         rng_.Bernoulli(config_.crash_prob)) {
       const int span = config_.crash_max_epochs - config_.crash_min_epochs;
@@ -163,28 +163,49 @@ void FaultInjector::BeginEpoch(int num_clients) {
              (span > 0 ? rng_.UniformInt(span + 1) : 0);
       ++counters_.crashes;
     }
-    if (down > 0) ++counters_.crash_epochs;
-    straggler_[static_cast<size_t>(i)] =
-        config_.straggler_prob > 0.0 && rng_.Bernoulli(config_.straggler_prob);
+    if (down > 0) {
+      ++counters_.crash_epochs;
+      if (was_down) {
+        (held++)->second = down;
+      } else {
+        down_epochs_.emplace_hint(held, i, down);
+      }
+    } else if (was_down) {
+      held = down_epochs_.erase(held);
+    }
+    if (config_.straggler_prob > 0.0 &&
+        rng_.Bernoulli(config_.straggler_prob)) {
+      stragglers_.push_back(i);
+    }
   }
+}
+
+bool FaultInjector::ValidFor(int num_clients) const {
+  const auto id_set = [num_clients](const std::vector<int>& ids) {
+    return (ids.empty() || (ids.front() >= 0 && ids.back() < num_clients)) &&
+           std::adjacent_find(ids.begin(), ids.end(),
+                              std::greater_equal<>()) == ids.end();
+  };
+  return id_set(stragglers_) && id_set(attackers_) &&
+         std::all_of(down_epochs_.begin(), down_epochs_.end(),
+                     [num_clients](const std::pair<const int, int>& down) {
+                       return down.first >= 0 && down.first < num_clients &&
+                              down.second > 0;
+                     });
 }
 
 bool FaultInjector::IsCrashed(int client) const {
-  if (client < 0 || client >= static_cast<int>(down_epochs_.size())) {
-    return false;  // the server, or a client never rolled
-  }
-  return down_epochs_[static_cast<size_t>(client)] > 0;
+  return down_epochs_.contains(client);
 }
 
 bool FaultInjector::IsAttacker(int client) const {
-  if (client < 0 || client >= static_cast<int>(attacker_.size())) return false;
-  return attacker_[static_cast<size_t>(client)];
+  return std::binary_search(attackers_.begin(), attackers_.end(), client);
 }
 
 double FaultInjector::SlowdownFactor(int client) const {
-  if (client < 0 || client >= static_cast<int>(straggler_.size())) return 1.0;
-  return straggler_[static_cast<size_t>(client)] ? config_.straggler_slowdown
-                                                 : 1.0;
+  return std::binary_search(stragglers_.begin(), stragglers_.end(), client)
+             ? config_.straggler_slowdown
+             : 1.0;
 }
 
 double FaultInjector::AttemptSeconds(int src, int dst, int64_t bytes,

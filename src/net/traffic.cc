@@ -25,9 +25,7 @@ void TrafficAccountant::Record(int src, int dst, int64_t bytes) {
   } else {
     c2c_bytes_ += bytes;
   }
-  const auto key = Key(src, dst);
-  link_counts_[key] += 1;
-  link_bytes_[key] += bytes;
+  link_counts_[Key(src, dst)] += 1;
 }
 
 double TrafficAccountant::c2s_gb() const {
@@ -49,11 +47,6 @@ double TrafficAccountant::c2s_down_gb() const {
 int64_t TrafficAccountant::LinkCount(int a, int b) const {
   const auto it = link_counts_.find(Key(a, b));
   return it == link_counts_.end() ? 0 : it->second;
-}
-
-int64_t TrafficAccountant::LinkBytes(int a, int b) const {
-  const auto it = link_bytes_.find(Key(a, b));
-  return it == link_bytes_.end() ? 0 : it->second;
 }
 
 }  // namespace fedmigr::net

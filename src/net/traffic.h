@@ -38,10 +38,9 @@ class TrafficAccountant {
 
   // Transfer count over the undirected client pair {a, b}; 0 if never used.
   int64_t LinkCount(int a, int b) const;
-  int64_t LinkBytes(int a, int b) const;
 
   // Snapshot layout: the full accounting state, including the per-link
-  // maps behind the Fig. 8 analysis.
+  // transfer counts behind the Fig. 8 analysis.
   template <class Ar>
   util::Status Visit(Ar& ar) {
     ar.Io(c2s_bytes_);
@@ -50,7 +49,6 @@ class TrafficAccountant {
     ar.Io(c2s_down_bytes_);
     ar.Io(num_transfers_);
     ar.Io(link_counts_);
-    ar.Io(link_bytes_);
     return ar.status();
   }
 
@@ -63,7 +61,6 @@ class TrafficAccountant {
   int64_t c2s_down_bytes_ = 0;
   int64_t num_transfers_ = 0;
   std::map<std::pair<int, int>, int64_t> link_counts_;
-  std::map<std::pair<int, int>, int64_t> link_bytes_;
 };
 
 }  // namespace fedmigr::net

@@ -11,11 +11,12 @@
 // reader that disagree cannot be written. Archive methods: Io(x) for
 // arithmetic values, bools, enums, strings, vectors, pairs, maps and nested
 // Visit types; Io(std::span) for runs whose count earlier fields imply
-// (arithmetic runs are one append or one memcpy); Io(SparseSeq) for a
-// fixed-length sequence held as an id-ordered map; Present(cond) for a
+// (arithmetic runs are one append or one memcpy); Present(cond) for a
 // field stored only when `cond` holds; Repeat(n) for n records with no
 // count prefix; Check(cond, message) and Fail(status) for validation,
-// which only the reader acts on.
+// which only the reader acts on. A map streams its entries in key order,
+// and the reader rejects keys that are not strictly increasing, so every
+// loaded map re-saves to the bytes it was read from.
 //
 // ByteReader errors are sticky: the first failed read or check is kept,
 // every later Io/Check touches neither the cursor nor its target, and
@@ -28,10 +29,10 @@
 #ifndef FEDMIGR_UTIL_SERIAL_H_
 #define FEDMIGR_UTIL_SERIAL_H_
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -51,47 +52,6 @@ concept Scalar = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
 template <class T, class Ar>
 concept Visitable = requires(T& t, Ar& ar) {
   { t.Visit(ar) } -> std::same_as<Status>;
-};
-
-// A `size`-long sequence held sparsely, for per-client state that only the
-// clients that have it keep: `records` maps an id in [0, size) to its
-// record, and `field` projects the streamed element out of a record
-// (std::identity streams the record itself). It streams the bytes and the
-// digest of a std::vector of `size` elements in which an id without a
-// record holds the default value. Loading creates a record for every
-// element that is not the default (bitwise, for scalars) and overwrites the
-// field of every record the map already holds. Neither direction builds a
-// dense copy.
-template <class R, class Field = std::identity>
-class SparseSeq {
- public:
-  using Value = std::remove_cvref_t<std::invoke_result_t<Field&, R&>>;
-
-  SparseSeq(std::map<int, R>& records, size_t size, const char* size_error,
-            Field field = {})
-      : records_(records), size_(size), size_error_(size_error),
-        field_(field) {}
-
-  std::map<int, R>& records() const { return records_; }
-  size_t size() const { return size_; }
-  // The reader's error when the stream's count is not `size`.
-  const char* size_error() const { return size_error_; }
-  Value& at(R& record) const { return std::invoke(field_, record); }
-
-  static bool IsDefault(const Value& value) {
-    if constexpr (Scalar<Value>) {
-      const Value zero{};
-      return std::memcmp(&value, &zero, sizeof(Value)) == 0;
-    } else {
-      return value == Value{};
-    }
-  }
-
- private:
-  std::map<int, R>& records_;
-  size_t size_;
-  const char* size_error_;
-  Field field_;
 };
 
 // Validation hooks of the archives that cannot fail (writing, digesting).
@@ -156,21 +116,6 @@ class ByteWriter : public Unfailing {
     Io(static_cast<uint64_t>(entries.size()));
     for (const auto& entry : entries) Io(entry);
   }
-  // u64 count, then each id's element: the record's, or the default value's
-  // bytes for the runs of ids between records.
-  template <class R, class F>
-  void Io(const SparseSeq<R, F>& seq) {
-    Io(static_cast<uint64_t>(seq.size()));
-    ByteWriter absent;
-    absent.Io(typename SparseSeq<R, F>::Value{});
-    size_t next = 0;
-    for (auto& [id, record] : seq.records()) {
-      AppendRepeated(absent.bytes(), static_cast<size_t>(id) - next);
-      Io(seq.at(record));
-      next = static_cast<size_t>(id) + 1;
-    }
-    AppendRepeated(absent.bytes(), seq.size() - next);
-  }
   // Nested type: Visit is a non-const member shared with the reader, and a
   // writer never modifies what it visits.
   template <class T>
@@ -192,14 +137,6 @@ class ByteWriter : public Unfailing {
     if (size == 0) return;  // empty vectors have a null data()
     const auto* p = static_cast<const uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + size);
-  }
-  void AppendRepeated(const std::vector<uint8_t>& unit, size_t times) {
-    const size_t at = bytes_.size();
-    bytes_.resize(at + unit.size() * times);
-    for (size_t i = 0; i < times; ++i) {
-      std::memcpy(bytes_.data() + at + i * unit.size(), unit.data(),
-                  unit.size());
-    }
   }
 
   std::vector<uint8_t> bytes_;
@@ -279,30 +216,15 @@ class ByteReader {
   void Io(std::map<K, V>& entries) {
     std::vector<std::pair<K, V>> parsed;
     Io(parsed);
+    Check(
+        [&parsed] {
+          return std::adjacent_find(parsed.begin(), parsed.end(),
+                                    [](const auto& a, const auto& b) {
+                                      return !(a.first < b.first);
+                                    }) == parsed.end();
+        },
+        "map keys not strictly increasing");
     if (ok()) entries = std::map<K, V>(parsed.begin(), parsed.end());
-  }
-  // Element by element into the records, each stored as it parses.
-  template <class R, class F>
-  void Io(const SparseSeq<R, F>& seq) {
-    using T = typename SparseSeq<R, F>::Value;
-    uint64_t count = 0;
-    if (!ReadCount(Scalar<T> ? sizeof(T) : 1, &count)) return;
-    Check(count == seq.size(), seq.size_error());
-    std::map<int, R>& records = seq.records();
-    auto it = records.begin();
-    for (size_t i = 0; i < count && ok(); ++i) {
-      const int id = static_cast<int>(i);
-      T value{};
-      Io(value);
-      if (!ok()) return;
-      while (it != records.end() && it->first < id) ++it;
-      if (it != records.end() && it->first == id) {
-        seq.at(it->second) = std::move(value);
-      } else if (!SparseSeq<R, F>::IsDefault(value)) {
-        it = records.emplace_hint(it, id, R{});
-        seq.at(it->second) = std::move(value);
-      }
-    }
   }
   template <class T>
     requires Visitable<T, ByteReader>
@@ -402,13 +324,6 @@ class SchemaDigest : public Unfailing {
     Element<K>();
     Element<V>();
     Fold('>');
-  }
-  // The digest of the std::vector it streams like.
-  template <class R, class F>
-  void Io(const SparseSeq<R, F>&) {
-    Fold('[');
-    Element<typename SparseSeq<R, F>::Value>();
-    Fold(']');
   }
   template <class T>
     requires Visitable<T, SchemaDigest>

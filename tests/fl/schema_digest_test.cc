@@ -64,6 +64,11 @@ constexpr Row kRows[] = {
     {"rl::DdpgAgent", "kTrainerStateVersion", 5, 0xea8ddb951c0669c2ULL},
     {"rl::DrlMigrationPolicy", "kTrainerStateVersion", 5,
      0x1fde6ced2245e132ULL},
+    {"net::TrafficAccountant", "kTrainerStateVersion", 6,
+     0x9fea9096d73e2fa9ULL},
+    {"net::FaultInjector", "kTrainerStateVersion", 6, 0x38dd53dfc3f5fe0fULL},
+    {"fl::ReputationTracker", "kTrainerStateVersion", 6, 0xe8dec0257fbd918aULL},
+    {"fl::Trainer", "kTrainerStateVersion", 6, 0xb47650574d13d804ULL},
     {"obs::JournalEvent", "obs::kJournalVersion", 1, 0xdcbd290fd10441a6ULL},
     {"obs::JournalHeader", "obs::kJournalVersion", 1, 0x7010fb01bc450e41ULL},
     {"obs::JournalSummary", "obs::kJournalVersion", 1, 0x13ec5c9b9ef9b4d5ULL},

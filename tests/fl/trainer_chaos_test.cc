@@ -377,6 +377,30 @@ struct BigFleet {
   data::Partition partition;
 };
 
+// The snapshot holds the clients that exist, not the fleet: two cohort
+// trainers that differ only in fleet size save streams of one size, fresh
+// and after a round.
+TEST(TrainerChaosScaleTest, SnapshotSizeDoesNotGrowWithTheFleet) {
+  TrainerConfig config;
+  config.scheme_name = "fleet-size-test";
+  config.max_epochs = 1;
+  config.agg_period = 1;
+  config.cohort_size = 100;
+  config.eval_every = 0;
+  config.batch_size = 8;
+  config.seed = 11;
+  const BigFleet small(10000);
+  const BigFleet large(100000);
+  Trainer a = small.MakeTrainer(config);
+  Trainer b = large.MakeTrainer(config);
+  EXPECT_EQ(StateBytes(a).size(), StateBytes(b).size());
+  a.Run();
+  b.Run();
+  EXPECT_EQ(a.num_materialized_clients(), 100);
+  EXPECT_EQ(b.num_materialized_clients(), 100);
+  EXPECT_EQ(StateBytes(a).size(), StateBytes(b).size());
+}
+
 TEST(TrainerChaosScaleTest, ResumeUnderChurnAtFleetScale) {
   // K = 1e5, cohort 100: churned-out members that never materialized retire
   // in O(1) (no eviction work), joins mint from the aggregate, and a kill

@@ -1,10 +1,10 @@
 #include "util/serial.h"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,99 +111,34 @@ TEST(SerialTest, SequencesRoundTrip) {
   EXPECT_EQ(bools, (std::vector<bool>{true, false, true, true}));
 }
 
-// A record of a sparse store: two fields streamed as separate sequences,
-// and a Visit for streaming whole records.
-struct SparseRecord {
-  std::vector<double> dist;
-  double weight = 0.0;
-  int32_t tag = -1;
-
-  template <class Ar>
-  Status Visit(Ar& ar) {
-    ar.Io(weight);
-    ar.Io(tag);
-    return ar.status();
+// A map streams like the vector of its entries; the reader takes its keys
+// only in the strictly increasing order the writer emits them, so a loaded
+// map re-saves to the bytes it came from.
+TEST(SerialTest, MapRejectsKeysThatAreNotStrictlyIncreasing) {
+  using Entries = std::vector<std::pair<int, double>>;
+  const Entries duplicate = {{1, 0.5}, {1, 2.0}};
+  const Entries descending = {{3, 0.5}, {2, 2.0}};
+  for (const Entries& entries : {duplicate, descending}) {
+    ByteWriter writer;
+    writer.Io(entries);
+    std::map<int, double> map = {{7, 1.0}};
+    ByteReader reader(writer.bytes());
+    reader.Io(map);
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(reader.status().message(), "map keys not strictly increasing");
+    EXPECT_EQ(map, (std::map<int, double>{{7, 1.0}}));
   }
-  bool operator==(const SparseRecord&) const = default;
-};
 
-TEST(SerialTest, SparseSeqStreamsTheBytesAndDigestOfItsDenseVector) {
-  constexpr size_t kSize = 9;
-  // Projected fields of one store, and whole records of another.
-  std::map<int, SparseRecord> fields;
-  fields[0] = {{0.25, 0.75}, 2.0, -1};
-  fields[4] = {{}, -0.0, -1};  // -0.0 is not the default's bytes
-  fields[8] = {{1.0}, 0.0, -1};
-  std::map<int, SparseRecord> wholes;
-  wholes[3] = {{}, 1.5, 7};
-  wholes[8] = {{}, 0.0, 0};
-  std::vector<std::vector<double>> dists(kSize);
-  std::vector<double> weights(kSize, 0.0);
-  std::vector<SparseRecord> records(kSize);
-  for (const auto& [id, record] : fields) {
-    dists[static_cast<size_t>(id)] = record.dist;
-    weights[static_cast<size_t>(id)] = record.weight;
-  }
-  for (const auto& [id, record] : wholes) {
-    records[static_cast<size_t>(id)] = record;
-  }
-  const auto sparse = [&](std::map<int, SparseRecord>& f,
-                          std::map<int, SparseRecord>& w, auto& ar) {
-    ar.Io(SparseSeq(f, kSize, "dist count", &SparseRecord::dist));
-    ar.Io(SparseSeq(f, kSize, "weight count", &SparseRecord::weight));
-    ar.Io(SparseSeq(w, kSize, "record count"));
-  };
-  ByteWriter dense_writer;
-  dense_writer.Io(dists);
-  dense_writer.Io(weights);
-  dense_writer.Io(records);
-  ByteWriter sparse_writer;
-  sparse(fields, wholes, sparse_writer);
-  EXPECT_EQ(sparse_writer.bytes(), dense_writer.bytes());
-
-  SchemaDigest dense_digest;
-  dense_digest.Io(dists);
-  dense_digest.Io(weights);
-  dense_digest.Io(records);
-  SchemaDigest sparse_digest;
-  sparse(fields, wholes, sparse_digest);
-  EXPECT_EQ(sparse_digest.value(), dense_digest.value());
-
-  // Loading creates exactly the records that had a non-default element,
-  // and re-saves to the same bytes.
-  std::map<int, SparseRecord> loaded_fields;
-  std::map<int, SparseRecord> loaded_wholes;
-  ByteReader reader(dense_writer.bytes());
-  sparse(loaded_fields, loaded_wholes, reader);
+  ByteWriter writer;
+  writer.Io(Entries{{-4, 0.5}, {2, 2.0}, {9, -0.0}});
+  std::map<int, double> map;
+  ByteReader reader(writer.bytes());
+  reader.Io(map);
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(loaded_fields, fields);
-  EXPECT_TRUE(std::signbit(loaded_fields.at(4).weight));
-  EXPECT_EQ(loaded_wholes, wholes);
   ByteWriter again;
-  sparse(loaded_fields, loaded_wholes, again);
-  EXPECT_EQ(again.bytes(), dense_writer.bytes());
-}
-
-TEST(SerialTest, SparseSeqOverwritesHeldRecordsAndRejectsAWrongCount) {
-  ByteWriter writer;
-  writer.Io(std::vector<double>{0.0, 5.0, 0.0});
-  // A record the stream says is default is overwritten, not kept stale.
-  std::map<int, SparseRecord> records;
-  records[0].weight = 9.0;
-  ByteReader reader(writer.bytes());
-  reader.Io(SparseSeq(records, 3, "weight count", &SparseRecord::weight));
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(records.at(0).weight, 0.0);
-  EXPECT_EQ(records.at(1).weight, 5.0);
-  EXPECT_EQ(records.count(2), 0u);
-
-  std::map<int, SparseRecord> wrong;
-  ByteReader short_reader(writer.bytes());
-  short_reader.Io(SparseSeq(wrong, 4, "weight count", &SparseRecord::weight));
-  EXPECT_FALSE(short_reader.ok());
-  EXPECT_EQ(short_reader.status().message(), "weight count");
-  EXPECT_TRUE(wrong.empty());
+  again.Io(map);
+  EXPECT_EQ(again.bytes(), writer.bytes());
 }
 
 TEST(SerialTest, ReadPastEndFailsAndLeavesCursor) {
