@@ -25,7 +25,7 @@ namespace {
 
 constexpr int kMR = 4;     // portable and AVX2 micro-tile rows
 constexpr int kMaxMR = 8;  // AVX-512 micro-tile rows, the tallest tile
-constexpr int kNR = 16;    // micro-tile cols (one zmm or two ymm vectors)
+constexpr int kNR = kGemmPanelCols;  // micro-tile cols (one zmm, two ymm)
 
 // -------------------------------------------------------------- telemetry --
 
@@ -106,6 +106,18 @@ void PackBTransPortable(const float* b, int ldb, int j0, int cols, int k,
       dst[p * kNR + j] = b[static_cast<int64_t>(j0 + j) * ldb + p];
     }
     for (int j = cols; j < kNR; ++j) dst[p * kNR + j] = 0.0f;
+  }
+}
+
+// dst (cols x rows, row stride ldd) = the transpose of src (rows x cols,
+// row stride lds).
+void TransposePortable(int rows, int cols, const float* src, int lds,
+                       float* dst, int ldd) {
+  for (int j = 0; j < cols; ++j) {
+    float* out = dst + static_cast<int64_t>(j) * ldd;
+    for (int i = 0; i < rows; ++i) {
+      out[i] = src[static_cast<int64_t>(i) * lds + j];
+    }
   }
 }
 
@@ -300,18 +312,132 @@ __attribute__((target("avx2"))) void PackBTransAvx2(const float* b, int ldb,
     for (int jj = cols; jj < kNR; ++jj) dst[p * kNR + jj] = 0.0f;
   }
 }
+
+// The transpose of the 16x16 block in r, in place: row q becomes column q.
+// Interleave pairs of rows, then quads, so that each 128-bit lane L of
+// t[4g + c] holds rows 4g..4g+3 of column 4L + c; then gather lane L of the
+// four row groups into row 4L + c, lanes 0-1 and 2-3 of groups (0, 1) and
+// (2, 3) first, then one lane of each. The maskz forms with an all-ones
+// mask compile to the plain shuffles; GCC 12 reports the plain intrinsics'
+// undefined pass-through operand as maybe uninitialized.
+__attribute__((target("avx512f"), always_inline)) inline void Transpose16x16(
+    __m512 r[kNR]) {
+  constexpr __mmask16 kAll = 0xffff;
+  __m512 t[kNR];
+#pragma GCC unroll 4
+  for (int g = 0; g < 4; ++g) {
+    const __m512 lo01 = _mm512_maskz_unpacklo_ps(kAll, r[4 * g], r[4 * g + 1]);
+    const __m512 hi01 = _mm512_maskz_unpackhi_ps(kAll, r[4 * g], r[4 * g + 1]);
+    const __m512 lo23 =
+        _mm512_maskz_unpacklo_ps(kAll, r[4 * g + 2], r[4 * g + 3]);
+    const __m512 hi23 =
+        _mm512_maskz_unpackhi_ps(kAll, r[4 * g + 2], r[4 * g + 3]);
+    t[4 * g + 0] = _mm512_maskz_shuffle_ps(kAll, lo01, lo23, 0x44);
+    t[4 * g + 1] = _mm512_maskz_shuffle_ps(kAll, lo01, lo23, 0xee);
+    t[4 * g + 2] = _mm512_maskz_shuffle_ps(kAll, hi01, hi23, 0x44);
+    t[4 * g + 3] = _mm512_maskz_shuffle_ps(kAll, hi01, hi23, 0xee);
+  }
+#pragma GCC unroll 4
+  for (int c = 0; c < 4; ++c) {
+    const __m512 g01_lo =
+        _mm512_maskz_shuffle_f32x4(kAll, t[c], t[4 + c], 0x44);
+    const __m512 g01_hi =
+        _mm512_maskz_shuffle_f32x4(kAll, t[c], t[4 + c], 0xee);
+    const __m512 g23_lo =
+        _mm512_maskz_shuffle_f32x4(kAll, t[8 + c], t[12 + c], 0x44);
+    const __m512 g23_hi =
+        _mm512_maskz_shuffle_f32x4(kAll, t[8 + c], t[12 + c], 0xee);
+    r[c] = _mm512_maskz_shuffle_f32x4(kAll, g01_lo, g23_lo, 0x88);
+    r[4 + c] = _mm512_maskz_shuffle_f32x4(kAll, g01_lo, g23_lo, 0xdd);
+    r[8 + c] = _mm512_maskz_shuffle_f32x4(kAll, g01_hi, g23_hi, 0x88);
+    r[12 + c] = _mm512_maskz_shuffle_f32x4(kAll, g01_hi, g23_hi, 0xdd);
+  }
+}
+
+// The low n of 16 lanes, 0 <= n <= 16.
+inline __mmask16 LowLanes(int n) {
+  return static_cast<__mmask16>((1u << n) - 1);
+}
+
+// PackBTransPortable with each 16 k-steps of the panel moved through one
+// 16x16 register transpose: row j of the block is column j0 + j of op(B),
+// k-steps p..p+15 of it (a short panel's missing rows are zero and never
+// loaded, and a k tail is a masked load), and row q of the transpose is
+// k-row p + q of the panel (a k tail stores only its own rows). So every
+// panel width and depth takes the same vector path.
+__attribute__((target("avx512f"))) void PackBTransAvx512(const float* b,
+                                                         int ldb, int j0,
+                                                         int cols, int k,
+                                                         float* dst) {
+  const float* src = b + static_cast<int64_t>(j0) * ldb;
+  for (int p = 0; p < k; p += kNR) {
+    const int steps = std::min(kNR, k - p);
+    const __mmask16 mask = LowLanes(steps);
+    __m512 r[kNR];
+#pragma GCC unroll 16
+    for (int j = 0; j < kNR; ++j) {
+      r[j] = j < cols ? _mm512_maskz_loadu_ps(
+                            mask, src + static_cast<int64_t>(j) * ldb + p)
+                      : _mm512_setzero_ps();
+    }
+    Transpose16x16(r);
+#pragma GCC unroll 16
+    for (int q = 0; q < kNR; ++q) {
+      if (q < steps) _mm512_storeu_ps(dst + (p + q) * kNR, r[q]);
+    }
+  }
+}
+
+// TransposePortable in 16x16 blocks through the register transpose; an edge
+// block loads and stores only the rows and columns it has.
+__attribute__((target("avx512f"))) void TransposeAvx512(int rows, int cols,
+                                                        const float* src,
+                                                        int lds, float* dst,
+                                                        int ldd) {
+  for (int i0 = 0; i0 < rows; i0 += kNR) {
+    const int block_rows = std::min(kNR, rows - i0);
+    const __mmask16 row_mask = LowLanes(block_rows);
+    for (int j0 = 0; j0 < cols; j0 += kNR) {
+      const int block_cols = std::min(kNR, cols - j0);
+      const __mmask16 col_mask = LowLanes(block_cols);
+      const float* in = src + static_cast<int64_t>(i0) * lds + j0;
+      __m512 r[kNR];
+#pragma GCC unroll 16
+      for (int i = 0; i < kNR; ++i) {
+        const float* row = in + static_cast<int64_t>(i) * lds;
+        r[i] = i < block_rows ? _mm512_maskz_loadu_ps(col_mask, row)
+                              : _mm512_setzero_ps();
+      }
+      Transpose16x16(r);
+      float* out = dst + static_cast<int64_t>(j0) * ldd + i0;
+#pragma GCC unroll 16
+      for (int j = 0; j < kNR; ++j) {
+        if (j < block_cols) {
+          _mm512_mask_storeu_ps(out + static_cast<int64_t>(j) * ldd, row_mask,
+                                r[j]);
+        }
+      }
+    }
+  }
+}
 #endif  // FEDMIGR_GEMM_X86
 
 using MicroKernelFn = void (*)(int, const float*, int, int, const float*, int,
                                float*, int, GemmAcc);
 using PackBTransFn = void (*)(const float*, int, int, int, int, float*);
+using TransposeFn = void (*)(int, int, const float*, int, float*, int);
 
-// One ISA's micro-kernel, its tile rows and the transposing B packer that
-// goes with it.
+// One ISA's micro-kernel and its tile rows, the kernel that runs edge tiles
+// of at most edge_mr rows (the same bytes on a shorter tile, so a short edge
+// computes fewer padding rows), the transposing B packer that goes with
+// them, and the transpose for TransposeMatrix.
 struct KernelChoice {
   MicroKernelFn micro;
   int mr;
+  MicroKernelFn edge_micro;
+  int edge_mr;
   PackBTransFn pack_b_trans;
+  TransposeFn transpose;
   const char* name;
 };
 
@@ -330,12 +456,15 @@ KernelChoice ResolveMicroKernel() {
   if (force != "portable" && __builtin_cpu_supports("avx2") &&
       __builtin_cpu_supports("fma")) {
     if (force != "avx2" && __builtin_cpu_supports("avx512f")) {
-      return {MicroKernelAvx512, kMaxMR, PackBTransAvx2, "avx512+fma"};
+      return {MicroKernelAvx512, kMaxMR, MicroKernelAvx2, kMR, PackBTransAvx512,
+              TransposeAvx512, "avx512+fma"};
     }
-    return {MicroKernelAvx2, kMR, PackBTransAvx2, "avx2+fma"};
+    return {MicroKernelAvx2, kMR, MicroKernelAvx2, kMR, PackBTransAvx2,
+            TransposePortable, "avx2+fma"};
   }
 #endif
-  return {MicroKernelPortable, kMR, PackBTransPortable, "portable"};
+  return {MicroKernelPortable, kMR, MicroKernelPortable, kMR,
+          PackBTransPortable, TransposePortable, "portable"};
 }
 
 const KernelChoice& MicroKernel() {
@@ -400,6 +529,12 @@ int GetIntraOpThreads() { return 1; }
 
 const char* GemmKernelName() { return MicroKernel().name; }
 
+void TransposeMatrix(int rows, int cols, const float* src, int lds,
+                     float* dst, int ldd) {
+  if (rows <= 0 || cols <= 0) return;
+  MicroKernel().transpose(rows, cols, src, lds, dst, ldd);
+}
+
 namespace {
 
 // The body of Sgemm and SgemmSegments: C combined per `acc` with op(A)·op(B)
@@ -458,19 +593,24 @@ void GemmOverSegments(bool trans_a, bool trans_b, int m, int n,
   const int tile_rows = kernel.mr;
   float* ap = ScratchArena::ThreadLocal().AllocFloats(
       static_cast<int64_t>(k) * tile_rows);
-  // Edge tiles (fewer than tile_rows rows or kNR columns of C) run through
-  // this buffer, since a micro-kernel always covers a full tile.
+  // Edge tiles (fewer rows than the tile they run, or fewer than kNR columns
+  // of C) run through this buffer, since a micro-kernel always covers a full
+  // tile.
   alignas(64) float tile[kMaxMR * kNR] = {};
   for (int i0 = 0; i0 < m; i0 += tile_rows) {
     const int mr = std::min(tile_rows, m - i0);
+    // A tile of at most edge_mr rows runs the edge kernel's shorter tile.
+    const bool edge = mr <= kernel.edge_mr;
+    const MicroKernelFn micro = edge ? kernel.edge_micro : kernel.micro;
+    const int run_rows = edge ? kernel.edge_mr : tile_rows;
     const float* a_panel = ap;
-    int a_row_stride = 1, a_k_stride = tile_rows;
-    if (in_place && mr == tile_rows) {
+    int a_row_stride = 1, a_k_stride = run_rows;
+    if (in_place && mr == run_rows) {
       a_panel = trans_a ? a + i0 : a + static_cast<int64_t>(i0) * lda;
       a_row_stride = trans_a ? 1 : lda;
       a_k_stride = trans_a ? lda : 1;
     } else {
-      PackAPanel(a, lda, trans_a, i0, mr, tile_rows, k, ap);
+      PackAPanel(a, lda, trans_a, i0, mr, run_rows, k, ap);
     }
     for (int np = 0; np < n_panels; ++np) {
       const int j0 = np * kNR;
@@ -480,7 +620,7 @@ void GemmOverSegments(bool trans_a, bool trans_b, int m, int n,
           b_direct ? b + j0 : bp + static_cast<int64_t>(np) * k * kNR;
       const int b_k_stride = b_direct ? ldb : kNR;
       float* c_tile = c + static_cast<int64_t>(i0) * ldc + j0;
-      const bool full = mr == tile_rows && nr == kNR;
+      const bool full = mr == run_rows && nr == kNR;
       float* out = full ? c_tile : tile;
       const int ld_out = full ? ldc : kNR;
       if (!full && acc != GemmAcc::kOverwrite) {
@@ -491,10 +631,10 @@ void GemmOverSegments(bool trans_a, bool trans_b, int m, int n,
       }
       for (int k0 = 0; const int k1 : k_ends) {
         if (k1 > k0) {
-          kernel.micro(k1 - k0, a_panel + static_cast<int64_t>(k0) * a_k_stride,
-                       a_row_stride, a_k_stride,
-                       b_panel + static_cast<int64_t>(k0) * b_k_stride,
-                       b_k_stride, out, ld_out, acc);
+          micro(k1 - k0, a_panel + static_cast<int64_t>(k0) * a_k_stride,
+                a_row_stride, a_k_stride,
+                b_panel + static_cast<int64_t>(k0) * b_k_stride, b_k_stride,
+                out, ld_out, acc);
         }
         k0 = k1;
       }

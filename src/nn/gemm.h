@@ -2,7 +2,8 @@
 // convolution op in the NN substrate lowers onto.
 //
 // Scheme: C is cut into tiles of 16 columns and the micro-kernel's rows (8
-// on AVX-512, 4 on AVX2 and the portable kernel); a register-tiled
+// on AVX-512, 4 on AVX2 and the portable kernel; on AVX-512 an edge of at
+// most 4 rows runs the AVX2 kernel's 4-row tile); a register-tiled
 // micro-kernel computes each tile's full K reduction in one pass, reading
 // A through a (row, k) stride pair and B through a k stride. The tiles run
 // serially on the calling thread; the trainer's client pool is the only
@@ -10,8 +11,9 @@
 // when m*k + k*n is small (every zoo GEMM), full tile-row panels of A
 // (transposed or not) and full 16-column panels of a non-transposed B are
 // read where they lie, and only edge panels and transposed B are copied
-// into packed panels (transposed B via an 8x8 register transpose on AVX2).
-// Larger GEMMs pack every panel.
+// into packed panels (transposed B through one 16x16 register transpose per
+// 16 k-steps on AVX-512, 8x8 transposes on AVX2). Larger GEMMs pack every
+// panel.
 // The micro-kernel is AVX-512 (8x16), AVX2+FMA (4x16) or portable C (4x16),
 // chosen once at the first call by runtime CPU dispatch (GemmKernelName).
 // SgemmSegments runs the same body with the k range cut into segments:
@@ -39,6 +41,10 @@
 #include <span>
 
 namespace fedmigr::nn {
+
+// Columns of C per micro-tile, the width of each packed panel of op(B). A
+// GEMM whose n is a multiple of it has no edge columns.
+inline constexpr int kGemmPanelCols = 16;
 
 // How Sgemm combines the computed product P = op(A)·op(B) with the
 // existing contents of C. Because float addition is not associative the
@@ -81,6 +87,13 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
 void SgemmSegments(bool trans_a, bool trans_b, int m, int n,
                    std::span<const int> k_ends, const float* a, int lda,
                    const float* b, int ldb, float* c, int ldc);
+
+// dst (cols x rows, leading dim ldd) = the transpose of src (rows x cols,
+// leading dim lds). It only copies, so every value keeps its bytes; with the
+// AVX-512 kernel it moves 16x16 blocks through the register transpose that
+// packs a transposed B, otherwise it copies element by element.
+void TransposeMatrix(int rows, int cols, const float* src, int lds,
+                     float* dst, int ldd);
 
 // Always 1: the kernels run serially on the calling thread. It remains
 // only because perfbench prints it in its run header (perfbench.cc).

@@ -332,11 +332,18 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
     }
   }
 
-  // Kernel gradient, in image order: each dK_img = dY_img (cout x ohw) ·
-  // cols_img^T (ohw x kcols) is reduced in registers and then added into
-  // grad_kernel (kAddAfter), giving the fixed tree ((0 + P_0) + P_1) + ...;
-  // the columns are the forward's when the caller kept them, else each
-  // image is lowered again, and both are the same bytes.
+  // Kernel gradient, in image order: each image's product dK_img = dY_img
+  // (cout x ohw) · cols_img^T (ohw x kcols) is reduced in registers and then
+  // added (kAddAfter), giving the fixed tree ((0 + P_0) + P_1) + ...; the
+  // columns are the forward's when the caller kept them, else each image is
+  // lowered again, and both are the same bytes. When cout fills whole GEMM
+  // panels, each product is taken transposed instead, dK_img^T = cols_img ·
+  // dY_img^T (kcols x cout), into a kcols x cout sum that is transposed into
+  // grad_kernel once: the GEMM then reads the columns in place and packs only
+  // dY_img, where the other orientation packs the transposed columns of every
+  // image. Every element keeps its chain, since each step's product is the
+  // same (fma(a, b, c) = fma(b, a, c), and a rounded product commutes).
+  const bool transposed = cout % kGemmPanelCols == 0;
   ScratchArena::Scope scope;
   ScratchArena& arena = ScratchArena::ThreadLocal();
   float* lowered = nullptr;
@@ -346,6 +353,12 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
     plane = arena.AllocFloats(plane_size);
     std::memset(plane, 0, static_cast<size_t>(plane_size) * sizeof(float));
   }
+  const int64_t gker_size = static_cast<int64_t>(cout) * kcols;
+  float* gker_t = nullptr;
+  if (transposed) {
+    gker_t = arena.AllocFloats(gker_size);
+    std::memset(gker_t, 0, static_cast<size_t>(gker_size) * sizeof(float));
+  }
   for (int64_t img = 0; img < batch; ++img) {
     const float* cols = lowered;
     if (columns != nullptr) {
@@ -354,9 +367,16 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
       Im2col(in + img * in_img, cin, h, w, kh, kw, pad, oh, ow, plane,
              lowered);
     }
-    Sgemm(false, true, cout, kcols, ohw, go + img * out_img, ohw, cols, ohw,
-          gker, kcols, GemmAcc::kAddAfter);
+    const float* go_n = go + img * out_img;
+    if (transposed) {
+      Sgemm(false, true, kcols, cout, ohw, cols, ohw, go_n, ohw, gker_t, cout,
+            GemmAcc::kAddAfter);
+    } else {
+      Sgemm(false, true, cout, kcols, ohw, go_n, ohw, cols, ohw, gker, kcols,
+            GemmAcc::kAddAfter);
+    }
   }
+  if (transposed) TransposeMatrix(kcols, cout, gker_t, cout, gker, kcols);
 }
 
 Tensor MaxPool2x2Forward(const Tensor& input, Tensor* argmax) {

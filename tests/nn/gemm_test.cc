@@ -270,6 +270,60 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// Transposed B around the 16x16 register transpose that packs it on the
+// AVX-512 kernel: every panel width from 1 to 17 columns, a zoo edge (75) and
+// a wide B (200), against k below, at and past one and two 16-step blocks
+// and at four. Each case runs every transposition and a padded ldb, over an
+// 8-row tile and a 1-row edge tile.
+class GemmTransBSweepTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(GemmTransBSweepTest, MatchesInOrderKChain) {
+  const auto [n, k] = GetParam();
+  ExpectMatchesInOrderKChain(GemmCase{"trans_b", 9, n, k});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Panels, GemmTransBSweepTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                         13, 14, 15, 16, 17, 75, 200),
+                       ::testing::Values(1, 15, 16, 17, 31, 33, 64)),
+    [](const auto& info) {
+      std::string name = "n";
+      name.append(std::to_string(std::get<0>(info.param)))
+          .append("k")
+          .append(std::to_string(std::get<1>(info.param)));
+      return name;
+    });
+
+// TransposeMatrix copies every value to its transposed place, leaves the
+// padding of dst as it was and reads none of src's: every row and column
+// count around its 16x16 blocks, with padded leading dimensions.
+TEST(TransposeMatrixTest, CopiesEveryBlockShape) {
+  for (int rows : {1, 2, 15, 16, 17, 31, 33, 75, 200}) {
+    for (int cols : {1, 7, 8, 15, 16, 17, 32, 33}) {
+      const int lds = cols + 3, ldd = rows + 5;
+      const std::vector<float> src =
+          RandomFloats(static_cast<int64_t>(rows) * lds,
+                       static_cast<uint64_t>(rows * 64 + cols));
+      const std::vector<float> dst0 =
+          RandomFloats(static_cast<int64_t>(cols) * ldd, 7);
+      std::vector<float> want = dst0;
+      for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < cols; ++j) {
+          want[static_cast<size_t>(j) * ldd + i] =
+              src[static_cast<size_t>(i) * lds + j];
+        }
+      }
+      std::vector<float> got = dst0;
+      TransposeMatrix(rows, cols, src.data(), lds, got.data(), ldd);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "rows " << rows << " cols " << cols;
+    }
+  }
+}
+
 // ------------------------------------------- segmented K, bit for bit --
 // SgemmSegments against its contract in gemm.h: one kAddAfter Sgemm per
 // segment, run in order on the segment's slices of A and B. Ragged
@@ -614,7 +668,9 @@ TEST_P(ConvLoweringBitExactTest, MatchesPerImageLowering) {
 // The zoo C10/C100 convs, then the lowering's edge cases: no border, a
 // border at least as wide as the kernel (whole column-matrix rows are
 // padding), 1x1 kernels, non-square images and kernels, and a 3-wide
-// output (no compile-time row width).
+// output (no compile-time row width). Then cout 16 and 32, whose kernel
+// gradient is summed transposed and transposed into place once, and cout
+// 24, which is not, each with an ohw that is not a multiple of 16.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvLoweringBitExactTest,
     ::testing::Combine(
@@ -625,7 +681,10 @@ INSTANTIATE_TEST_SUITE_P(
                           ConvCase{"k1", 4, 5, 6, 6, 1, 1, 0},
                           ConvCase{"h5w7", 3, 4, 5, 7, 3, 3, 1},
                           ConvCase{"h5w7k3x5", 2, 3, 5, 7, 3, 5, 2},
-                          ConvCase{"ow3", 3, 4, 6, 3, 5, 5, 2}),
+                          ConvCase{"ow3", 3, 4, 6, 3, 5, 5, 2},
+                          ConvCase{"cout16", 3, 16, 5, 5, 3, 3, 1},
+                          ConvCase{"cout24", 2, 24, 5, 7, 3, 3, 1},
+                          ConvCase{"cout32", 3, 32, 7, 7, 3, 3, 0}),
         ::testing::Values(1, 64)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param).name) + "_batch" +
