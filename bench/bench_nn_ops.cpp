@@ -61,11 +61,14 @@ void BM_MatMulTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransB)->Arg(128)->Arg(512);
 
-// The nine GEMMs of one C10 training step at batch 16, in the layouts and
+// The GEMMs of one C10 training step at batch 16, in the layouts and
 // accumulation modes the layers issue them: conv l0 (3->8 on 8x8) and l3
 // (8->16 on 4x4) forward, input gradient Kᵀ·dY and kernel gradient
 // dY·colsᵀ, then Dense 64->64 forward x·Wᵀ, weight gradient dYᵀ·x and
-// input gradient dY·W. The argument indexes kZooGemms.
+// input gradient dY·W. l3's cout of 16 fills a panel, so Conv2dBackward
+// issues its kernel gradient transposed, cols·dYᵀ (l3_dkT, last); l3_dk
+// stays for comparison with earlier records. The argument indexes
+// kZooGemms.
 struct ZooGemm {
   const char* label;
   int m, n, k;
@@ -83,6 +86,7 @@ constexpr ZooGemm kZooGemms[] = {
     {"dense_fwd", 16, 64, 64, false, true, nn::GemmAcc::kOverwrite},
     {"dense_dw", 64, 64, 16, true, false, nn::GemmAcc::kAddAfter},
     {"dense_dx", 16, 64, 64, false, false, nn::GemmAcc::kOverwrite},
+    {"l3_dkT", 200, 16, 16, false, true, nn::GemmAcc::kAddAfter},
 };
 
 void BM_SgemmZooShapes(benchmark::State& state) {
@@ -100,7 +104,7 @@ void BM_SgemmZooShapes(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * int64_t{g.m} * g.n * g.k);
 }
-BENCHMARK(BM_SgemmZooShapes)->DenseRange(0, 8);
+BENCHMARK(BM_SgemmZooShapes)->DenseRange(0, 9);
 
 // The DDPG actor's weight gradients in one train step: 32 samples of 10
 // candidate rows, each sample's dYᵀ·X summed from zero and added to dW in
