@@ -109,18 +109,6 @@ void PackBTransPortable(const float* b, int ldb, int j0, int cols, int k,
   }
 }
 
-// dst (cols x rows, row stride ldd) = the transpose of src (rows x cols,
-// row stride lds).
-void TransposePortable(int rows, int cols, const float* src, int lds,
-                       float* dst, int ldd) {
-  for (int j = 0; j < cols; ++j) {
-    float* out = dst + static_cast<int64_t>(j) * ldd;
-    for (int i = 0; i < rows; ++i) {
-      out[i] = src[static_cast<int64_t>(i) * lds + j];
-    }
-  }
-}
-
 #if FEDMIGR_GEMM_X86
 // The portable kernel's reduction order, with the 4x16 tile held in eight
 // ymm accumulators and each multiply-add fused. Compiled for AVX2+FMA in
@@ -387,57 +375,22 @@ __attribute__((target("avx512f"))) void PackBTransAvx512(const float* b,
     }
   }
 }
-
-// TransposePortable in 16x16 blocks through the register transpose; an edge
-// block loads and stores only the rows and columns it has.
-__attribute__((target("avx512f"))) void TransposeAvx512(int rows, int cols,
-                                                        const float* src,
-                                                        int lds, float* dst,
-                                                        int ldd) {
-  for (int i0 = 0; i0 < rows; i0 += kNR) {
-    const int block_rows = std::min(kNR, rows - i0);
-    const __mmask16 row_mask = LowLanes(block_rows);
-    for (int j0 = 0; j0 < cols; j0 += kNR) {
-      const int block_cols = std::min(kNR, cols - j0);
-      const __mmask16 col_mask = LowLanes(block_cols);
-      const float* in = src + static_cast<int64_t>(i0) * lds + j0;
-      __m512 r[kNR];
-#pragma GCC unroll 16
-      for (int i = 0; i < kNR; ++i) {
-        const float* row = in + static_cast<int64_t>(i) * lds;
-        r[i] = i < block_rows ? _mm512_maskz_loadu_ps(col_mask, row)
-                              : _mm512_setzero_ps();
-      }
-      Transpose16x16(r);
-      float* out = dst + static_cast<int64_t>(j0) * ldd + i0;
-#pragma GCC unroll 16
-      for (int j = 0; j < kNR; ++j) {
-        if (j < block_cols) {
-          _mm512_mask_storeu_ps(out + static_cast<int64_t>(j) * ldd, row_mask,
-                                r[j]);
-        }
-      }
-    }
-  }
-}
 #endif  // FEDMIGR_GEMM_X86
 
 using MicroKernelFn = void (*)(int, const float*, int, int, const float*, int,
                                float*, int, GemmAcc);
 using PackBTransFn = void (*)(const float*, int, int, int, int, float*);
-using TransposeFn = void (*)(int, int, const float*, int, float*, int);
 
 // One ISA's micro-kernel and its tile rows, the kernel that runs edge tiles
 // of at most edge_mr rows (the same bytes on a shorter tile, so a short edge
-// computes fewer padding rows), the transposing B packer that goes with
-// them, and the transpose for TransposeMatrix.
+// computes fewer padding rows) and the transposing B packer that goes with
+// them.
 struct KernelChoice {
   MicroKernelFn micro;
   int mr;
   MicroKernelFn edge_micro;
   int edge_mr;
   PackBTransFn pack_b_trans;
-  TransposeFn transpose;
   const char* name;
 };
 
@@ -457,14 +410,14 @@ KernelChoice ResolveMicroKernel() {
       __builtin_cpu_supports("fma")) {
     if (force != "avx2" && __builtin_cpu_supports("avx512f")) {
       return {MicroKernelAvx512, kMaxMR, MicroKernelAvx2, kMR, PackBTransAvx512,
-              TransposeAvx512, "avx512+fma"};
+              "avx512+fma"};
     }
     return {MicroKernelAvx2, kMR, MicroKernelAvx2, kMR, PackBTransAvx2,
-            TransposePortable, "avx2+fma"};
+            "avx2+fma"};
   }
 #endif
   return {MicroKernelPortable, kMR, MicroKernelPortable, kMR,
-          PackBTransPortable, TransposePortable, "portable"};
+          PackBTransPortable, "portable"};
 }
 
 const KernelChoice& MicroKernel() {
@@ -528,12 +481,6 @@ void PackBPanel(const KernelChoice& kernel, const float* b, int ldb,
 int GetIntraOpThreads() { return 1; }
 
 const char* GemmKernelName() { return MicroKernel().name; }
-
-void TransposeMatrix(int rows, int cols, const float* src, int lds,
-                     float* dst, int ldd) {
-  if (rows <= 0 || cols <= 0) return;
-  MicroKernel().transpose(rows, cols, src, lds, dst, ldd);
-}
 
 namespace {
 

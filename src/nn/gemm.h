@@ -88,13 +88,6 @@ void SgemmSegments(bool trans_a, bool trans_b, int m, int n,
                    std::span<const int> k_ends, const float* a, int lda,
                    const float* b, int ldb, float* c, int ldc);
 
-// dst (cols x rows, leading dim ldd) = the transpose of src (rows x cols,
-// leading dim lds). It only copies, so every value keeps its bytes; with the
-// AVX-512 kernel it moves 16x16 blocks through the register transpose that
-// packs a transposed B, otherwise it copies element by element.
-void TransposeMatrix(int rows, int cols, const float* src, int lds,
-                     float* dst, int ldd);
-
 // Always 1: the kernels run serially on the calling thread. It remains
 // only because perfbench prints it in its run header (perfbench.cc).
 int GetIntraOpThreads();

@@ -376,7 +376,14 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
             GemmAcc::kAddAfter);
     }
   }
-  if (transposed) TransposeMatrix(kcols, cout, gker_t, cout, gker, kcols);
+  if (transposed) {
+    for (int kc = 0; kc < kcols; ++kc) {
+      const float* row = gker_t + static_cast<int64_t>(kc) * cout;
+      for (int oc = 0; oc < cout; ++oc) {
+        gker[static_cast<int64_t>(oc) * kcols + kc] = row[oc];
+      }
+    }
+  }
 }
 
 Tensor MaxPool2x2Forward(const Tensor& input, Tensor* argmax) {

@@ -296,34 +296,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// TransposeMatrix copies every value to its transposed place, leaves the
-// padding of dst as it was and reads none of src's: every row and column
-// count around its 16x16 blocks, with padded leading dimensions.
-TEST(TransposeMatrixTest, CopiesEveryBlockShape) {
-  for (int rows : {1, 2, 15, 16, 17, 31, 33, 75, 200}) {
-    for (int cols : {1, 7, 8, 15, 16, 17, 32, 33}) {
-      const int lds = cols + 3, ldd = rows + 5;
-      const std::vector<float> src =
-          RandomFloats(static_cast<int64_t>(rows) * lds,
-                       static_cast<uint64_t>(rows * 64 + cols));
-      const std::vector<float> dst0 =
-          RandomFloats(static_cast<int64_t>(cols) * ldd, 7);
-      std::vector<float> want = dst0;
-      for (int i = 0; i < rows; ++i) {
-        for (int j = 0; j < cols; ++j) {
-          want[static_cast<size_t>(j) * ldd + i] =
-              src[static_cast<size_t>(i) * lds + j];
-        }
-      }
-      std::vector<float> got = dst0;
-      TransposeMatrix(rows, cols, src.data(), lds, got.data(), ldd);
-      EXPECT_EQ(
-          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
-          << "rows " << rows << " cols " << cols;
-    }
-  }
-}
-
 // ------------------------------------------- segmented K, bit for bit --
 // SgemmSegments against its contract in gemm.h: one kAddAfter Sgemm per
 // segment, run in order on the segment's slices of A and B. Ragged
